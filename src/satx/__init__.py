@@ -21,9 +21,7 @@ from .cost import (
     CostBreakdown,
     CostCoefficients,
     TranscodingProblem,
-    cost_gradient,
     cost_terms,
-    total_cost,
 )
 from .errors import (
     AudioError,
@@ -67,12 +65,8 @@ from .geometry import (
     triangulate_hull,
 )
 from .optimizer import (
-    GivenInit,
     OptimizationConfig,
     OptimizationReport,
-    RandomInit,
-    RemapInit,
-    RemapNoiseInit,
     initialize,
     optimize,
 )

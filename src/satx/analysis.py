@@ -116,28 +116,39 @@ def guard_energy(e: np.ndarray) -> np.ndarray:
     return np.maximum(e, ENERGY_GUARD)
 
 
+def direction_vector(x: np.ndarray, u: np.ndarray, v: np.ndarray, guard):
+    """Per-direction magnitude and the radial/transverse parts of its vector.
+
+    ``x`` holds per-speaker weights (L x P): the gains s for the coherent
+    pressure and velocity vector, their squares s*s for the incoherent
+    energy and energy vector.  ``u`` are the speaker and ``v`` the
+    direction unit vectors; ``guard`` keeps the magnitude away from zero.
+    Returns the magnitude, the guarded magnitude g, the radial component
+    ((x @ u) / g) . v, and the transverse cross vector ((x @ u) / g) x v.
+    """
+    magnitude = x.sum(axis=1)
+    g = guard(magnitude)
+    vec = (x @ u) / g[:, None]
+    radial = np.einsum("lk,lk->l", vec, v)
+    return magnitude, g, radial, np.cross(vec, v)
+
+
 def coherent_metrics(s: SpeakerMatrix):
     """Pressure and radial/transverse velocity per direction."""
-    m = s.entries
-    u = s.layout.unit_vectors()
-    v = s.cloud.unit_vectors()
-    pressure = m.sum(axis=1)
-    vel = (m @ u) / guard_pressure(pressure)[:, None]
-    radial = np.einsum("lk,lk->l", vel, v)
-    transverse = np.linalg.norm(np.cross(vel, v), axis=1)
-    return pressure, radial, transverse
+    pressure, _, radial, cross = direction_vector(
+        s.entries, s.layout.unit_vectors(), s.cloud.unit_vectors(),
+        guard_pressure,
+    )
+    return pressure, radial, np.linalg.norm(cross, axis=1)
 
 
 def incoherent_metrics(s: SpeakerMatrix):
     """Energy and radial/transverse energy-vector components per direction."""
-    m2 = s.entries**2
-    u = s.layout.unit_vectors()
-    v = s.cloud.unit_vectors()
-    energy = m2.sum(axis=1)
-    ivec = (m2 @ u) / guard_energy(energy)[:, None]
-    radial = np.einsum("lk,lk->l", ivec, v)
-    transverse = np.linalg.norm(np.cross(ivec, v), axis=1)
-    return energy, radial, transverse
+    energy, _, radial, cross = direction_vector(
+        s.entries**2, s.layout.unit_vectors(), s.cloud.unit_vectors(),
+        guard_energy,
+    )
+    return energy, radial, np.linalg.norm(cross, axis=1)
 
 
 def perceptual_metrics(radial, transverse, magnitude, mode: str):

@@ -123,14 +123,8 @@ def _cmd_compare(args) -> int:
     for path in args.matrix:
         t = matfile.import_matrix(path).values()
         named.append((_unique_name(path, named), t))
-    if args.baseline:
-        problem = runner.build_problem(job) if job.cloud_spec else None
-        for kind in args.baseline:
-            if problem is None:
-                raise ConfigError(
-                    "baselines need a job config with a sampling cloud"
-                )
-            named.append((kind, runner.reference_transcoder(job, problem)))
+    for kind in args.baseline:
+        named.append((kind, runner.reference_transcoder(job)))
     all_stats = runner.run_compare(job, named, args.out)
     for name, stats in all_stats.items():
         s = stats["level_db"]

@@ -6,7 +6,8 @@ rejected with their full key path; every error names the offending key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import yaml
@@ -38,7 +39,7 @@ INIT_KINDS = ("remap", "remap_plus_noise", "random", "given", "reference")
 
 _TOP_KEYS = {
     "mode", "analysis", "name", "input", "output", "cloud",
-    "evaluation_cloud", "coefficients", "optimizer", "symmetry", "files",
+    "evaluation_cloud", "coefficients", "optimizer", "symmetry",
 }
 _INPUT_KEYS = {"format", "order", "normalization", "layout", "matrix"}
 _OUTPUT_KEYS = {"format", "order", "normalization", "layout", "matrix",
@@ -46,7 +47,6 @@ _OUTPUT_KEYS = {"format", "order", "normalization", "layout", "matrix",
 _OPT_KEYS = {"init", "scale", "matrix", "seed", "max_iterations",
              "gradient_tolerance", "cost_tolerance", "restarts", "log_every"}
 _SYM_KEYS = {"tolerance_deg", "pairs"}
-_FILES_KEYS = {"matrix", "audio_in", "audio_out", "out_dir"}
 
 DEFAULT_EVAL_CLOUD = {"kind": "fibonacci", "points": 312, "hemisphere": True}
 
@@ -76,9 +76,7 @@ class JobConfig:
     eval_cloud_spec: object
     coeffs: CostCoefficients
     optimizer: OptimizerOptions
-    symmetry_tolerance_deg: float = 1.0
     explicit_pairs: Optional[tuple] = None  # label pairs
-    files: dict = field(default_factory=dict)
 
 
 def _require_mapping(node, path):
@@ -97,6 +95,8 @@ def _number(node, path, minimum=None):
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"{path}: expected a number")
     value = float(node)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}")
     return value
@@ -132,7 +132,9 @@ def parse_layout(node, path, pair_tol=1.0) -> SpeakerLayout:
             if not isinstance(row, list) or len(row) != 3:
                 raise ConfigError(f"{path}[{i}]: expected [label, az, el]")
             label, az, el = row
-            speakers.append((str(label), Direction(float(az), float(el))))
+            speakers.append((str(label), Direction(
+                _number(az, f"{path}[{i}][1]"), _number(el, f"{path}[{i}][2]")
+            )))
         return SpeakerLayout(tuple(speakers)).with_detected_pairs(pair_tol)
     except (geometry.GeometryError, OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -165,7 +167,10 @@ def parse_cloud(node, path):
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != 2:
                 raise ConfigError(f"{path}.directions[{i}]: expected [az, el]")
-            dirs.append(Direction(float(row[0]), float(row[1])))
+            dirs.append(Direction(
+                _number(row[0], f"{path}.directions[{i}][0]"),
+                _number(row[1], f"{path}.directions[{i}][1]"),
+            ))
         weights = node.get("weights")
         if weights is not None:
             if not isinstance(weights, list) or len(weights) != len(dirs):
@@ -366,9 +371,6 @@ def parse_config(data: dict, source: str = "config") -> JobConfig:
                            f"{source}.coefficients")
     optimizer = _parse_optimizer(data.get("optimizer", {}),
                                  f"{source}.optimizer")
-    files = data.get("files", {})
-    files = dict(_require_mapping(files, f"{source}.files"))
-    _check_keys(files, _FILES_KEYS, f"{source}.files")
 
     return JobConfig(
         mode=mode,
@@ -381,9 +383,7 @@ def parse_config(data: dict, source: str = "config") -> JobConfig:
         eval_cloud_spec=eval_cloud_spec,
         coeffs=coeffs,
         optimizer=optimizer,
-        symmetry_tolerance_deg=pair_tol,
         explicit_pairs=explicit_pairs,
-        files=files,
     )
 
 

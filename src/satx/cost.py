@@ -30,6 +30,7 @@ from .analysis import (
     PRESSURE_GUARD,
     SpeakerMatrix,
     TranscodingMatrix,
+    direction_vector,
     guard_energy,
     guard_pressure,
 )
@@ -91,9 +92,6 @@ class CostCoefficients:
     def max_gain(self) -> float:
         return 10.0 ** (self.max_boost_db / 20.0)
 
-    def term_values(self) -> dict:
-        return {name: getattr(self, name) for name in TERM_NAMES}
-
     def has_primary_term(self) -> bool:
         return any(getattr(self, name) > 0 for name in PRIMARY_TERMS)
 
@@ -117,43 +115,34 @@ class CostBreakdown:
 class _ProblemGeometry:
     """Static per-(cloud, layout) arrays shared by cost and gradient."""
 
-    def __init__(self, cloud, layout, pairs):
+    def __init__(self, cloud, layout, pairs, coeffs: CostCoefficients):
+        if (coeffs.symmetry_linear or coeffs.symmetry_quadratic) and not pairs:
+            warnings.warn(
+                "symmetry coefficients set but the layout has no symmetry "
+                "pairs; the symmetry terms are zero",
+                stacklevel=3,
+            )
         self.v = cloud.unit_vectors()  # (L, 3)
         self.u = layout.unit_vectors()  # (P, 3)
         self.w = cloud.weights / len(cloud)  # premultiplied 1/L
         self.udotv = self.v @ self.u.T  # (L, P)
-        self.uxv = np.cross(self.u[None, :, :], self.v[:, None, :])  # (L, P, 3)
         mirror = geometry.mirror_indices(cloud.directions)
         self.rows = np.nonzero(mirror >= 0)[0]
         self.mu = mirror[self.rows]
         self.pa = np.array([p for p, _ in pairs], dtype=int)
         self.pb = np.array([q for _, q in pairs], dtype=int)
-        self.n_dirs = len(cloud)
 
 
 def _evaluate(s, t, geo: _ProblemGeometry, coeffs: CostCoefficients,
               want_gradient: bool):
     """All 14 term values, and optionally (dC/dS, dC/dT_direct)."""
     s = np.asarray(s, dtype=float)
-    w = geo.w
-    p_raw = s.sum(axis=1)
-    pg = guard_pressure(p_raw)
+    w, u, v = geo.w, geo.u, geo.v
+    p_raw, pg, vr, vc = direction_vector(s, u, v, guard_pressure)
+    e_raw, eg, ir, ic = direction_vector(s * s, u, v, guard_energy)
     abs_pg = np.abs(pg)
-    e_raw = (s * s).sum(axis=1)
-    eg = guard_energy(e_raw)
-
-    a_dot_v = (s * geo.udotv).sum(axis=1)
-    c3 = np.einsum("lp,lpk->lk", s, geo.uxv)
-    c3_sq = (c3 * c3).sum(axis=1)
-    vr = a_dot_v / pg
-    vt2 = c3_sq / pg**2
-
-    s2 = s * s
-    b_dot_v = (s2 * geo.udotv).sum(axis=1)
-    d3 = np.einsum("lp,lpk->lk", s2, geo.uxv)
-    d3_sq = (d3 * d3).sum(axis=1)
-    ir = b_dot_v / eg
-    it2 = d3_sq / eg**2
+    vt2 = (vc * vc).sum(axis=1)
+    it2 = (ic * ic).sum(axis=1)
 
     s_neg = np.minimum(s, 0.0)
     m1_neg = -s_neg.sum(axis=1)
@@ -213,32 +202,20 @@ def _evaluate(s, t, geo: _ProblemGeometry, coeffs: CostCoefficients,
     if c.pressure:
         ds += (c.pressure * 2.0 * w * (p_raw - 1.0))[:, None]
     if c.velocity_radial:
-        a = c.velocity_radial * 2.0 * w * (vr - 1.0)
-        dvr = geo.udotv / pg[:, None] - (a_dot_v * g_p / pg**2)[:, None]
-        ds += a[:, None] * dvr
+        a = c.velocity_radial * 2.0 * w * (vr - 1.0) / pg
+        ds += a[:, None] * (geo.udotv - (vr * g_p)[:, None])
+    # the transverse slopes use c . (u_p x v) = u_p . (v x c)
     if c.velocity_transverse:
-        b = c.velocity_transverse * w
-        dvt2 = (
-            2.0 * np.einsum("lk,lpk->lp", c3, geo.uxv) / (pg**2)[:, None]
-            - (2.0 * c3_sq * g_p / pg**3)[:, None]
-        )
-        ds += b[:, None] * dvt2
+        b = c.velocity_transverse * 2.0 * w / pg
+        ds += b[:, None] * (np.cross(v, vc) @ u.T - (vt2 * g_p)[:, None])
     if c.energy:
         ds += (c.energy * 4.0 * w * (e_raw - 1.0))[:, None] * s
     if c.intensity_radial:
-        a = c.intensity_radial * 2.0 * w * (ir - 1.0)
-        dir_ = (
-            2.0 * s * geo.udotv / eg[:, None]
-            - (2.0 * b_dot_v * g_e / eg**2)[:, None] * s
-        )
-        ds += a[:, None] * dir_
+        a = c.intensity_radial * 4.0 * w * (ir - 1.0) / eg
+        ds += a[:, None] * s * (geo.udotv - (ir * g_e)[:, None])
     if c.intensity_transverse:
-        b = c.intensity_transverse * w
-        dit2 = (
-            4.0 * s * np.einsum("lk,lpk->lp", d3, geo.uxv) / (eg**2)[:, None]
-            - (4.0 * d3_sq * g_e / eg**3)[:, None] * s
-        )
-        ds += b[:, None] * dit2
+        b = c.intensity_transverse * 4.0 * w / eg
+        ds += b[:, None] * s * (np.cross(v, ic) @ u.T - (it2 * g_e)[:, None])
     if c.in_phase_linear:
         a = c.in_phase_linear * 2.0 * w * phi_lin
         dphi = (
@@ -288,7 +265,7 @@ def _evaluate(s, t, geo: _ProblemGeometry, coeffs: CostCoefficients,
 
 
 def _weighted_total(terms: dict, coeffs: CostCoefficients) -> float:
-    return float(sum(coeffs.term_values()[k] * terms[k] for k in TERM_NAMES))
+    return float(sum(getattr(coeffs, k) * terms[k] for k in TERM_NAMES))
 
 
 def cost_terms(s: SpeakerMatrix, gains=None, pairs=None,
@@ -301,13 +278,7 @@ def cost_terms(s: SpeakerMatrix, gains=None, pairs=None,
     coeffs = coeffs if coeffs is not None else CostCoefficients()
     if pairs is None:
         pairs = s.layout.symmetry_pairs
-    if (coeffs.symmetry_linear or coeffs.symmetry_quadratic) and not pairs:
-        warnings.warn(
-            "symmetry coefficients set but the layout has no symmetry "
-            "pairs; the symmetry terms are zero",
-            stacklevel=2,
-        )
-    geo = _ProblemGeometry(s.cloud, s.layout, pairs)
+    geo = _ProblemGeometry(s.cloud, s.layout, pairs, coeffs)
     g = None if gains is None else np.asarray(gains, dtype=float)
     terms, _, _ = _evaluate(s.entries, g, geo, coeffs, want_gradient=False)
     return CostBreakdown(terms, _weighted_total(terms, coeffs))
@@ -331,16 +302,8 @@ class TranscodingProblem:
     def __post_init__(self):
         if self.pairs is None:
             self.pairs = self.decoder.layout.symmetry_pairs
-        if (
-            self.coeffs.symmetry_linear or self.coeffs.symmetry_quadratic
-        ) and not self.pairs:
-            warnings.warn(
-                "symmetry coefficients set but no symmetry pairs supplied; "
-                "the symmetry terms are zero",
-                stacklevel=2,
-            )
         self._geo = _ProblemGeometry(
-            self.encoding.cloud, self.decoder.layout, self.pairs
+            self.encoding.cloud, self.decoder.layout, self.pairs, self.coeffs
         )
 
     @property
@@ -388,19 +351,9 @@ class TranscodingProblem:
             grad = grad + dt
         return _weighted_total(terms, self.coeffs), grad
 
-    def gradient(self, t) -> np.ndarray:
-        return self.cost_and_gradient(t)[1]
-
     def transcoding_matrix(self, t) -> TranscodingMatrix:
         t = self._check(t)
         return TranscodingMatrix(
             t, self.encoding.channel_labels, self.decoder.channel_labels
         )
 
-
-def total_cost(t, problem: TranscodingProblem) -> float:
-    return problem.cost(t)
-
-
-def cost_gradient(t, problem: TranscodingProblem) -> np.ndarray:
-    return problem.gradient(t)

@@ -8,6 +8,7 @@ plus channel-remapping baseline transcoders.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -73,7 +74,7 @@ class _Panner:
     """Shared candidate-face search for VBAP and VBIP gains."""
 
     def __init__(self, layout: SpeakerLayout):
-        self.layout = layout
+        self.n_speakers = len(layout)
         self.faces = geometry.triangulate_hull(layout)
         self.is_2d = geometry.is_horizontal_layout(layout)
         vecs = layout.unit_vectors()
@@ -129,43 +130,39 @@ class _Panner:
             f"az={near.azimuth:.3f} el={near.elevation:.3f}"
         )
 
+    def vbap(self, d: Direction) -> np.ndarray:
+        face, g = self.raw_gains(d)
+        out = np.zeros(self.n_speakers)
+        out[list(face)] = np.clip(g, 0.0, None)
+        return out / np.linalg.norm(out)
 
-_PANNER_CACHE: dict = {}
+    def vbip(self, d: Direction) -> np.ndarray:
+        face, g = self.raw_gains(d)
+        q = np.clip(g, 0.0, None)
+        q /= q.sum()
+        out = np.zeros(self.n_speakers)
+        out[list(face)] = np.sqrt(q)
+        return out
 
 
+@functools.lru_cache(maxsize=32)
 def _panner(layout: SpeakerLayout) -> _Panner:
-    key = id(layout)
-    panner = _PANNER_CACHE.get(key)
-    if panner is None or panner.layout is not layout:
-        panner = _Panner(layout)
-        _PANNER_CACHE[key] = panner
-        if len(_PANNER_CACHE) > 32:
-            _PANNER_CACHE.pop(next(iter(_PANNER_CACHE)))
-    return panner
+    return _Panner(layout)
 
 
 def vbap_gains(layout: SpeakerLayout, d: Direction) -> np.ndarray:
     """Vector-base amplitude panning gains, energy-normalized (sum g^2 = 1)."""
-    panner = _panner(layout)
-    face, g = panner.raw_gains(d)
-    out = np.zeros(len(layout))
-    out[list(face)] = np.clip(g, 0.0, None)
-    return out / np.linalg.norm(out)
+    return _panner(layout).vbap(d)
 
 
 def vbip_gains(layout: SpeakerLayout, d: Direction) -> np.ndarray:
     """Vector-base intensity panning: the energy vector aligns with d."""
-    panner = _panner(layout)
-    face, g = panner.raw_gains(d)
-    q = np.clip(g, 0.0, None)
-    q /= q.sum()
-    out = np.zeros(len(layout))
-    out[list(face)] = np.sqrt(q)
-    return out
+    return _panner(layout).vbip(d)
 
 
 def vbap_matrix(layout: SpeakerLayout, directions: Sequence[Direction]) -> np.ndarray:
-    return np.array([vbap_gains(layout, d) for d in directions])
+    panner = _panner(layout)
+    return np.array([panner.vbap(d) for d in directions])
 
 
 # ---------------------------------------------------------------------------

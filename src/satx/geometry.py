@@ -75,11 +75,6 @@ def unit_vectors(directions: Sequence[Direction]) -> np.ndarray:
     return np.array([to_unit_vector(d) for d in directions]).reshape(-1, 3)
 
 
-def angle_between_deg(a: Direction, b: Direction) -> float:
-    dot = float(np.dot(to_unit_vector(a), to_unit_vector(b)))
-    return math.degrees(math.acos(max(-1.0, min(1.0, dot))))
-
-
 # ---------------------------------------------------------------------------
 # Point clouds
 

@@ -8,6 +8,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -145,14 +146,21 @@ def parse_matrix(text: str) -> MatrixFile:
     if rows < 1 or cols < 1:
         raise MatrixFileError("rows and cols must be positive")
     entries = []
-    for line in lines[body_start:]:
+    for number, line in enumerate(lines[body_start:], start=body_start + 1):
         stripped = line.strip()
         if not stripped:
             continue
         try:
-            entries.extend(float(tok) for tok in stripped.split())
+            row = [float(tok) for tok in stripped.split()]
         except ValueError as exc:
-            raise MatrixFileError(f"bad numeric entry in line {stripped!r}") from exc
+            raise MatrixFileError(
+                f"line {number}: bad numeric entry in {stripped!r}"
+            ) from exc
+        if not all(math.isfinite(x) for x in row):
+            raise MatrixFileError(
+                f"line {number}: non-finite entry in {stripped!r}"
+            )
+        entries.extend(row)
     row_labels = tuple(header.get("row_labels", "").split()) or tuple(
         f"r{i}" for i in range(rows)
     )
@@ -176,4 +184,7 @@ def import_matrix(path) -> MatrixFile:
             text = handle.read()
     except OSError as exc:
         raise MatrixFileError(f"cannot read matrix file {path}: {exc}") from exc
-    return parse_matrix(text)
+    try:
+        return parse_matrix(text)
+    except MatrixFileError as exc:
+        raise MatrixFileError(f"matrix file {path}: {exc}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -25,34 +25,23 @@ from .errors import ConfigError, DimensionError
 
 CHANGE_WINDOW = 5  # iterations over which relative cost change is judged
 
-
-@dataclass(frozen=True)
-class RemapInit:
-    """Educated guess: per-channel remap of the input channel directions."""
-
-
-@dataclass(frozen=True)
-class RandomInit:
-    scale: float = 0.5
-    seed: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class GivenInit:
-    matrix: object = None
-
-
-@dataclass(frozen=True)
-class RemapNoiseInit:
-    """Remap guess plus small uniform noise to break symmetry."""
-
-    scale: float = 0.05
-    seed: Optional[int] = None
+# amplitude of the uniform noise each noisy initialization adds
+INIT_SCALE = {"remap_plus_noise": 0.05, "random": 0.5}
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    init: object = None  # default: remap_plus_noise if possible, else random
+    """Optimizer settings.
+
+    ``init`` is remap, remap_plus_noise, random or given; by default it is
+    remap_plus_noise where the input has channel directions, else random.
+    ``scale`` overrides the noise amplitude from INIT_SCALE and ``matrix``
+    is the starting transcoder of a given initialization.
+    """
+
+    init: Optional[str] = None
+    scale: Optional[float] = None
+    matrix: Optional[np.ndarray] = None
     max_iterations: int = 2000
     gradient_tolerance: float = 1e-7
     cost_tolerance: float = 1e-10
@@ -92,43 +81,36 @@ class OptimizationReport:
 
 def initialize(config: OptimizationConfig, problem: TranscodingProblem) -> np.ndarray:
     """Starting transcoder per the configured strategy."""
-    init = config.init
-    if init is None:
-        if problem.input_channel_directions:
-            init = RemapNoiseInit()
-        else:
-            init = RandomInit()
-    n, m = problem.shape
-    if isinstance(init, GivenInit):
-        t0 = np.asarray(init.matrix, dtype=float)
-        if t0.shape != (n, m):
-            raise DimensionError(
-                f"given initial matrix has shape {t0.shape}, expected {(n, m)}"
-            )
-        return t0.copy()
-    if isinstance(init, RandomInit):
-        seed = config.seed if init.seed is None else init.seed
-        rng = np.random.default_rng(seed)
-        return rng.uniform(-init.scale, init.scale, size=(n, m))
-    if isinstance(init, (RemapInit, RemapNoiseInit)):
-        dirs = problem.input_channel_directions
-        if not dirs:
+    kind = config.init
+    if kind is None:
+        kind = "remap_plus_noise" if problem.input_channel_directions else "random"
+    shape = problem.shape
+    if kind == "given":
+        if config.matrix is None:
+            raise ConfigError("given initialization needs a matrix")
+        t0 = np.array(config.matrix, dtype=float)
+    elif kind in ("remap", "remap_plus_noise"):
+        if not problem.input_channel_directions:
             raise ConfigError(
                 "remap initialization needs input channel directions"
             )
-        base = formats.remap_baseline(
-            dirs, problem.output_spec, problem.decoder.layout
+        t0 = formats.remap_baseline(
+            problem.input_channel_directions, problem.output_spec,
+            problem.decoder.layout,
         )
-        if base.shape != (n, m):
-            raise DimensionError(
-                f"remap guess has shape {base.shape}, expected {(n, m)}"
-            )
-        if isinstance(init, RemapNoiseInit):
-            seed = config.seed if init.seed is None else init.seed
-            rng = np.random.default_rng(seed)
-            base = base + rng.uniform(-init.scale, init.scale, size=(n, m))
-        return base
-    raise ConfigError(f"unknown initialization {init!r}")
+    elif kind == "random":
+        t0 = np.zeros(shape)
+    else:
+        raise ConfigError(f"unknown initialization {kind!r}")
+    if t0.shape != shape:
+        raise DimensionError(
+            f"initial matrix has shape {t0.shape}, expected {shape}"
+        )
+    if kind in INIT_SCALE:
+        scale = INIT_SCALE[kind] if config.scale is None else config.scale
+        rng = np.random.default_rng(config.seed)
+        t0 = t0 + rng.uniform(-scale, scale, size=shape)
+    return t0
 
 
 class _CachedObjective:
@@ -264,18 +246,7 @@ def optimize(problem: TranscodingProblem,
     start = time.perf_counter()
     best = None
     for restart in range(config.restarts):
-        if config.restarts > 1:
-            seeded = OptimizationConfig(
-                init=config.init,
-                max_iterations=config.max_iterations,
-                gradient_tolerance=config.gradient_tolerance,
-                cost_tolerance=config.cost_tolerance,
-                seed=config.seed + restart,
-                restarts=1,
-                log_every=config.log_every,
-            )
-        else:
-            seeded = config
+        seeded = replace(config, seed=config.seed + restart, restarts=1)
         t0 = initialize(seeded, problem)
         initial = problem.breakdown(t0)
         result = _run_bfgs(problem, seeded, t0)

@@ -33,11 +33,24 @@ _REFERENCE_VIRTUAL = (
 )
 
 
-def input_channel_directions(job: JobConfig, cloud) -> Optional[tuple]:
+def _sampling_cloud(job: JobConfig) -> geometry.PointCloud:
+    if job.cloud_spec is None:
+        raise ConfigError("job has no sampling cloud")
+    return geometry.sample_cloud(job.cloud_spec)
+
+
+def input_channel_directions(job: JobConfig, cloud=None) -> Optional[tuple]:
+    """Per-channel directions of bed and object inputs, else None.
+
+    Objects sit at the sampling-cloud directions; pass ``cloud`` where it
+    is already sampled.
+    """
     spec = job.input_spec
     if isinstance(spec, formats.VbapSpec):
         return spec.layout.directions
     if isinstance(spec, formats.ObjectsSpec):
+        if cloud is None:
+            cloud = _sampling_cloud(job)
         return cloud.directions
     return None
 
@@ -55,75 +68,58 @@ def resolve_pairs(job: JobConfig, layout) -> tuple:
 
 
 def build_problem(job: JobConfig) -> TranscodingProblem:
-    if job.cloud_spec is None:
-        raise ConfigError("job has no sampling cloud")
-    cloud = geometry.sample_cloud(job.cloud_spec)
+    cloud = _sampling_cloud(job)
     encoding = formats.build_encoding_matrix(job.input_spec, cloud)
-    out_spec = job.output_spec
     if job.output_layout is None:
         raise ConfigError("job has no output layout")
-    decoder = formats.build_decoder_to_speaker(out_spec, job.output_layout)
-    remap_spec = out_spec if out_spec is not None else formats.VbapSpec(
-        job.output_layout
-    )
     return TranscodingProblem(
         encoding=encoding,
-        decoder=decoder,
+        decoder=formats.build_decoder_to_speaker(
+            job.output_spec, job.output_layout
+        ),
         coeffs=job.coeffs,
         pairs=resolve_pairs(job, job.output_layout),
         input_channel_directions=input_channel_directions(job, cloud),
-        output_spec=remap_spec,
+        output_spec=job.output_spec,
     )
 
 
-def reference_transcoder(job: JobConfig, problem: TranscodingProblem) -> np.ndarray:
+def reference_transcoder(job: JobConfig) -> np.ndarray:
     """Built-in comparison transcoder.
 
     Channel-format inputs use the direct per-channel remap; scene-format
     inputs decode to a dense virtual layout and pan every virtual speaker
     onto the output layout.
     """
-    if problem.input_channel_directions:
-        return formats.remap_baseline(
-            problem.input_channel_directions,
-            problem.output_spec,
-            problem.decoder.layout,
-        )
     if isinstance(job.input_spec, formats.AmbisonicsSpec):
         virtual_cloud = geometry.sample_cloud(_REFERENCE_VIRTUAL)
         virtual = geometry.layout_from_directions(virtual_cloud.directions)
         return formats.panned_reference_decoder(
-            job.input_spec, virtual, problem.decoder.layout
+            job.input_spec, virtual, job.output_layout
         )
-    raise ConfigError(
-        "no reference transcoder is defined for this input format"
+    directions = input_channel_directions(job)
+    if not directions:
+        raise ConfigError(
+            "no reference transcoder is defined for this input format"
+        )
+    return formats.remap_baseline(
+        directions, job.output_spec, job.output_layout
     )
 
 
-def make_init(job: JobConfig, problem: TranscodingProblem):
-    opts = job.optimizer
-    if opts.init is None:
-        return None
-    if opts.init == "remap":
-        return optimizer.RemapInit()
-    if opts.init == "remap_plus_noise":
-        scale = 0.05 if opts.scale is None else opts.scale
-        return optimizer.RemapNoiseInit(scale=scale)
-    if opts.init == "random":
-        scale = 0.5 if opts.scale is None else opts.scale
-        return optimizer.RandomInit(scale=scale)
-    if opts.init == "given":
-        return optimizer.GivenInit(matfile.import_matrix(opts.matrix).values())
-    if opts.init == "reference":
-        return optimizer.GivenInit(reference_transcoder(job, problem))
-    raise ConfigError(f"unknown init strategy {opts.init!r}")
-
-
-def optimization_config(job: JobConfig, problem: TranscodingProblem,
+def optimization_config(job: JobConfig,
                         seed: Optional[int] = None) -> optimizer.OptimizationConfig:
+    """Optimizer settings of a job; a reference init becomes a given one."""
     opts = job.optimizer
+    init, matrix = opts.init, None
+    if init == "given":
+        matrix = matfile.import_matrix(opts.matrix).values()
+    elif init == "reference":
+        init, matrix = "given", reference_transcoder(job)
     return optimizer.OptimizationConfig(
-        init=make_init(job, problem),
+        init=init,
+        scale=opts.scale,
+        matrix=matrix,
         max_iterations=opts.max_iterations,
         gradient_tolerance=opts.gradient_tolerance,
         cost_tolerance=opts.cost_tolerance,
@@ -152,7 +148,7 @@ def transcoder_to_file(t: analysis.TranscodingMatrix, note: str = "") -> MatrixF
 
 def run_generate(job: JobConfig, out_dir, seed: Optional[int] = None) -> GenerateResult:
     problem = build_problem(job)
-    cfg = optimization_config(job, problem, seed)
+    cfg = optimization_config(job, seed)
     report = optimizer.optimize(problem, cfg)
     os.makedirs(out_dir, exist_ok=True)
     matrix_path = os.path.join(out_dir, f"{job.name}_transcoder.smx")

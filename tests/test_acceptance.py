@@ -72,8 +72,8 @@ def preset_runs():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             problem = runner.build_problem(job)
-            rep = optimize(problem, runner.optimization_config(job, problem))
-            reference = runner.reference_transcoder(job, problem)
+            rep = optimize(problem, runner.optimization_config(job))
+            reference = runner.reference_transcoder(job)
         runs[name] = (job, problem, rep, reference)
     return runs
 

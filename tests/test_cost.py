@@ -12,10 +12,9 @@ from satx import (
     TranscodingProblem,
     VbapSpec,
     build_encoding_matrix,
-    cost_gradient,
     cost_terms,
+    direction_metrics,
     named_layout,
-    total_cost,
 )
 from satx.analysis import SpeakerMatrix
 from satx.cost import TERM_NAMES
@@ -186,6 +185,31 @@ class TestTermValues:
         for name in TERM_NAMES:
             assert b1[name] == pytest.approx(b0[name], rel=1e-10, abs=1e-13), name
 
+    def test_primary_terms_match_direction_metrics(self):
+        # each primary term is the weighted mean squared residual of the
+        # per-direction metric that analysis reports
+        problem, t = random_problem(8, n_dirs=9)
+        cloud = problem.encoding.cloud
+        s = SpeakerMatrix(
+            problem.speaker_gains(t), cloud, problem.decoder.layout
+        )
+        b = cost_terms(s, coeffs=ALL_ONES)
+        m = direction_metrics(s)
+
+        def mean_square(r):
+            return float(np.sum(cloud.weights * r**2)) / len(cloud)
+
+        expected = {
+            "pressure": mean_square(1.0 - m.pressure),
+            "velocity_radial": mean_square(1.0 - m.velocity_radial),
+            "velocity_transverse": mean_square(m.velocity_transverse),
+            "energy": mean_square(1.0 - m.energy),
+            "intensity_radial": mean_square(1.0 - m.intensity_radial),
+            "intensity_transverse": mean_square(m.intensity_transverse),
+        }
+        for name, value in expected.items():
+            assert b[name] == pytest.approx(value, rel=1e-12, abs=0), name
+
     def test_missing_pairs_warns_and_zeroes_term(self):
         layout = named_layout("3.0.1")  # no symmetric pairs
         cloud = PointCloud(layout.directions)
@@ -226,13 +250,14 @@ class TestGradient:
             in_phase_quadratic=10, symmetry_quadratic=2,
         )
         problem = one_hot_matched_problem(coeffs)
-        grad = cost_gradient(np.eye(6), problem)
+        _, grad = problem.cost_and_gradient(np.eye(6))
         assert np.abs(grad).max() < 1e-8
 
     def test_all_zero_coefficients_give_zero_gradient(self):
         problem, t = random_problem(11, coeffs=CostCoefficients())
-        assert total_cost(t, problem) == 0.0
-        np.testing.assert_array_equal(cost_gradient(t, problem), 0.0)
+        value, grad = problem.cost_and_gradient(t)
+        assert problem.cost(t) == value == 0.0
+        np.testing.assert_array_equal(grad, 0.0)
 
     def test_gain_cap_gradient_through_transcoder(self):
         problem, t = random_problem(

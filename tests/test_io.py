@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+import yaml
 from scipy.io import wavfile
 
 from satx import AudioError, ConfigError, MatrixFileError
@@ -51,6 +52,17 @@ class TestMatrixFile:
         lines[-1] = "1 pear"
         with pytest.raises(MatrixFileError, match="numeric"):
             parse_matrix("\n".join(lines))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_entry_names_file_and_line(self, tmp_path, token):
+        lines = format_matrix(matrix_file(np.ones((2, 2)))).splitlines()
+        lines[-1] = f"1 {token}"
+        path = tmp_path / "bad.smx"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            MatrixFileError, match=rf"bad\.smx: line {len(lines)}: non-finite"
+        ):
+            import_matrix(path)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(MatrixFileError, match="unique"):
@@ -283,3 +295,39 @@ class TestConfig:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="mode"):
             parse_config({"mode": "transmogrify"})
+
+    @pytest.mark.parametrize("where, value, key", [
+        (("output", "layout", 0, 1), "abc", "output.layout[0][1]"),
+        (("output", "layout", 1, 2), None, "output.layout[1][2]"),
+        (("cloud", "directions", 0, 1), "x", "cloud.directions[0][1]"),
+        (("cloud", "directions", 1, 0), None, "cloud.directions[1][0]"),
+        (("coefficients", "max_boost_db"), float("nan"),
+         "coefficients.max_boost_db"),
+        (("coefficients", "max_boost_db"), float("inf"),
+         "coefficients.max_boost_db"),
+        (("optimizer", "gradient_tolerance"), float("nan"),
+         "optimizer.gradient_tolerance"),
+    ])
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, where,
+                                               value, key):
+        from satx.cli import main
+
+        cfg = {
+            "input": {"format": "objects"},
+            "output": {
+                "format": "speakers",
+                "layout": [["L", 30, 0], ["R", -30, 0]],
+            },
+            "cloud": {"kind": "explicit", "directions": [[10, 0], [-10, 0]]},
+            "coefficients": {"energy": 1},
+            "optimizer": {},
+        }
+        node = cfg
+        for part in where[:-1]:
+            node = node[part]
+        node[where[-1]] = value
+        path = tmp_path / "job.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        code = main(["generate", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"config.{key}:" in capsys.readouterr().err

@@ -5,13 +5,9 @@ from satx import (
     ConfigError,
     CostCoefficients,
     Direction,
-    GivenInit,
     ObjectsSpec,
     OptimizationConfig,
     PointCloud,
-    RandomInit,
-    RemapInit,
-    RemapNoiseInit,
     TranscodingProblem,
     VbapSpec,
     build_encoding_matrix,
@@ -59,17 +55,21 @@ def bed_problem(seed=0):
 class TestInitialize:
     def test_given_identity(self):
         problem = matched_objects_problem()
-        t0 = initialize(OptimizationConfig(init=GivenInit(np.eye(6))), problem)
+        t0 = initialize(
+            OptimizationConfig(init="given", matrix=np.eye(6)), problem
+        )
         np.testing.assert_array_equal(t0, np.eye(6))
 
     def test_given_shape_checked(self):
         problem = matched_objects_problem()
         with pytest.raises(Exception, match="shape"):
-            initialize(OptimizationConfig(init=GivenInit(np.eye(5))), problem)
+            initialize(
+                OptimizationConfig(init="given", matrix=np.eye(5)), problem
+            )
 
     def test_random_deterministic(self):
         problem = matched_objects_problem()
-        cfg = OptimizationConfig(init=RandomInit(seed=7))
+        cfg = OptimizationConfig(init="random", seed=7)
         a = initialize(cfg, problem)
         b = initialize(cfg, problem)
         np.testing.assert_array_equal(a, b)
@@ -94,7 +94,7 @@ class TestInitialize:
             input_channel_directions=layout.directions,
             output_spec=AmbisonicsSpec(5),
         )
-        t0 = initialize(OptimizationConfig(init=RemapInit()), problem)
+        t0 = initialize(OptimizationConfig(init="remap"), problem)
         assert t0.shape == (36, 11)
         np.testing.assert_allclose(
             t0, sh_matrix(layout.directions, 5).T, atol=1e-15
@@ -104,7 +104,7 @@ class TestInitialize:
         problem = matched_objects_problem()
         problem.input_channel_directions = None
         with pytest.raises(ConfigError, match="channel directions"):
-            initialize(OptimizationConfig(init=RemapInit()), problem)
+            initialize(OptimizationConfig(init="remap"), problem)
 
     def test_default_picks_remap_noise_when_possible(self):
         problem = matched_objects_problem()
@@ -181,7 +181,7 @@ class TestOptimize:
             ),
             output_spec=problem.output_spec,
         )
-        cfg = OptimizationConfig(init=RemapInit(), max_iterations=200)
+        cfg = OptimizationConfig(init="remap", max_iterations=200)
         t = optimize(problem, cfg).final_matrix.entries
         t_p = optimize(problem_p, cfg).final_matrix.entries
         np.testing.assert_allclose(t_p, t[:, perm], atol=1e-6)
@@ -190,12 +190,12 @@ class TestOptimize:
         problem = bed_problem()
         single = optimize(
             problem,
-            OptimizationConfig(init=RandomInit(), seed=5, max_iterations=120),
+            OptimizationConfig(init="random", seed=5, max_iterations=120),
         )
         multi = optimize(
             problem,
             OptimizationConfig(
-                init=RandomInit(), seed=5, restarts=3, max_iterations=120
+                init="random", seed=5, restarts=3, max_iterations=120
             ),
         )
         assert multi.final_cost <= single.final_cost + 1e-15
