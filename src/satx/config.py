@@ -289,7 +289,7 @@ def _parse_optimizer(node, path) -> OptimizerOptions:
     if "matrix" in node:
         opts.matrix = str(node["matrix"])
     if "seed" in node:
-        opts.seed = _integer(node["seed"], f"{path}.seed")
+        opts.seed = _integer(node["seed"], f"{path}.seed", 0)
     if "max_iterations" in node:
         opts.max_iterations = _integer(node["max_iterations"],
                                        f"{path}.max_iterations", 1)

@@ -84,7 +84,9 @@ class CostCoefficients:
     def __post_init__(self):
         for f in fields(self):
             value = float(getattr(self, f.name))
-            if f.name != "max_boost_db" and (value < 0 or not np.isfinite(value)):
+            if not np.isfinite(value):
+                raise ConfigError(f"coefficient {f.name} must be finite")
+            if f.name != "max_boost_db" and value < 0:
                 raise ConfigError(f"coefficient {f.name} must be >= 0")
             object.__setattr__(self, f.name, value)
 

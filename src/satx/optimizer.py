@@ -9,12 +9,15 @@ configuration; a failed line search returns the best iterate seen with
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg.blas import dger
 from scipy.optimize import line_search
 from scipy.optimize._linesearch import LineSearchWarning
 
@@ -50,16 +53,34 @@ class OptimizationConfig:
     log_every: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if self.gradient_tolerance <= 0 or self.cost_tolerance <= 0:
-            raise ConfigError("tolerances must be > 0")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be >= 1")
+        for name, minimum in (("max_iterations", 1), ("restarts", 1),
+                              ("log_every", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)
+                    or value < minimum):
+                raise ConfigError(f"{name} must be an integer >= {minimum}")
+        for name in ("gradient_tolerance", "cost_tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0")
+        if self.scale is not None and not (math.isfinite(self.scale)
+                                           and self.scale >= 0):
+            raise ConfigError("scale must be finite and >= 0")
+        if self.matrix is not None and not np.isfinite(self.matrix).all():
+            raise ConfigError("matrix entries must be finite")
 
 
 @dataclass
 class OptimizationReport:
+    """Result of ``optimize``; the run fields describe the winning restart.
+
+    ``evaluations`` counts cost-and-gradient calls of the iterations,
+    ``line_search_fallbacks`` strong-Wolfe searches that fell back to
+    Armijo backtracking, and ``hessian_resets`` restarts from steepest
+    descent.
+    """
+
     final_matrix: TranscodingMatrix
     initial_breakdown: CostBreakdown
     final_breakdown: CostBreakdown
@@ -67,6 +88,9 @@ class OptimizationReport:
     converged: bool
     gradient_norm_final: float
     wall_time_seconds: float
+    evaluations: int
+    line_search_fallbacks: int
+    hessian_resets: int
     message: str = ""
     progress_lines: tuple = field(default=())
 
@@ -148,7 +172,8 @@ class _CachedObjective:
 def _search_step(obj, x, direction, f, g):
     """Strong-Wolfe line search with Armijo backtracking fallback.
 
-    Returns (alpha, f_new) or (None, None) when no decrease is possible.
+    Returns (alpha, f_new, fell_back); alpha and f_new are None when no
+    decrease is possible.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LineSearchWarning)
@@ -157,17 +182,51 @@ def _search_step(obj, x, direction, f, g):
             c1=1e-4, c2=0.9, maxiter=40,
         )
     if alpha is not None and f_new < f:
-        return alpha, f_new
+        return alpha, f_new, False
     slope = float(g @ direction)
     if slope >= 0:
-        return None, None
+        return None, None, True
     alpha = 1.0
     for _ in range(60):
         f_new = obj.value(x + alpha * direction)
         if f_new <= f + 1e-4 * alpha * slope:
-            return alpha, f_new
+            return alpha, f_new, True
         alpha *= 0.5
-    return None, None
+    return None, None, True
+
+
+def identity_hessian(n: int) -> np.ndarray:
+    """Fresh n x n inverse Hessian, Fortran-ordered for ``bfgs_update``."""
+    return np.eye(n, order="F")
+
+
+def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """BFGS update of the inverse Hessian ``h``, in place; returns ``h``.
+
+    (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / y^T s
+    equals H + s w^T + w s^T with w = rho (rho y^T H y + 1) s / 2 - rho H y,
+    applied as two BLAS rank-1 updates.  BLAS updates ``h`` itself only
+    when it is Fortran-ordered, as ``identity_hessian`` makes it; otherwise
+    it silently updates a copy.
+    """
+    rho = 1.0 / float(y @ s)
+    hy = h @ y
+    w = (0.5 * rho * (rho * float(y @ hy) + 1.0)) * s - rho * hy
+    h = dger(1.0, s, w, a=h, overwrite_a=True)
+    return dger(1.0, w, s, a=h, overwrite_a=True)
+
+
+class _Run(NamedTuple):
+    matrix: np.ndarray
+    cost: float
+    gradient_norm: float
+    iterations: int
+    converged: bool
+    message: str
+    progress: list
+    evaluations: int
+    line_search_fallbacks: int
+    hessian_resets: int
 
 
 def _run_bfgs(problem, config, t0):
@@ -175,13 +234,14 @@ def _run_bfgs(problem, config, t0):
     x = np.asarray(t0, dtype=float).ravel().copy()
     n = x.size
     f, g = obj._eval(x)
-    h = np.eye(n)
+    h = identity_hessian(n)
     history = [f]
     progress = []
     converged = False
     message = "iteration cap reached"
     iteration = 0
     first_update = True
+    fallbacks = resets = 0
 
     for iteration in range(1, config.max_iterations + 1):
         gnorm = float(np.abs(g).max())
@@ -192,13 +252,16 @@ def _run_bfgs(problem, config, t0):
             message = "gradient tolerance reached"
             break
         direction = -(h @ g)
-        alpha, f_new = _search_step(obj, x, direction, f, g)
+        alpha, f_new, fell_back = _search_step(obj, x, direction, f, g)
+        fallbacks += fell_back
         if alpha is None:
             # kinked or flat landscape: retry once along steepest descent
-            h = np.eye(n)
+            h = identity_hessian(n)
+            resets += 1
             first_update = True
             direction = -g
-            alpha, f_new = _search_step(obj, x, direction, f, g)
+            alpha, f_new, fell_back = _search_step(obj, x, direction, f, g)
+            fallbacks += fell_back
             if alpha is None:
                 message = "line search failed"
                 break
@@ -211,10 +274,7 @@ def _run_bfgs(problem, config, t0):
             if first_update:
                 h *= ys / float(y @ y)
                 first_update = False
-            rho = 1.0 / ys
-            hy = h @ y
-            h -= rho * (np.outer(s, hy) + np.outer(hy, s))
-            h += rho * (rho * float(y @ hy) + 1.0) * np.outer(s, s)
+            h = bfgs_update(h, s, y)
         x, f, g = x_new, f_new, g_new
         history.append(f)
         if len(history) > CHANGE_WINDOW:
@@ -227,7 +287,8 @@ def _run_bfgs(problem, config, t0):
     gnorm = float(np.abs(g).max())
     if config.log_every:
         progress.append(f"{iteration} {f:.17g} {gnorm:.6e}")
-    return x.reshape(problem.shape), f, gnorm, iteration, converged, message, progress
+    return _Run(x.reshape(problem.shape), f, gnorm, iteration, converged,
+                message, progress, obj.evaluations, fallbacks, resets)
 
 
 def optimize(problem: TranscodingProblem,
@@ -249,23 +310,23 @@ def optimize(problem: TranscodingProblem,
         seeded = replace(config, seed=config.seed + restart, restarts=1)
         t0 = initialize(seeded, problem)
         initial = problem.breakdown(t0)
-        result = _run_bfgs(problem, seeded, t0)
-        t_fin, f_fin, gnorm, iters, converged, message, progress = result
-        if f_fin > initial.total:  # line search never accepts ascent
-            t_fin, f_fin = t0, initial.total
-        if best is None or f_fin < best[1]:
-            best = (t_fin, f_fin, gnorm, iters, converged, message, progress,
-                    initial)
-    t_fin, _, gnorm, iters, converged, message, progress, initial = best
-    final = problem.breakdown(t_fin)
+        run = _run_bfgs(problem, seeded, t0)
+        if run.cost > initial.total:  # line search never accepts ascent
+            run = run._replace(matrix=t0, cost=initial.total)
+        if best is None or run.cost < best[0].cost:
+            best = (run, initial)
+    run, initial = best
     return OptimizationReport(
-        final_matrix=problem.transcoding_matrix(t_fin),
+        final_matrix=problem.transcoding_matrix(run.matrix),
         initial_breakdown=initial,
-        final_breakdown=final,
-        iterations=iters,
-        converged=converged,
-        gradient_norm_final=gnorm,
+        final_breakdown=problem.breakdown(run.matrix),
+        iterations=run.iterations,
+        converged=run.converged,
+        gradient_norm_final=run.gradient_norm,
         wall_time_seconds=time.perf_counter() - start,
-        message=message,
-        progress_lines=tuple(progress),
+        message=run.message,
+        progress_lines=tuple(run.progress),
+        evaluations=run.evaluations,
+        line_search_fallbacks=run.line_search_fallbacks,
+        hessian_resets=run.hessian_resets,
     )

@@ -162,6 +162,9 @@ def run_generate(job: JobConfig, out_dir, seed: Optional[int] = None) -> Generat
         f"transcoder_shape {report.final_matrix.shape[0]}x"
         f"{report.final_matrix.shape[1]}",
         f"iterations {report.iterations}",
+        f"evaluations {report.evaluations}",
+        f"line_search_fallbacks {report.line_search_fallbacks}",
+        f"hessian_resets {report.hessian_resets}",
         f"converged {report.converged}",
         f"gradient_norm {report.gradient_norm_final:.6e}",
         f"stop_reason {report.message}",

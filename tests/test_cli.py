@@ -80,6 +80,14 @@ class TestPresetRegression:
         log = Path(result.log_path).read_text()
         assert "final_cost_terms" in log
         assert "total " in log
+        lines = log.splitlines()
+        report = result.report
+        for line in (f"evaluations {report.evaluations}",
+                     f"line_search_fallbacks {report.line_search_fallbacks}",
+                     f"hessian_resets {report.hessian_resets}"):
+            assert line in lines
+        assert [x for x in lines if x.startswith("iterations ")] == [
+            f"iterations {report.iterations}"]
 
     def test_preset_command_writes_yaml(self, tmp_path, capsys):
         out = tmp_path / "p.yaml"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from satx import (
+    ConfigError,
     CostCoefficients,
     Direction,
     ObjectsSpec,
@@ -272,3 +273,9 @@ class TestGradient:
     def test_negative_coefficient_rejected(self):
         with pytest.raises(Exception, match="must be >= 0"):
             CostCoefficients(energy=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["energy", "max_boost_db"])
+    def test_non_finite_coefficient_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            CostCoefficients(**{name: value})

@@ -307,6 +307,7 @@ class TestConfig:
          "coefficients.max_boost_db"),
         (("optimizer", "gradient_tolerance"), float("nan"),
          "optimizer.gradient_tolerance"),
+        (("optimizer", "seed"), -1, "optimizer.seed"),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, where,
                                                value, key):

@@ -17,6 +17,7 @@ from satx import (
 )
 from satx.formats import identity_decoder, remap_baseline, sh_matrix
 from satx.geometry import RingSpec, sample_cloud
+from satx.optimizer import bfgs_update, identity_hessian
 
 INCOHERENT_SET = CostCoefficients(
     energy=5, intensity_radial=2, intensity_transverse=1,
@@ -50,6 +51,55 @@ def bed_problem(seed=0):
         input_channel_directions=src.directions,
         output_spec=VbapSpec(dst),
     )
+
+
+class TestConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("gradient_tolerance", float("nan")),
+        ("gradient_tolerance", float("inf")),
+        ("gradient_tolerance", 0.0),
+        ("cost_tolerance", float("nan")),
+        ("cost_tolerance", float("inf")),
+        ("scale", float("nan")),
+        ("scale", float("inf")),
+        ("max_iterations", 0),
+        ("max_iterations", 2.5),
+        ("max_iterations", float("nan")),
+        ("max_iterations", True),
+        ("restarts", 0),
+        ("log_every", -1),
+        ("seed", -1),
+        ("matrix", np.array([[1.0, np.nan]])),
+    ])
+    def test_bad_setting_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            OptimizationConfig(**{name: value})
+
+
+class TestBfgsUpdate:
+    N = 50
+
+    @pytest.mark.parametrize("start", ["reset", "curved"])
+    def test_textbook_formula_in_place(self, start):
+        rng = np.random.default_rng(4)
+        n = self.N
+        h = identity_hessian(n)
+        if start == "curved":
+            a = rng.normal(size=(n, n))
+            h[...] = a @ a.T + n * np.eye(n)
+        b = rng.normal(size=(n, n))
+        s = rng.normal(size=n)
+        y = (b @ b.T + np.eye(n)) @ s
+        assert y @ s > 0
+        rho = 1.0 / (y @ s)
+        v = np.eye(n) - rho * np.outer(y, s)
+        expected = v.T @ h @ v + rho * np.outer(s, s)
+
+        updated = bfgs_update(h, s, y)
+        assert updated is h
+        assert h.flags.f_contiguous
+        error = np.linalg.norm(h - expected) / np.linalg.norm(expected)
+        assert error <= 1e-12
 
 
 class TestInitialize:
@@ -129,6 +179,18 @@ class TestOptimize:
             a.final_matrix.entries, b.final_matrix.entries
         )
         assert a.iterations == b.iterations
+
+    def test_run_counters_deterministic(self):
+        problem = bed_problem()
+        cfg = OptimizationConfig(seed=42)
+        a, b = optimize(problem, cfg), optimize(problem, cfg)
+
+        def counters(report):
+            return (report.iterations, report.evaluations,
+                    report.line_search_fallbacks, report.hessian_resets)
+
+        assert counters(a) == counters(b)
+        assert a.evaluations >= a.iterations >= 1
 
     def test_final_never_exceeds_initial_even_unconverged(self):
         problem = bed_problem()
