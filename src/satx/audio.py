@@ -1,51 +1,218 @@
 """Apply transcoding matrices to multichannel WAV files.
 
-Reads RIFF WAV with 16/24/32-bit PCM or 32-bit IEEE float samples,
-mixes blockwise with float64 accumulation, and writes 32-bit float WAV.
+Reads RIFF or RF64 WAV (plain or WAVE_FORMAT_EXTENSIBLE ``fmt ``) with
+16/24/32-bit PCM or 32-bit IEEE float samples and writes 32-bit float WAV.
+``apply_matrix_to_audio`` streams: it parses the input header, writes the
+output header, then reads, mixes (float64 accumulation) and appends one
+block of frames at a time, so memory does not grow with the file length.
 No dithering; samples beyond full scale are counted, not clipped.
 """
 
 from __future__ import annotations
 
+import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import AudioError
+from .matfile import atomic_output
 
-BLOCK_FRAMES = 65536
+BLOCK_FRAMES = 16384
+
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# last 12 bytes of the KSDATAFORMAT_SUBTYPE GUID of a WAVE_FORMAT_EXTENSIBLE
+# header, by byte order; its first 4 bytes hold the plain format tag
+_GUID_TAILS = {"<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
+               ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71"}
+_SUPPORTED = (np.dtype("<i2"), np.dtype("<i4"), np.dtype("<f4"))
+_U32_MAX = 0xFFFFFFFF
+
+
+@dataclass(frozen=True)
+class _WavData:
+    """Layout of the samples of a parsed WAV file, positioned at its data."""
+
+    rate: int
+    channels: int
+    frames: int
+    dtype: np.dtype  # decoded sample type: int16, int32 or float32
+    width: int  # bytes per stored sample; 3 for packed 24-bit PCM
+
+
+def _take(handle, n, fail):
+    raw = handle.read(n)
+    if len(raw) < n:
+        raise fail("header ends early")
+    return raw
+
+
+def _parse_fmt(handle, size, end, fail):
+    """The sample dtype, channel count and rate from a ``fmt `` body."""
+    if size < 16:
+        raise fail(f"fmt chunk of {size} bytes, expected at least 16")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack(
+        end + "HHIIHH", _take(handle, 16, fail))
+    used = 16
+    if tag == _EXTENSIBLE and size >= 18:
+        (extra,) = struct.unpack(end + "H", _take(handle, 2, fail))
+        if extra < 22:
+            raise fail(f"WAVE_FORMAT_EXTENSIBLE cbSize {extra}, expected 22")
+        guid = _take(handle, 22, fail)[6:]
+        used += 24
+        if guid.endswith(_GUID_TAILS[end]):
+            (tag,) = struct.unpack(end + "I", guid[:4])
+    if tag not in (_PCM, _IEEE_FLOAT):
+        raise fail(f"unknown wave format {tag:#06x}; expected PCM or "
+                   "IEEE float")
+    handle.seek(max(size - used, 0) + size % 2, os.SEEK_CUR)
+    if tag == _PCM and byte_rate != rate * block_align:
+        raise fail(f"byte rate {byte_rate} is not sample rate {rate} times "
+                   f"block align {block_align}")
+    if channels == 0 or block_align % channels:
+        raise fail(f"block align {block_align} is not a multiple of "
+                   f"{channels} channels")
+    width = block_align // channels
+    # the sample type follows the container width (block align over
+    # channels), as in scipy.io.wavfile; 24-bit samples widen to
+    # left-justified int32, so every integer type scales by a power of two
+    if tag == _PCM and 1 <= bits <= 8:
+        name = "u1"
+    elif tag == _PCM and width in (3, 5, 6, 7):
+        name = f"{end}i{4 if width == 3 else 8}"
+    elif tag == _PCM and bits <= 64 and width in (1, 2, 4, 8):
+        name = f"{end}i{width}"
+    elif tag == _IEEE_FLOAT and bits in (32, 64) and width in (2, 4, 8):
+        name = f"{end}f{width}"
+    else:
+        raise fail(f"{bits}-bit samples in {width}-byte containers")
+    return np.dtype(name), width, channels, rate
+
+
+def _parse_header(handle, path) -> _WavData:
+    """Read the chunks up to ``data``, leaving ``handle`` at its samples."""
+    def fail(reason):
+        return AudioError(f"unsupported WAV file {path}: {reason}")
+
+    magic = _take(handle, 4, fail)
+    if magic not in (b"RIFF", b"RIFX", b"RF64"):
+        raise fail(f"file format {magic!r}, expected RIFF or RF64")
+    end = ">" if magic == b"RIFX" else "<"
+    _take(handle, 4, fail)
+    form = _take(handle, 4, fail)
+    if form != b"WAVE":
+        raise fail(f"RIFF form type {form!r}, expected b'WAVE'")
+    rf64_data_bytes = None
+    if magic == b"RF64":
+        if _take(handle, 4, fail) != b"ds64":
+            raise fail("RF64 without a ds64 chunk")
+        size, _, rf64_data_bytes = struct.unpack(
+            "<IQQ", _take(handle, 20, fail))
+        if size < 16:
+            raise fail(f"ds64 chunk of {size} bytes, expected at least 16")
+        handle.seek(size - 16, os.SEEK_CUR)
+    fmt = None
+    while True:
+        chunk = handle.read(4)
+        if len(chunk) < 4:
+            raise fail("no data chunk")
+        (size,) = struct.unpack(end + "I", _take(handle, 4, fail))
+        if chunk == b"fmt ":
+            fmt = _parse_fmt(handle, size, end, fail)
+        elif chunk == b"data":
+            break
+        else:
+            handle.seek(size + size % 2, os.SEEK_CUR)
+    if fmt is None:
+        raise fail("no fmt chunk before the data chunk")
+    dtype, width, channels, rate = fmt
+    if dtype not in _SUPPORTED:
+        raise AudioError(
+            f"unsupported sample format {dtype}; expected 16/24/32-bit "
+            "PCM or 32-bit float"
+        )
+    if rf64_data_bytes is not None:
+        size = rf64_data_bytes
+    present = os.fstat(handle.fileno()).st_size - handle.tell()
+    if size > present:
+        raise AudioError(
+            f"truncated WAV file {path}: the data chunk declares {size} "
+            f"bytes but only {present} follow"
+        )
+    return _WavData(rate, channels, size // (channels * width), dtype, width)
+
+
+def _open_wav(path):
+    """Open ``path`` and parse its header: (handle at the data, layout)."""
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        raise AudioError(f"no such audio file: {path}") from None
+    except OSError as exc:
+        raise AudioError(
+            f"cannot read audio file {path}: {exc.strerror}") from None
+    try:
+        return handle, _parse_header(handle, path)
+    except BaseException:
+        handle.close()
+        raise
+
+
+def _read_block(handle, wav: _WavData, frames: int) -> np.ndarray:
+    """The next ``frames`` frames as float64 in [-1, 1), frames x channels."""
+    raw = np.empty(frames * wav.channels * wav.width, dtype=np.uint8)
+    if handle.readinto(raw) != raw.size:
+        raise AudioError(f"audio file {handle.name} ended while reading")
+    if wav.width == 3:
+        wide = np.zeros((raw.size // 3, 4), dtype=np.uint8)
+        wide[:, 1:] = raw.reshape(-1, 3)
+        raw = wide
+    samples = raw.view(wav.dtype).reshape(frames, wav.channels)
+    out = samples.astype(np.float64)
+    if wav.dtype.kind == "i":
+        out /= float(2 ** (8 * wav.dtype.itemsize - 1))
+    return out
 
 
 def read_wav(path):
     """Load a WAV file as float64 in [-1, 1); returns (rate, frames x channels)."""
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise AudioError(f"no such audio file: {path}")
-    except ValueError as exc:
-        raise AudioError(f"unsupported WAV file {path}: {exc}") from exc
-    if data.ndim == 1:
-        data = data[:, None]
-    if data.dtype == np.int16:
-        scaled = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        scaled = data.astype(np.float64) / 2147483648.0
-    elif data.dtype == np.float32:
-        scaled = data.astype(np.float64)
-    else:
-        raise AudioError(
-            f"unsupported sample format {data.dtype}; expected 16/24/32-bit "
-            "PCM or 32-bit float"
-        )
-    return int(rate), scaled
+    handle, wav = _open_wav(path)
+    with handle:
+        return wav.rate, _read_block(handle, wav, wav.frames)
+
+
+def _float32_header(rate: int, channels: int, frames: int) -> bytes:
+    """Header of a 32-bit float WAV, as ``scipy.io.wavfile.write`` makes it.
+
+    ``fmt `` carries a zero cbSize and is followed by ``fact``; when the
+    RIFF size does not fit 32 bits the file is RF64 with a ``ds64`` chunk
+    and the 32-bit data size saturates.
+    """
+    block_align = 4 * channels
+    if block_align > 0xFFFF or not 0 <= rate * block_align <= _U32_MAX:
+        raise AudioError(f"cannot write {channels} channels at {rate} Hz "
+                         "as a 32-bit float WAV header")
+    data_bytes = frames * block_align
+    fmt = struct.pack("<HHIIHHH", _IEEE_FLOAT, channels, rate,
+                      rate * block_align, block_align, 32, 0)
+    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"fact" + struct.pack("<II", 4, min(frames, _U32_MAX))
+            + b"data" + struct.pack("<I", min(data_bytes, _U32_MAX)))
+    riff_bytes = 4 + len(body) + data_bytes
+    if riff_bytes <= _U32_MAX:
+        return b"RIFF" + struct.pack("<I", riff_bytes) + b"WAVE" + body
+    ds64 = struct.pack("<IQQQI", 28, riff_bytes + 36, data_bytes, frames, 0)
+    return b"RF64" + struct.pack("<I", _U32_MAX) + b"WAVEds64" + ds64 + body
 
 
 def write_wav_float32(path, rate: int, data: np.ndarray) -> None:
-    out = np.asarray(data, dtype=np.float32)
+    out = np.asarray(data, dtype="<f4")
     if out.ndim != 2:
         raise AudioError("audio data must be frames x channels")
-    wavfile.write(path, int(rate), out)
+    with atomic_output(path, "wb") as handle:
+        handle.write(_float32_header(int(rate), out.shape[1], out.shape[0]))
+        handle.write(np.ascontiguousarray(out))
 
 
 @dataclass(frozen=True)
@@ -59,29 +226,36 @@ class ApplyResult:
 
 def apply_matrix_to_audio(matrix, in_path, out_path,
                           block_frames: int = BLOCK_FRAMES) -> ApplyResult:
-    """out[t, n] = sum_m matrix[n, m] * in[t, m], blockwise."""
+    """out[t, n] = sum_m matrix[n, m] * in[t, m], streamed block by block.
+
+    The output appears at ``out_path`` only when every block is written;
+    bad or truncated input fails before anything is written.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise AudioError("transcoding matrix must be 2-D")
     n_out, n_in = matrix.shape
-    rate, data = read_wav(in_path)
-    if data.shape[1] != n_in:
-        raise AudioError(
-            f"audio has {data.shape[1]} channels but the matrix consumes {n_in}"
-        )
-    frames = data.shape[0]
-    out = np.empty((frames, n_out), dtype=np.float32)
-    clipped = 0
-    for start in range(0, frames, block_frames):
-        block = data[start:start + block_frames]
-        mixed = block @ matrix.T
-        clipped += int((np.abs(mixed) > 1.0).sum())
-        out[start:start + block_frames] = mixed.astype(np.float32)
-    write_wav_float32(out_path, rate, out)
+    handle, wav = _open_wav(in_path)
+    with handle:
+        if wav.channels != n_in:
+            raise AudioError(
+                f"audio has {wav.channels} channels but the matrix consumes "
+                f"{n_in}"
+            )
+        header = _float32_header(wav.rate, n_out, wav.frames)
+        clipped = 0
+        with atomic_output(out_path, "wb") as out:
+            out.write(header)
+            for start in range(0, wav.frames, block_frames):
+                block = _read_block(
+                    handle, wav, min(block_frames, wav.frames - start))
+                mixed = block @ matrix.T
+                clipped += int((np.abs(mixed) > 1.0).sum())
+                out.write(mixed.astype("<f4"))
     return ApplyResult(
-        frames=frames,
+        frames=wav.frames,
         in_channels=n_in,
         out_channels=n_out,
         clipped_samples=clipped,
-        sample_rate=rate,
+        sample_rate=wav.rate,
     )

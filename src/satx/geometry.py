@@ -18,6 +18,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import GeometryError
 
 _EMBEDDED_DESIGN_SIZES = (56, 60)
+_MIRROR_ROWS = 256
 
 
 def _normalize_azimuth(az: float) -> float:
@@ -255,10 +256,14 @@ def mirror_indices(directions: Sequence[Direction], tol_deg: float = 0.1) -> np.
     vecs = unit_vectors(directions)
     mirrored = vecs * np.array([1.0, -1.0, 1.0])
     cos_tol = math.cos(math.radians(tol_deg))
-    dots = mirrored @ vecs.T
-    best = np.argmax(dots, axis=1)
-    out = np.where(dots[np.arange(len(vecs)), best] >= cos_tol, best, -1)
-    return out.astype(int)
+    out = np.empty(len(vecs), dtype=int)
+    # row chunks keep the dot products at _MIRROR_ROWS x L, not L x L
+    for start in range(0, len(vecs), _MIRROR_ROWS):
+        dots = mirrored[start:start + _MIRROR_ROWS] @ vecs.T
+        best = np.argmax(dots, axis=1)
+        close = dots[np.arange(len(best)), best] >= cos_tol
+        out[start:start + len(best)] = np.where(close, best, -1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,18 +98,31 @@ def format_matrix(m: MatrixFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+@contextmanager
+def atomic_output(path, mode: str = "w"):
+    """Yield a handle on a new file beside ``path``; rename it onto ``path``
+    when the block ends, or remove it if the block raises.
+
+    The file is created like ``open(path, mode)`` would create it (the
+    process umask applies), so a crash never leaves a partial ``path``.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".satx-tmp-")
+    tmp = os.path.join(directory, f".satx-tmp-{uuid.uuid4().hex}")
+    handle = open(tmp, mode.replace("w", "x"))
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write via a temp file in the same directory, then rename."""
+    with atomic_output(path) as handle:
+        handle.write(text)
 
 
 def export_matrix(m: MatrixFile, path) -> None:

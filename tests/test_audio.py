@@ -1,0 +1,304 @@
+"""WAV reader and writer against scipy.io.wavfile, streaming, and bad input."""
+
+import os
+import re
+import struct
+import tempfile
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.io import wavfile
+
+from satx import AudioError, audio
+from satx.audio import apply_matrix_to_audio, read_wav, write_wav_float32
+from satx.cli import main
+from satx.matfile import export_matrix, matrix_file
+
+_PCM_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def chunk(cid, payload, end="<"):
+    pad = b"\0" if len(payload) % 2 else b""
+    return cid + struct.pack(end + "I", len(payload)) + payload + pad
+
+
+def fmt_chunk(tag, channels, rate, width, bits, end="<", extension=b""):
+    align = channels * width
+    body = struct.pack(end + "HHIIHH", tag, channels, rate, rate * align,
+                       align, bits)
+    return chunk(b"fmt ", body + extension, end)
+
+
+def extensible_fmt(sub_tag, channels, rate, width, bits):
+    guid = struct.pack("<I", sub_tag) + _PCM_GUID_TAIL
+    extension = struct.pack("<HHI", 22, bits, 0) + guid
+    return fmt_chunk(0xFFFE, channels, rate, width, bits, extension=extension)
+
+
+def riff(*chunks, magic=b"RIFF", end="<"):
+    body = b"WAVE" + b"".join(chunks)
+    return magic + struct.pack(end + "I", len(body)) + body
+
+
+def rf64(fmt, samples):
+    data = samples.tobytes()
+    riff_bytes = 4 + 36 + len(fmt) + 8 + len(data)
+    ds64 = struct.pack("<QQQI", riff_bytes, len(data), len(samples), 0)
+    return (b"RF64" + b"\xff" * 4 + b"WAVE" + chunk(b"ds64", ds64) + fmt
+            + b"data" + b"\xff" * 4 + data)
+
+
+def pcm24_bytes(ints):
+    return np.asarray(ints, dtype="<i4").reshape(-1, 1).view(np.uint8)[:, :3] \
+        .tobytes()
+
+
+@pytest.fixture
+def pcm16(rng):
+    return rng.integers(-2**15, 2**15, (300, 2)).astype("<i2")
+
+
+class TestWriterAgainstScipy:
+    @pytest.mark.parametrize("frames", [0, 1, 1000])
+    def test_bytes_equal_scipy(self, tmp_path, rng, frames):
+        data = rng.uniform(-1, 1, (frames, 3)).astype(np.float32)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+        write_wav_float32(ours, 44100, data)
+        wavfile.write(theirs, 44100, data)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    def test_rf64_header_above_4_gib(self, tmp_path):
+        frames = 2**29 + 3  # 8-byte frames: 24 bytes over 4 GiB of data
+        data_bytes = 8 * frames
+        header = audio._float32_header(48000, 2, frames)
+        small = audio._float32_header(48000, 2, 10)
+        assert header[:16] == b"RF64" + b"\xff" * 4 + b"WAVEds64"
+        riff_bytes = len(header) + data_bytes - 8
+        assert struct.unpack("<IQQQI", header[16:48]) == (
+            28, riff_bytes, data_bytes, frames, 0)
+        assert header[48:74] == small[12:38]  # the same fmt chunk
+        assert header[74:] == (b"fact" + struct.pack("<II", 4, frames)
+                               + b"data" + b"\xff" * 4)
+        # the reader follows the ds64 size and finds the data missing
+        path = tmp_path / "huge.wav"
+        path.write_bytes(header)
+        with pytest.raises(AudioError, match=f"truncated.*{path.name}"):
+            read_wav(path)
+
+
+class TestReaderAgainstScipy:
+    @staticmethod
+    def _expected(path):
+        rate, raw = wavfile.read(path)
+        scale = {np.int16: 2.0**15, np.int32: 2.0**31, np.float32: 1.0}
+        return rate, raw.astype(np.float64) / scale[raw.dtype.type]
+
+    @pytest.mark.parametrize("kind", ["pcm16", "pcm32", "float32"])
+    def test_scipy_written(self, tmp_path, rng, kind):
+        data = {
+            "pcm16": lambda: rng.integers(-2**15, 2**15, (500, 3), np.int16),
+            "pcm32": lambda: rng.integers(-2**31, 2**31, (500, 3), np.int32),
+            "float32": lambda: rng.uniform(-1, 1, (500, 3)).astype(np.float32),
+        }[kind]()
+        path = tmp_path / f"{kind}.wav"
+        wavfile.write(path, 22050, data)
+        rate, want = self._expected(path)
+        got_rate, got = read_wav(path)
+        assert got_rate == rate == 22050
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("layout", [
+        "pcm24", "extensible_pcm16", "extensible_float32", "odd_list", "rf64",
+    ])
+    def test_hand_built(self, tmp_path, rng, pcm16, layout):
+        floats = rng.uniform(-1, 1, (300, 2)).astype("<f4")
+        ints24 = rng.integers(-2**23, 2**23, (300, 2))
+        fmt16 = fmt_chunk(1, 2, 16000, 2, 16)
+        raw = {
+            "pcm24": lambda: riff(fmt_chunk(1, 2, 16000, 3, 24),
+                                  chunk(b"data", pcm24_bytes(ints24))),
+            "extensible_pcm16": lambda: riff(
+                extensible_fmt(1, 2, 16000, 2, 16),
+                chunk(b"data", pcm16.tobytes())),
+            "extensible_float32": lambda: riff(
+                extensible_fmt(3, 2, 16000, 4, 32),
+                chunk(b"data", floats.tobytes())),
+            "odd_list": lambda: riff(fmt16, chunk(b"LIST", b"INFOx"),
+                                     chunk(b"data", pcm16.tobytes())),
+            "rf64": lambda: rf64(fmt16, pcm16),
+        }[layout]()
+        path = tmp_path / f"{layout}.wav"
+        path.write_bytes(raw)
+        rate, want = self._expected(path)
+        got_rate, got = read_wav(path)
+        assert got_rate == rate == 16000
+        assert got.shape == (300, 2)
+        np.testing.assert_array_equal(got, want)
+
+    def test_pcm24_full_scale(self, tmp_path):
+        path = tmp_path / "edges.wav"
+        ints = [-2**23, 2**23 - 1, -1, 0]
+        path.write_bytes(riff(fmt_chunk(1, 2, 8000, 3, 24),
+                              chunk(b"data", pcm24_bytes(ints))))
+        _, got = read_wav(path)
+        assert got[0, 0] == -1.0
+        np.testing.assert_array_equal(
+            got.ravel(), np.array(ints, dtype=np.float64) / 2.0**23)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("dtype,shown", [
+        (np.uint8, "uint8"), (np.float64, "float64"), (np.int64, "int64"),
+    ])
+    def test_unsupported_sample_format(self, tmp_path, dtype, shown):
+        path = tmp_path / "in.wav"
+        wavfile.write(path, 8000, np.zeros((10, 2), dtype=dtype))
+        message = (f"unsupported sample format {shown}; expected 16/24/32-bit "
+                   "PCM or 32-bit float")
+        with pytest.raises(AudioError, match=re.escape(message)):
+            read_wav(path)
+
+    def test_big_endian_rifx(self, tmp_path, pcm16):
+        path = tmp_path / "rifx.wav"
+        samples = pcm16.astype(">i2").tobytes()
+        path.write_bytes(riff(fmt_chunk(1, 2, 8000, 2, 16, end=">"),
+                              chunk(b"data", samples, ">"),
+                              magic=b"RIFX", end=">"))
+        with pytest.raises(AudioError, match="unsupported sample format >i2"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("chunks,reason", [
+        ((), "no data chunk"),
+        ((chunk(b"data", b"\0" * 8),), "no fmt chunk"),
+        ((chunk(b"data", b"\0" * 8), fmt_chunk(1, 2, 8000, 2, 16)),
+         "no fmt chunk"),
+        ((chunk(b"fmt ", struct.pack("<HHIIHH", 1, 2, 8000, 24000, 3, 16)),
+          chunk(b"data", b"\0" * 12)), "block align 3"),
+        ((chunk(b"fmt ", b"\x01\x00" * 4),), "fmt chunk of 8 bytes"),
+    ])
+    def test_malformed_header(self, tmp_path, chunks, reason):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(riff(*chunks))
+        with pytest.raises(AudioError, match=reason):
+            read_wav(path)
+
+    def test_truncated_data_fails_before_writing(self, tmp_path, pcm16):
+        path = tmp_path / "short.wav"
+        path.write_bytes(riff(fmt_chunk(1, 2, 8000, 2, 16),
+                              chunk(b"data", pcm16.tobytes()))[:-10])
+        out = tmp_path / "out.wav"
+        with pytest.raises(AudioError,
+                           match=f"truncated WAV file .*{path.name}.* 1200 "):
+            apply_matrix_to_audio(np.eye(2), path, out)
+        assert sorted(os.listdir(tmp_path)) == ["short.wav"]
+        export_matrix(matrix_file(np.eye(2)), tmp_path / "id.smx")
+        assert main(["apply", "--matrix", str(tmp_path / "id.smx"),
+                     "--in", str(path), "--outfile", str(out)]) == 2
+        assert not out.exists()
+
+    def test_failure_mid_stream_leaves_old_output(self, tmp_path, pcm16,
+                                                  monkeypatch):
+        path = tmp_path / "in.wav"
+        wavfile.write(path, 8000, pcm16)
+        out = tmp_path / "out.wav"
+        out.write_bytes(b"previous")
+        calls = []
+
+        def failing(handle, wav, frames):
+            calls.append(frames)
+            if len(calls) == 2:
+                raise AudioError("read failed")
+            return read_block(handle, wav, frames)
+
+        read_block = audio._read_block
+        monkeypatch.setattr(audio, "_read_block", failing)
+        with pytest.raises(AudioError, match="read failed"):
+            apply_matrix_to_audio(np.eye(2), path, out, block_frames=100)
+        assert out.read_bytes() == b"previous"
+        assert sorted(os.listdir(tmp_path)) == ["in.wav", "out.wav"]
+
+    def test_output_mode_follows_umask(self, tmp_path, pcm16):
+        path = tmp_path / "in.wav"
+        wavfile.write(path, 8000, pcm16)
+        old = os.umask(0o027)
+        try:
+            apply_matrix_to_audio(np.eye(2), path, tmp_path / "out.wav")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.wav").stat().st_mode & 0o777 == 0o640
+
+
+_BASE_PCM = np.arange(-40, 40, dtype="<i2").reshape(40, 2) * 800
+_BASE = riff(fmt_chunk(1, 2, 8000, 2, 16), chunk(b"LIST", b"INFOx"),
+             chunk(b"data", _BASE_PCM.tobytes()))
+_FMT = slice(20, 36)  # the 16 fixed bytes of the fmt body
+
+
+def _insert_chunk(args):
+    where, cid, size, payload = args
+    cut = (12, 36, 50)[where]  # after WAVE, after fmt, after LIST
+    return _BASE[:cut] + cid + struct.pack("<I", size) + payload + _BASE[cut:]
+
+
+def _flip_fmt_bits(bits):
+    raw = bytearray(_BASE)
+    for bit in bits:
+        raw[_FMT.start + bit // 8] ^= 1 << (bit % 8)
+    return bytes(raw)
+
+
+_MUTATED = st.one_of(
+    st.integers(0, len(_BASE) - 1).map(lambda n: _BASE[:n]),
+    st.tuples(st.integers(0, 2), st.binary(min_size=4, max_size=4),
+              st.integers(0, 2**32 - 1), st.binary(max_size=16))
+    .map(_insert_chunk),
+    st.lists(st.integers(0, 8 * 16 - 1), min_size=1, max_size=4)
+    .map(_flip_fmt_bits),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_MUTATED)
+    def test_reader_fails_only_with_audio_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.wav")
+            with open(path, "wb") as handle:
+                handle.write(raw)
+            try:
+                channels = read_wav(path)[1].shape[1]
+            except AudioError:
+                channels = None
+            matrix = os.path.join(tmp, "m.smx")
+            export_matrix(matrix_file(np.eye(2)), matrix)
+            out = os.path.join(tmp, "out.wav")
+            code = main(["apply", "--matrix", matrix, "--in", path,
+                         "--outfile", out])
+            assert code in (0, 2)
+            assert code == 2 or channels == 2
+            assert os.path.exists(out) == (code == 0)
+
+
+class TestStreaming:
+    def test_peak_memory_flat_in_file_length(self, tmp_path, rng):
+        rate, channels, block = 8000, 16, 1024
+        matrix = rng.normal(size=(2, channels)) * 0.1
+        paths = {}
+        for seconds in (2, 20):
+            paths[seconds] = tmp_path / f"in{seconds}.wav"
+            pcm = rng.integers(-2**15, 2**15, (seconds * rate, channels),
+                               np.int16)
+            wavfile.write(paths[seconds], rate, pcm)
+        del pcm
+        out = tmp_path / "out.wav"
+        apply_matrix_to_audio(matrix, paths[2], out, block_frames=block)
+        peaks = {}
+        for seconds, path in paths.items():
+            tracemalloc.start()
+            apply_matrix_to_audio(matrix, path, out, block_frames=block)
+            peaks[seconds] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert abs(peaks[20] - peaks[2]) < block * channels * 8
+        assert peaks[2] < 2 * rate * channels * 8 / 4

@@ -20,6 +20,7 @@ from satx import (
     to_unit_vector,
     triangulate_hull,
 )
+from satx import geometry
 from satx.geometry import (
     FibonacciSpec,
     from_unit_vector,
@@ -142,6 +143,25 @@ class TestClouds:
     def test_mirror_indices_absent(self):
         idx = mirror_indices((Direction(25, 10), Direction(80, -5)))
         assert list(idx) == [-1, -1]
+
+    @pytest.mark.parametrize("rows", [7, 256])
+    def test_mirror_indices_chunked_equals_one_shot(self, rows, monkeypatch):
+        # duplicates (first index wins a tie), median-plane points on the
+        # ring, and more directions than one chunk of rows
+        spec = MergeSpec((
+            (TDesignSpec(60), 1.0), (TDesignSpec(60), 1.0), (RingSpec(8), 1.0),
+            (FibonacciSpec(700), 1.0), (HemisphereSpec(TDesignSpec(56)), 1.0),
+        ))
+        dirs = sample_cloud(spec).directions
+        vecs = unit_vectors(dirs)
+        dots = (vecs * [1.0, -1.0, 1.0]) @ vecs.T
+        best = np.argmax(dots, axis=1)
+        close = dots[np.arange(len(dirs)), best] >= math.cos(math.radians(0.1))
+        one_shot = np.where(close, best, -1)
+        monkeypatch.setattr(geometry, "_MIRROR_ROWS", rows)
+        got = mirror_indices(dirs)
+        np.testing.assert_array_equal(got, one_shot)
+        assert got[60] == got[0] < 60 and (got >= 0).sum() > 100
 
 
 class TestSymmetryPairs:
