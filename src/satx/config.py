@@ -2,19 +2,22 @@
 
 The canonical schema is documented in the README.  Unknown keys are
 rejected with their full key path; every error names the offending key.
+Sections that map onto a dataclass (``optimizer``, ``coefficients``,
+ambisonics formats) are checked by its constructor; the parser only puts
+the key path in front of the field the constructor rejects.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import yaml
 
 from . import geometry
-from .cost import CostCoefficients, TERM_NAMES
-from .errors import ConfigError
+from .cost import CostCoefficients
+from .errors import ConfigError, SatxError, check_integer, check_number
 from .formats import (
     SN3D,
     AmbisonicsSpec,
@@ -32,10 +35,10 @@ from .geometry import (
     SpeakerLayout,
     TDesignSpec,
 )
+from .optimizer import OptimizationConfig
 
 MODES = ("generate", "evaluate", "compare", "apply")
 ANALYSIS_MODES = ("incoherent", "coherent")
-INIT_KINDS = ("remap", "remap_plus_noise", "random", "given", "reference")
 
 _TOP_KEYS = {
     "mode", "analysis", "name", "input", "output", "cloud",
@@ -44,24 +47,11 @@ _TOP_KEYS = {
 _INPUT_KEYS = {"format", "order", "normalization", "layout", "matrix"}
 _OUTPUT_KEYS = {"format", "order", "normalization", "layout", "matrix",
                 "virtual_layout"}
-_OPT_KEYS = {"init", "scale", "matrix", "seed", "max_iterations",
-             "gradient_tolerance", "cost_tolerance", "restarts", "log_every"}
+_OPT_KEYS = {f.name for f in fields(OptimizationConfig)}
+_COEFF_KEYS = {f.name for f in fields(CostCoefficients)}
 _SYM_KEYS = {"tolerance_deg", "pairs"}
 
 DEFAULT_EVAL_CLOUD = {"kind": "fibonacci", "points": 312, "hemisphere": True}
-
-
-@dataclass
-class OptimizerOptions:
-    init: Optional[str] = None
-    scale: Optional[float] = None
-    matrix: Optional[str] = None
-    seed: int = 0
-    max_iterations: int = 2000
-    gradient_tolerance: float = 1e-7
-    cost_tolerance: float = 1e-10
-    restarts: int = 1
-    log_every: int = 0
 
 
 @dataclass
@@ -75,8 +65,9 @@ class JobConfig:
     cloud_spec: object
     eval_cloud_spec: object
     coeffs: CostCoefficients
-    optimizer: OptimizerOptions
+    optimizer: OptimizationConfig
     explicit_pairs: Optional[tuple] = None  # label pairs
+    init_matrix: Optional[str] = None  # matrix file of a given init
 
 
 def _require_mapping(node, path):
@@ -91,23 +82,23 @@ def _check_keys(node, allowed, path):
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
-def _number(node, path, minimum=None):
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    value = float(node)
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
-    return value
+def _checked(make, *args, path=None, **kwargs):
+    """``make(*args, **kwargs)``, reporting a rejected setting by key path.
+
+    The error names the setting in ``field``: a full key path for the
+    ``check_*`` functions, a field of ``make`` below ``path`` otherwise.
+    """
+    try:
+        return make(*args, **kwargs)
+    except SatxError as exc:
+        if exc.field is None:
+            raise
+        key = exc.field if path is None else f"{path}.{exc.field}"
+        raise ConfigError(f"{key}: {exc.reason}") from exc
 
 
-def _integer(node, path, minimum=None):
-    if isinstance(node, bool) or not isinstance(node, int):
-        raise ConfigError(f"{path}: expected an integer")
-    if minimum is not None and node < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
-    return node
+def _number(node, path, minimum=None, exclusive=False):
+    return _checked(check_number, node, path, minimum, exclusive)
 
 
 def parse_layout(node, path, pair_tol=1.0) -> SpeakerLayout:
@@ -149,15 +140,12 @@ def parse_cloud(node, path):
     if not isinstance(hemisphere, bool):
         raise ConfigError(f"{path}.hemisphere: expected true/false")
 
-    if kind == "tdesign":
+    if kind in ("tdesign", "ring", "fibonacci"):
         _check_keys(node, {"kind", "points", "hemisphere"}, path)
-        spec = TDesignSpec(_integer(node.get("points"), f"{path}.points", 1))
-    elif kind == "ring":
-        _check_keys(node, {"kind", "points", "hemisphere"}, path)
-        spec = RingSpec(_integer(node.get("points"), f"{path}.points", 1))
-    elif kind == "fibonacci":
-        _check_keys(node, {"kind", "points", "hemisphere"}, path)
-        spec = FibonacciSpec(_integer(node.get("points"), f"{path}.points", 1))
+        make = {"tdesign": TDesignSpec, "ring": RingSpec,
+                "fibonacci": FibonacciSpec}[kind]
+        spec = make(_checked(check_integer, node.get("points"),
+                             f"{path}.points", 1))
     elif kind == "explicit":
         _check_keys(node, {"kind", "directions", "weights", "hemisphere"}, path)
         rows = node.get("directions")
@@ -192,9 +180,7 @@ def parse_cloud(node, path):
             part = _require_mapping(part, f"{path}.parts[{i}]")
             _check_keys(part, {"weight", "cloud"}, f"{path}.parts[{i}]")
             weight = _number(part.get("weight", 1.0),
-                             f"{path}.parts[{i}].weight")
-            if weight <= 0:
-                raise ConfigError(f"{path}.parts[{i}].weight: must be > 0")
+                             f"{path}.parts[{i}].weight", 0, exclusive=True)
             sub = parse_cloud(part.get("cloud"), f"{path}.parts[{i}].cloud")
             built.append((sub, weight))
         spec = MergeSpec(tuple(built))
@@ -205,13 +191,17 @@ def parse_cloud(node, path):
     return spec
 
 
+def _ambisonics(node, path) -> AmbisonicsSpec:
+    return _checked(AmbisonicsSpec, path=path, order=node.get("order"),
+                    normalization=node.get("normalization", SN3D))
+
+
 def _parse_input(node, path, pair_tol):
     node = _require_mapping(node, path)
     _check_keys(node, _INPUT_KEYS, path)
     fmt = node.get("format")
     if fmt == "ambisonics":
-        order = _integer(node.get("order"), f"{path}.order", 0)
-        return AmbisonicsSpec(order, node.get("normalization", SN3D))
+        return _ambisonics(node, path)
     if fmt == "vbap":
         if "layout" not in node:
             raise ConfigError(f"{path}.layout: required for vbap input")
@@ -235,8 +225,7 @@ def _parse_output(node, path, pair_tol):
             raise ConfigError(f"{path}.layout: required for speaker output")
         return None, parse_layout(node["layout"], f"{path}.layout", pair_tol)
     if fmt == "ambisonics":
-        order = _integer(node.get("order"), f"{path}.order", 0)
-        spec = AmbisonicsSpec(order, node.get("normalization", SN3D))
+        spec = _ambisonics(node, path)
         virt = node.get("virtual_layout")
         if virt is None:
             raise ConfigError(
@@ -262,54 +251,29 @@ def _parse_output(node, path, pair_tol):
 
 def _parse_coeffs(node, path) -> CostCoefficients:
     node = _require_mapping(node, path)
-    allowed = set(TERM_NAMES) | {"max_boost_db"}
-    _check_keys(node, allowed, path)
-    values = {}
-    for key, value in node.items():
-        number = _number(value, f"{path}.{key}")
-        if key != "max_boost_db" and number < 0:
-            raise ConfigError(f"{path}.{key}: coefficient must be >= 0")
-        values[key] = number
-    return CostCoefficients(**values)
+    _check_keys(node, _COEFF_KEYS, path)
+    return _checked(CostCoefficients, path=path, **node)
 
 
-def _parse_optimizer(node, path) -> OptimizerOptions:
-    node = _require_mapping(node, path)
+def _parse_optimizer(node, path):
+    """(settings, matrix file of a given init)."""
+    node = dict(_require_mapping(node, path))
     _check_keys(node, _OPT_KEYS, path)
-    opts = OptimizerOptions()
-    if "init" in node:
-        if node["init"] not in INIT_KINDS:
-            raise ConfigError(
-                f"{path}.init: unknown strategy {node['init']!r}; "
-                f"choose from {INIT_KINDS}"
-            )
-        opts.init = node["init"]
-    if "scale" in node:
-        opts.scale = _number(node["scale"], f"{path}.scale", 0.0)
-    if "matrix" in node:
-        opts.matrix = str(node["matrix"])
-    if "seed" in node:
-        opts.seed = _integer(node["seed"], f"{path}.seed", 0)
-    if "max_iterations" in node:
-        opts.max_iterations = _integer(node["max_iterations"],
-                                       f"{path}.max_iterations", 1)
-    if "gradient_tolerance" in node:
-        opts.gradient_tolerance = _number(node["gradient_tolerance"],
-                                          f"{path}.gradient_tolerance")
-        if opts.gradient_tolerance <= 0:
-            raise ConfigError(f"{path}.gradient_tolerance: must be > 0")
-    if "cost_tolerance" in node:
-        opts.cost_tolerance = _number(node["cost_tolerance"],
-                                      f"{path}.cost_tolerance")
-        if opts.cost_tolerance <= 0:
-            raise ConfigError(f"{path}.cost_tolerance: must be > 0")
-    if "restarts" in node:
-        opts.restarts = _integer(node["restarts"], f"{path}.restarts", 1)
-    if "log_every" in node:
-        opts.log_every = _integer(node["log_every"], f"{path}.log_every", 0)
-    if opts.init == "given" and not opts.matrix:
+    matrix = node.pop("matrix", None)
+    settings = _checked(OptimizationConfig, path=path, **node)
+    if settings.init == "given" and matrix is None:
         raise ConfigError(f"{path}.matrix: required when init is 'given'")
-    return opts
+    if settings.init != "given" and matrix is not None:
+        raise ConfigError(f"{path}.matrix: only read when init is 'given'")
+    return settings, None if matrix is None else str(matrix)
+
+
+def _parse_name(node, path) -> str:
+    if (not isinstance(node, str) or node in ("", ".", "..")
+            or {os.sep, os.altsep, "\0"} & set(node)):
+        raise ConfigError(f"{path}: expected a file stem: a non-empty "
+                          "string, not '.' or '..', without a path separator")
+    return node
 
 
 def parse_config(data: dict, source: str = "config") -> JobConfig:
@@ -321,7 +285,7 @@ def parse_config(data: dict, source: str = "config") -> JobConfig:
     analysis = data.get("analysis", "incoherent")
     if analysis not in ANALYSIS_MODES:
         raise ConfigError(f"{source}.analysis: unknown analysis {analysis!r}")
-    name = str(data.get("name", "job"))
+    name = _parse_name(data.get("name", "job"), f"{source}.name")
 
     symmetry = data.get("symmetry", {})
     symmetry = _require_mapping(symmetry, f"{source}.symmetry")
@@ -369,8 +333,8 @@ def parse_config(data: dict, source: str = "config") -> JobConfig:
     )
     coeffs = _parse_coeffs(data.get("coefficients", {}),
                            f"{source}.coefficients")
-    optimizer = _parse_optimizer(data.get("optimizer", {}),
-                                 f"{source}.optimizer")
+    optimizer, init_matrix = _parse_optimizer(data.get("optimizer", {}),
+                                              f"{source}.optimizer")
 
     return JobConfig(
         mode=mode,
@@ -384,6 +348,7 @@ def parse_config(data: dict, source: str = "config") -> JobConfig:
         coeffs=coeffs,
         optimizer=optimizer,
         explicit_pairs=explicit_pairs,
+        init_matrix=init_matrix,
     )
 
 

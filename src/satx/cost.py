@@ -34,7 +34,7 @@ from .analysis import (
     guard_energy,
     guard_pressure,
 )
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError, check_number
 from .formats import DecoderToSpeaker, EncodingMatrix
 
 TERM_NAMES = (
@@ -83,12 +83,9 @@ class CostCoefficients:
 
     def __post_init__(self):
         for f in fields(self):
-            value = float(getattr(self, f.name))
-            if not np.isfinite(value):
-                raise ConfigError(f"coefficient {f.name} must be finite")
-            if f.name != "max_boost_db" and value < 0:
-                raise ConfigError(f"coefficient {f.name} must be >= 0")
-            object.__setattr__(self, f.name, value)
+            minimum = None if f.name == "max_boost_db" else 0
+            object.__setattr__(self, f.name, check_number(
+                getattr(self, f.name), f.name, minimum))
 
     @property
     def max_gain(self) -> float:

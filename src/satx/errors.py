@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the setting checks."""
+
+from __future__ import annotations
+
+import math
+import numbers
 
 
 class SatxError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``field`` names a rejected setting."""
+
+    def __init__(self, reason, field=None):
+        super().__init__(reason if field is None else f"{field} {reason}")
+        self.reason, self.field = reason, field
 
 
 class ConfigError(SatxError):
@@ -27,3 +36,29 @@ class MatrixFileError(SatxError):
 
 class AudioError(SatxError):
     """Unsupported or inconsistent audio input."""
+
+
+def check_number(value, field, minimum=None, exclusive=False) -> float:
+    """``value`` as a finite float >= ``minimum`` (> if ``exclusive``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError("expected a number", field)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError("must be finite", field)
+    if minimum is not None and (value <= minimum if exclusive
+                                else value < minimum):
+        raise ConfigError(f"must be {'>' if exclusive else '>='} {minimum}",
+                          field)
+    return value
+
+
+def check_integer(value, field, minimum=None) -> int:
+    """``value`` as an int of at least ``minimum``; ``bool`` is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError("expected an integer", field)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"must be >= {minimum}", field)
+    return int(value)

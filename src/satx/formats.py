@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import lpmv
 
 from . import geometry
-from .errors import CoverageError, DimensionError, GeometryError
+from .errors import CoverageError, DimensionError, GeometryError, check_integer
 from .geometry import Direction, PointCloud, SpeakerLayout
 
 SN3D = "SN3D"
@@ -177,10 +177,13 @@ class AmbisonicsSpec:
     normalization: str = SN3D
 
     def __post_init__(self):
-        if not (0 <= int(self.order) <= 9):
-            raise DimensionError(f"ambisonics order {self.order} outside [0, 9]")
+        if not 0 <= check_integer(self.order, "order") <= 9:
+            raise DimensionError(f"{self.order} outside [0, 9]", "order")
         if self.normalization not in (SN3D, N3D):
-            raise DimensionError(f"unknown normalization {self.normalization!r}")
+            raise DimensionError(
+                f"{self.normalization!r} is not {SN3D} or {N3D}",
+                "normalization",
+            )
 
     @property
     def channels(self) -> int:
@@ -319,7 +322,7 @@ def build_decoder_to_speaker(spec: FormatSpec, layout: SpeakerLayout) -> Decoder
     """
     if isinstance(spec, VbapSpec) or spec is None:
         # speaker-format output: channels are the speakers themselves
-        return DecoderToSpeaker(np.eye(len(layout)), layout, layout.labels)
+        return identity_decoder(layout)
     if isinstance(spec, AmbisonicsSpec):
         y = sh_matrix(layout.directions, spec.order, spec.normalization)
         if len(layout) < spec.channels:

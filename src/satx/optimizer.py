@@ -9,8 +9,6 @@ configuration; a failed line search returns the best iterate seen with
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -24,10 +22,11 @@ from scipy.optimize._linesearch import LineSearchWarning
 from . import formats
 from .analysis import TranscodingMatrix
 from .cost import CostBreakdown, TranscodingProblem
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check_integer, check_number
 
 CHANGE_WINDOW = 5  # iterations over which relative cost change is judged
 
+INIT_KINDS = ("remap", "remap_plus_noise", "random", "given", "reference")
 # amplitude of the uniform noise each noisy initialization adds
 INIT_SCALE = {"remap_plus_noise": 0.05, "random": 0.5}
 
@@ -36,10 +35,11 @@ INIT_SCALE = {"remap_plus_noise": 0.05, "random": 0.5}
 class OptimizationConfig:
     """Optimizer settings.
 
-    ``init`` is remap, remap_plus_noise, random or given; by default it is
-    remap_plus_noise where the input has channel directions, else random.
-    ``scale`` overrides the noise amplitude from INIT_SCALE and ``matrix``
-    is the starting transcoder of a given initialization.
+    ``init`` is one of INIT_KINDS; by default it is remap_plus_noise where
+    the input has channel directions, else random.  ``scale`` overrides
+    the noise amplitude of the noisy inits (INIT_SCALE).  ``matrix`` is
+    the starting transcoder of a given init; ``runner.optimization_config``
+    loads it from the job, and turns a reference init into a given one.
     """
 
     init: Optional[str] = None
@@ -53,22 +53,25 @@ class OptimizationConfig:
     log_every: int = 0
 
     def __post_init__(self):
+        if self.init is not None and self.init not in INIT_KINDS:
+            raise ConfigError(
+                f"unknown strategy {self.init!r}; choose from {INIT_KINDS}",
+                "init",
+            )
+        if self.scale is not None:
+            check_number(self.scale, "scale", 0)
+            if self.init not in (None, *INIT_SCALE):
+                raise ConfigError(
+                    f"is only read by the {' and '.join(INIT_SCALE)} inits",
+                    "scale",
+                )
+        if self.matrix is not None and not np.isfinite(self.matrix).all():
+            raise ConfigError("entries must be finite", "matrix")
         for name, minimum in (("max_iterations", 1), ("restarts", 1),
                               ("log_every", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)
-                    or value < minimum):
-                raise ConfigError(f"{name} must be an integer >= {minimum}")
+            check_integer(getattr(self, name), name, minimum)
         for name in ("gradient_tolerance", "cost_tolerance"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0")
-        if self.scale is not None and not (math.isfinite(self.scale)
-                                           and self.scale >= 0):
-            raise ConfigError("scale must be finite and >= 0")
-        if self.matrix is not None and not np.isfinite(self.matrix).all():
-            raise ConfigError("matrix entries must be finite")
+            check_number(getattr(self, name), name, 0, exclusive=True)
 
 
 @dataclass
@@ -109,9 +112,9 @@ def initialize(config: OptimizationConfig, problem: TranscodingProblem) -> np.nd
     if kind is None:
         kind = "remap_plus_noise" if problem.input_channel_directions else "random"
     shape = problem.shape
-    if kind == "given":
+    if kind in ("given", "reference"):
         if config.matrix is None:
-            raise ConfigError("given initialization needs a matrix")
+            raise ConfigError(f"{kind} initialization needs a matrix")
         t0 = np.array(config.matrix, dtype=float)
     elif kind in ("remap", "remap_plus_noise"):
         if not problem.input_channel_directions:
@@ -122,10 +125,8 @@ def initialize(config: OptimizationConfig, problem: TranscodingProblem) -> np.nd
             problem.input_channel_directions, problem.output_spec,
             problem.decoder.layout,
         )
-    elif kind == "random":
-        t0 = np.zeros(shape)
     else:
-        raise ConfigError(f"unknown initialization {kind!r}")
+        t0 = np.zeros(shape)
     if t0.shape != shape:
         raise DimensionError(
             f"initial matrix has shape {t0.shape}, expected {shape}"

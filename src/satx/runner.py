@@ -7,7 +7,7 @@ times go to the console, never into files) and are written atomically.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -109,24 +109,18 @@ def reference_transcoder(job: JobConfig) -> np.ndarray:
 
 def optimization_config(job: JobConfig,
                         seed: Optional[int] = None) -> optimizer.OptimizationConfig:
-    """Optimizer settings of a job; a reference init becomes a given one."""
-    opts = job.optimizer
-    init, matrix = opts.init, None
-    if init == "given":
-        matrix = matfile.import_matrix(opts.matrix).values()
-    elif init == "reference":
-        init, matrix = "given", reference_transcoder(job)
-    return optimizer.OptimizationConfig(
-        init=init,
-        scale=opts.scale,
-        matrix=matrix,
-        max_iterations=opts.max_iterations,
-        gradient_tolerance=opts.gradient_tolerance,
-        cost_tolerance=opts.cost_tolerance,
-        seed=opts.seed if seed is None else seed,
-        restarts=opts.restarts,
-        log_every=opts.log_every,
-    )
+    """The job's optimizer settings, ready for ``optimizer.optimize``.
+
+    A given init gets its matrix file loaded, a reference init becomes a
+    given one from ``reference_transcoder``, and ``seed`` overrides the job's.
+    """
+    config = job.optimizer
+    if config.init == "given":
+        config = replace(config,
+                         matrix=matfile.import_matrix(job.init_matrix).values())
+    elif config.init == "reference":
+        config = replace(config, init="given", matrix=reference_transcoder(job))
+    return config if seed is None else replace(config, seed=seed)
 
 
 @dataclass

@@ -279,3 +279,15 @@ class TestGradient:
     def test_non_finite_coefficient_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             CostCoefficients(**{name: value})
+
+    @pytest.mark.parametrize("value, reason", [
+        ("1.5", "expected a number"),
+        (True, "expected a number"),
+        (None, "expected a number"),
+        ([1.0], "expected a number"),
+        pytest.param(10**400, "must be finite", id="10**400"),
+    ])
+    @pytest.mark.parametrize("name", ["energy", "max_boost_db"])
+    def test_non_number_coefficient_rejected(self, name, value, reason):
+        with pytest.raises(ConfigError, match=f"{name} {reason}"):
+            CostCoefficients(**{name: value})

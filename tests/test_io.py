@@ -1,12 +1,24 @@
+import copy
+import dataclasses
+import math
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
-from satx import AudioError, ConfigError, MatrixFileError
+from satx import (
+    AudioError,
+    ConfigError,
+    CostCoefficients,
+    MatrixFileError,
+    OptimizationConfig,
+    SatxError,
+)
 from satx.audio import apply_matrix_to_audio, read_wav, write_wav_float32
 from satx.config import load_config, parse_config
 from satx.matfile import (
@@ -242,6 +254,29 @@ class TestConfig:
         assert job.optimizer.gradient_tolerance == 1e-7
         assert job.optimizer.cost_tolerance == 1e-10
 
+    def test_optimization_config_resolves_the_job(self, tmp_path):
+        from satx import runner
+        from satx.presets import preset_dict
+
+        t0 = np.arange(28.0).reshape(4, 7) / 28
+        export_matrix(matrix_file(t0), tmp_path / "t0.smx")
+        cfg = preset_dict("example3")
+        cfg["optimizer"] = {"init": "given", "matrix": str(tmp_path / "t0.smx"),
+                            "seed": 4}
+        job = parse_config(cfg)
+        assert job.optimizer.matrix is None
+        resolved = runner.optimization_config(job, seed=9)
+        assert resolved.init == "given" and resolved.seed == 9
+        np.testing.assert_array_equal(resolved.matrix, t0)
+        assert runner.optimization_config(job).seed == 4
+
+        cfg["optimizer"] = {"init": "reference"}
+        job = parse_config(cfg)
+        resolved = runner.optimization_config(job)
+        assert resolved.init == "given"
+        np.testing.assert_array_equal(resolved.matrix,
+                                      runner.reference_transcoder(job))
+
     def test_generate_requires_cloud(self):
         from satx.presets import preset_dict
 
@@ -308,6 +343,23 @@ class TestConfig:
         (("optimizer", "gradient_tolerance"), float("nan"),
          "optimizer.gradient_tolerance"),
         (("optimizer", "seed"), -1, "optimizer.seed"),
+        (("input",), {"format": "ambisonics", "order": 12}, "input.order"),
+        (("output",), {"format": "ambisonics", "order": 1,
+                       "normalization": "fuma",
+                       "virtual_layout": [["L", 30, 0], ["R", -30, 0]]},
+         "output.normalization"),
+        (("coefficients", "energy"), "1.5", "coefficients.energy"),
+        (("coefficients", "energy"), True, "coefficients.energy"),
+        (("optimizer", "gradient_tolerance"), "x",
+         "optimizer.gradient_tolerance"),
+        (("optimizer", "init"), "bogus", "optimizer.init"),
+        (("optimizer",), {"init": "remap", "scale": 0.1}, "optimizer.scale"),
+        (("optimizer",), {"init": "random", "matrix": "t0.smx"},
+         "optimizer.matrix"),
+        (("name",), "sub/x", "name"),
+        (("name",), ["a"], "name"),
+        (("name",), "..", "name"),
+        (("name",), "", "name"),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, where,
                                                value, key):
@@ -332,3 +384,73 @@ class TestConfig:
         code = main(["generate", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert f"config.{key}:" in capsys.readouterr().err
+
+
+# Values a config key may hold that are of the wrong type or out of range,
+# plus a few that are fine for some keys.
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=8),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.5, 1, 3]),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-12, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=2**63, max_value=10**400),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+_FUZZ_KEYS = (
+    [("optimizer", f.name) for f in dataclasses.fields(OptimizationConfig)]
+    + [("coefficients", f.name) for f in dataclasses.fields(CostCoefficients)]
+    + [("input", key) for key in
+       ("format", "order", "normalization", "layout", "matrix")]
+    + [("symmetry", key) for key in ("tolerance_deg", "pairs")]
+    + [("name",)]
+)
+
+
+class TestConfigFuzz:
+    BASE = {
+        "mode": "evaluate",
+        "name": "fuzz",
+        "input": {"format": "ambisonics", "order": 1,
+                  "normalization": "SN3D"},
+        "output": {"format": "speakers",
+                   "layout": [["L", 30, 0], ["R", -30, 0]]},
+        "evaluation_cloud": {"kind": "ring", "points": 8},
+        "coefficients": {"energy": 1, "max_boost_db": 3},
+        "optimizer": {"init": "random", "scale": 0.1, "seed": 0},
+        "symmetry": {"tolerance_deg": 1.0, "pairs": [["L", "R"]]},
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(changes=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS),
+                                      _ODD_VALUES), min_size=1, max_size=3))
+    def test_schema_fails_only_with_satx_errors(self, changes):
+        from satx.cli import main
+
+        cfg = copy.deepcopy(self.BASE)
+        for where, value in changes:
+            node = cfg
+            for part in where[:-1]:
+                node = node.setdefault(part, {})
+            node[where[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "job.yaml")
+            with open(path, "w") as handle:
+                yaml.safe_dump(cfg, handle)
+            with open(path) as handle:
+                data = yaml.safe_load(handle)
+            try:
+                parse_config(data)
+                parsed = True
+            except SatxError:
+                parsed = False
+            matrix = os.path.join(tmp, "t.smx")
+            export_matrix(matrix_file(np.full((2, 4), 0.5)), matrix)
+            code = main(["evaluate", "--config", path, "--matrix", matrix,
+                         "--out", tmp])
+            # a parsed job still exits 2 where the matrix no longer fits
+            assert code in (0, 2)
+            assert parsed or code == 2

@@ -70,10 +70,24 @@ class TestConfig:
         ("log_every", -1),
         ("seed", -1),
         ("matrix", np.array([[1.0, np.nan]])),
+        ("gradient_tolerance", "x"),
+        ("gradient_tolerance", None),
+        ("cost_tolerance", True),
+        ("scale", "0.1"),
+        ("scale", True),
+        ("max_iterations", "10"),
+        ("seed", None),
+        ("init", "bogus"),
+        ("init", 3),
     ])
     def test_bad_setting_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             OptimizationConfig(**{name: value})
+
+    @pytest.mark.parametrize("init", ["remap", "given", "reference"])
+    def test_scale_rejected_where_no_noise_is_added(self, init):
+        with pytest.raises(ConfigError, match="scale is only read by"):
+            OptimizationConfig(init=init, scale=0.1)
 
 
 class TestBfgsUpdate:
