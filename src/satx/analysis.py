@@ -123,32 +123,32 @@ def direction_vector(x: np.ndarray, u: np.ndarray, v: np.ndarray, guard):
     pressure and velocity vector, their squares s*s for the incoherent
     energy and energy vector.  ``u`` are the speaker and ``v`` the
     direction unit vectors; ``guard`` keeps the magnitude away from zero.
-    Returns the magnitude, the guarded magnitude g, the radial component
-    ((x @ u) / g) . v, and the transverse cross vector ((x @ u) / g) x v.
+    Returns the magnitude, the guarded magnitude g, and the radial part
+    r = vec . v and transverse part vec - r v of vec = (x @ u) / g.
     """
     magnitude = x.sum(axis=1)
     g = guard(magnitude)
     vec = (x @ u) / g[:, None]
     radial = np.einsum("lk,lk->l", vec, v)
-    return magnitude, g, radial, np.cross(vec, v)
+    return magnitude, g, radial, vec - radial[:, None] * v
 
 
 def coherent_metrics(s: SpeakerMatrix):
     """Pressure and radial/transverse velocity per direction."""
-    pressure, _, radial, cross = direction_vector(
+    pressure, _, radial, perp = direction_vector(
         s.entries, s.layout.unit_vectors(), s.cloud.unit_vectors(),
         guard_pressure,
     )
-    return pressure, radial, np.linalg.norm(cross, axis=1)
+    return pressure, radial, np.linalg.norm(perp, axis=1)
 
 
 def incoherent_metrics(s: SpeakerMatrix):
     """Energy and radial/transverse energy-vector components per direction."""
-    energy, _, radial, cross = direction_vector(
+    energy, _, radial, perp = direction_vector(
         s.entries**2, s.layout.unit_vectors(), s.cloud.unit_vectors(),
         guard_energy,
     )
-    return energy, radial, np.linalg.norm(cross, axis=1)
+    return energy, radial, np.linalg.norm(perp, axis=1)
 
 
 def perceptual_metrics(radial, transverse, magnitude, mode: str):

@@ -161,14 +161,17 @@ def _open_wav(path):
 
 def _read_block(handle, wav: _WavData, frames: int) -> np.ndarray:
     """The next ``frames`` frames as float64 in [-1, 1), frames x channels."""
-    raw = np.empty(frames * wav.channels * wav.width, dtype=np.uint8)
-    if handle.readinto(raw) != raw.size:
+    # 24-bit samples land one byte into the buffer, so the 4-byte word at
+    # every 3-byte step holds a sample in its top three bytes
+    pad = int(wav.width == 3)
+    raw = np.empty(frames * wav.channels * wav.width + pad, dtype=np.uint8)
+    if handle.readinto(raw[pad:]) != raw.size - pad:
         raise AudioError(f"audio file {handle.name} ended while reading")
-    if wav.width == 3:
-        wide = np.zeros((raw.size // 3, 4), dtype=np.uint8)
-        wide[:, 1:] = raw.reshape(-1, 3)
-        raw = wide
-    samples = raw.view(wav.dtype).reshape(frames, wav.channels)
+    if pad:
+        samples = np.ndarray((frames, wav.channels), wav.dtype, raw,
+                             strides=(3 * wav.channels, 3)) & -256
+    else:
+        samples = raw.view(wav.dtype).reshape(frames, wav.channels)
     out = samples.astype(np.float64)
     if wav.dtype.kind == "i":
         out /= float(2 ** (8 * wav.dtype.itemsize - 1))

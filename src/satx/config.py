@@ -44,9 +44,14 @@ _TOP_KEYS = {
     "mode", "analysis", "name", "input", "output", "cloud",
     "evaluation_cloud", "coefficients", "optimizer", "symmetry",
 }
-_INPUT_KEYS = {"format", "order", "normalization", "layout", "matrix"}
-_OUTPUT_KEYS = {"format", "order", "normalization", "layout", "matrix",
-                "virtual_layout"}
+# the keys each input and output format reads
+_INPUT_KEYS = {"ambisonics": {"format", "order", "normalization"},
+               "vbap": {"format", "layout"}, "objects": {"format"},
+               "external": {"format", "matrix"}}
+_OUTPUT_KEYS = {"speakers": {"format", "layout"},
+                "ambisonics": {"format", "order", "normalization",
+                               "virtual_layout"},
+                "external": {"format", "matrix", "layout"}}
 _OPT_KEYS = {f.name for f in fields(OptimizationConfig)}
 _COEFF_KEYS = {f.name for f in fields(CostCoefficients)}
 _SYM_KEYS = {"tolerance_deg", "pairs"}
@@ -76,10 +81,20 @@ def _require_mapping(node, path):
     return node
 
 
-def _check_keys(node, allowed, path):
+def _check_keys(node, allowed, path, reason="unknown key"):
     for key in node:
         if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
+            raise ConfigError(f"{path}.{key}: {reason}")
+
+
+def _format(node, format_keys, path, side):
+    """The node's format, once every key is one that format reads."""
+    fmt = node.get("format")
+    if not isinstance(fmt, str) or fmt not in format_keys:
+        raise ConfigError(f"{path}.format: unknown {side} format {fmt!r}")
+    _check_keys(node, set().union(*format_keys.values()), path)
+    _check_keys(node, format_keys[fmt], path, f"not read by the {fmt} format")
+    return fmt
 
 
 def _checked(make, *args, path=None, **kwargs):
@@ -197,9 +212,7 @@ def _ambisonics(node, path) -> AmbisonicsSpec:
 
 
 def _parse_input(node, path, pair_tol):
-    node = _require_mapping(node, path)
-    _check_keys(node, _INPUT_KEYS, path)
-    fmt = node.get("format")
+    fmt = _format(_require_mapping(node, path), _INPUT_KEYS, path, "input")
     if fmt == "ambisonics":
         return _ambisonics(node, path)
     if fmt == "vbap":
@@ -208,18 +221,14 @@ def _parse_input(node, path, pair_tol):
         return VbapSpec(parse_layout(node["layout"], f"{path}.layout", pair_tol))
     if fmt == "objects":
         return ObjectsSpec()
-    if fmt == "external":
-        if "matrix" not in node:
-            raise ConfigError(f"{path}.matrix: required for external input")
-        return ExternalSpec(str(node["matrix"]))
-    raise ConfigError(f"{path}.format: unknown input format {fmt!r}")
+    if "matrix" not in node:  # external
+        raise ConfigError(f"{path}.matrix: required for external input")
+    return ExternalSpec(str(node["matrix"]))
 
 
 def _parse_output(node, path, pair_tol):
     """Returns (output_spec, output_layout)."""
-    node = _require_mapping(node, path)
-    _check_keys(node, _OUTPUT_KEYS, path)
-    fmt = node.get("format")
+    fmt = _format(_require_mapping(node, path), _OUTPUT_KEYS, path, "output")
     if fmt == "speakers":
         if "layout" not in node:
             raise ConfigError(f"{path}.layout: required for speaker output")
@@ -239,14 +248,12 @@ def _parse_output(node, path, pair_tol):
         else:
             layout = parse_layout(virt, f"{path}.virtual_layout", pair_tol)
         return spec, layout
-    if fmt == "external":
-        if "matrix" not in node or "layout" not in node:
-            raise ConfigError(
-                f"{path}: external output needs 'matrix' and 'layout'"
-            )
-        layout = parse_layout(node["layout"], f"{path}.layout", pair_tol)
-        return ExternalSpec(str(node["matrix"])), layout
-    raise ConfigError(f"{path}.format: unknown output format {fmt!r}")
+    if "matrix" not in node or "layout" not in node:  # external
+        raise ConfigError(
+            f"{path}: external output needs 'matrix' and 'layout'"
+        )
+    layout = parse_layout(node["layout"], f"{path}.layout", pair_tol)
+    return ExternalSpec(str(node["matrix"])), layout
 
 
 def _parse_coeffs(node, path) -> CostCoefficients:

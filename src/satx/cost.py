@@ -137,11 +137,11 @@ def _evaluate(s, t, geo: _ProblemGeometry, coeffs: CostCoefficients,
     """All 14 term values, and optionally (dC/dS, dC/dT_direct)."""
     s = np.asarray(s, dtype=float)
     w, u, v = geo.w, geo.u, geo.v
-    p_raw, pg, vr, vc = direction_vector(s, u, v, guard_pressure)
-    e_raw, eg, ir, ic = direction_vector(s * s, u, v, guard_energy)
+    p_raw, pg, vr, vt = direction_vector(s, u, v, guard_pressure)
+    e_raw, eg, ir, it = direction_vector(s * s, u, v, guard_energy)
     abs_pg = np.abs(pg)
-    vt2 = (vc * vc).sum(axis=1)
-    it2 = (ic * ic).sum(axis=1)
+    vt2 = (vt * vt).sum(axis=1)
+    it2 = (it * it).sum(axis=1)
 
     s_neg = np.minimum(s, 0.0)
     m1_neg = -s_neg.sum(axis=1)
@@ -203,10 +203,9 @@ def _evaluate(s, t, geo: _ProblemGeometry, coeffs: CostCoefficients,
     if c.velocity_radial:
         a = c.velocity_radial * 2.0 * w * (vr - 1.0) / pg
         ds += a[:, None] * (geo.udotv - (vr * g_p)[:, None])
-    # the transverse slopes use c . (u_p x v) = u_p . (v x c)
     if c.velocity_transverse:
         b = c.velocity_transverse * 2.0 * w / pg
-        ds += b[:, None] * (np.cross(v, vc) @ u.T - (vt2 * g_p)[:, None])
+        ds += b[:, None] * (vt @ u.T - (vt2 * g_p)[:, None])
     if c.energy:
         ds += (c.energy * 4.0 * w * (e_raw - 1.0))[:, None] * s
     if c.intensity_radial:
@@ -214,7 +213,7 @@ def _evaluate(s, t, geo: _ProblemGeometry, coeffs: CostCoefficients,
         ds += a[:, None] * s * (geo.udotv - (ir * g_e)[:, None])
     if c.intensity_transverse:
         b = c.intensity_transverse * 4.0 * w / eg
-        ds += b[:, None] * s * (np.cross(v, ic) @ u.T - (it2 * g_e)[:, None])
+        ds += b[:, None] * s * (it @ u.T - (it2 * g_e)[:, None])
     if c.in_phase_linear:
         a = c.in_phase_linear * 2.0 * w * phi_lin
         dphi = (

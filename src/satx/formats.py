@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,99 +70,93 @@ def acn_labels(order: int) -> tuple:
 # Amplitude / intensity panning
 
 
-class _Panner:
-    """Shared candidate-face search for VBAP and VBIP gains."""
-
-    def __init__(self, layout: SpeakerLayout):
-        self.n_speakers = len(layout)
-        self.faces = geometry.triangulate_hull(layout)
-        self.is_2d = geometry.is_horizontal_layout(layout)
-        vecs = layout.unit_vectors()
-        self._bases = []
-        for face in self.faces:
-            if self.is_2d:
-                m = vecs[list(face), :2].T  # columns are speaker vectors
-            else:
-                m = vecs[list(face), :].T
-            if abs(np.linalg.det(m)) < 1e-12:
-                self._bases.append(None)  # face coplanar with the origin
-            else:
-                self._bases.append(np.linalg.inv(m))
-        self._vecs = vecs
-
-    def raw_gains(self, d: Direction):
-        """First face (lowest index) whose solve is nonnegative.
-
-        Returns (face, gains) with gains solving v = sum g * u, before any
-        normalization.  Raises CoverageError when no face accepts.
-        """
-        v = geometry.to_unit_vector(d)
-        if self.is_2d:
-            v2 = v[:2]
-            norm = np.linalg.norm(v2)
-            if norm < 1e-12:
-                raise CoverageError(
-                    f"direction az={d.azimuth:.2f} el={d.elevation:.2f} has no "
-                    "horizontal component; 2D layout cannot pan it"
-                )
-            v = v2 / norm
-        best = None
-        for face, base in zip(self.faces, self._bases):
-            if base is None:
-                continue
-            g = base @ v
-            worst = g.min()
-            if worst >= -1e-9:
-                return face, g
-            if best is None or worst > best[0]:
-                best = (worst, face, g)
-        # report the nearest covered direction from the least-bad face
-        _, face, g = best
-        g = np.clip(g, 0.0, None)
-        if self.is_2d:
-            approx = self._vecs[list(face), :2].T @ g
-            near = geometry.from_unit_vector((approx[0], approx[1], 0.0))
-        else:
-            near = geometry.from_unit_vector(self._vecs[list(face), :].T @ g)
-        raise CoverageError(
-            f"direction az={d.azimuth:.3f} el={d.elevation:.3f} is outside "
-            f"the panning hull; nearest covered direction is "
-            f"az={near.azimuth:.3f} el={near.elevation:.3f}"
-        )
-
-    def vbap(self, d: Direction) -> np.ndarray:
-        face, g = self.raw_gains(d)
-        out = np.zeros(self.n_speakers)
-        out[list(face)] = np.clip(g, 0.0, None)
-        return out / np.linalg.norm(out)
-
-    def vbip(self, d: Direction) -> np.ndarray:
-        face, g = self.raw_gains(d)
-        q = np.clip(g, 0.0, None)
-        q /= q.sum()
-        out = np.zeros(self.n_speakers)
-        out[list(face)] = np.sqrt(q)
-        return out
-
-
 @functools.lru_cache(maxsize=32)
-def _panner(layout: SpeakerLayout) -> _Panner:
-    return _Panner(layout)
+def _hull_bases(layout: SpeakerLayout):
+    """Solvable panning faces (F x k) and their stacked inverse bases (F x k x k).
+
+    k is 2 for horizontal layouts (adjacent azimuth pairs) and 3 otherwise
+    (hull triangles); faces coplanar with the origin are dropped.
+    """
+    faces = np.array(geometry.triangulate_hull(layout))
+    k = faces.shape[1]
+    bases = layout.unit_vectors()[faces, :k].transpose(0, 2, 1)  # speaker columns
+    solvable = np.abs(np.linalg.det(bases)) >= 1e-12
+    if not solvable.any():
+        raise GeometryError("every panning face is coplanar with the origin")
+    return faces[solvable], np.linalg.inv(bases[solvable])
+
+
+def _face_gains(layout: SpeakerLayout, directions: Sequence[Direction]):
+    """Panning face and clipped raw gains of every direction (L x k each).
+
+    Every direction is solved against every face at once and takes the
+    first face (lowest index) whose gains are nonnegative; the gains solve
+    v = sum g * u.  Raises CoverageError for the first uncovered direction.
+    """
+    faces, inverses = _hull_bases(layout)
+    k = faces.shape[1]
+    v = geometry.unit_vectors(directions)[:, :k]
+    flat = np.zeros(len(v), dtype=bool)
+    if k == 2:
+        norm = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+        flat = norm[:, 0] < 1e-12
+        v = v / np.where(flat[:, None], 1.0, norm)
+    g = (inverses @ v[:, None, :, None])[..., 0]  # L x F x k
+    accepted = (g.min(axis=2) >= -1e-9) & ~flat[:, None]
+    covered = accepted.any(axis=1)
+    if not covered.all():
+        first = int(np.argmin(covered))
+        d = directions[first]
+        if flat[first]:
+            raise CoverageError(
+                f"direction az={d.azimuth:.2f} el={d.elevation:.2f} has no "
+                "horizontal component; 2D layout cannot pan it"
+            )
+        raise _uncovered(layout, d, v[first], faces, g[first])
+    pick = accepted.argmax(axis=1)
+    return faces[pick], np.clip(g[np.arange(len(v)), pick], 0.0, None)
+
+
+def _uncovered(layout, d, v, faces, g) -> CoverageError:
+    """The error naming d and its nearest covered direction.
+
+    That is the least-bad face's clipped resultant or, when all of that
+    face's gains are negative, the speaker nearest to d.
+    """
+    best = int(np.argmax(g.min(axis=1)))
+    gains = np.clip(g[best], 0.0, None)
+    u = layout.unit_vectors()
+    u[:, len(v):] = 0.0  # 2D layouts pan in the horizontal plane
+    if gains.any():
+        near = geometry.from_unit_vector(u[faces[best]].T @ gains)
+    else:
+        near = layout.directions[int(np.argmax(u[:, :len(v)] @ v))]
+    return CoverageError(
+        f"direction az={d.azimuth:.3f} el={d.elevation:.3f} is outside "
+        f"the panning hull; nearest covered direction is "
+        f"az={near.azimuth:.3f} el={near.elevation:.3f}"
+    )
+
+
+def vbap_matrix(layout: SpeakerLayout, directions: Sequence[Direction]) -> np.ndarray:
+    """VBAP gains, one energy-normalized row (sum g^2 = 1) per direction."""
+    faces, gains = _face_gains(layout, directions)
+    out = np.zeros((len(faces), len(layout)))
+    np.put_along_axis(out, faces, gains, axis=1)
+    return out / np.sqrt(out[:, None, :] @ out[:, :, None])[:, 0]
 
 
 def vbap_gains(layout: SpeakerLayout, d: Direction) -> np.ndarray:
     """Vector-base amplitude panning gains, energy-normalized (sum g^2 = 1)."""
-    return _panner(layout).vbap(d)
+    return vbap_matrix(layout, [d])[0]
 
 
 def vbip_gains(layout: SpeakerLayout, d: Direction) -> np.ndarray:
     """Vector-base intensity panning: the energy vector aligns with d."""
-    return _panner(layout).vbip(d)
-
-
-def vbap_matrix(layout: SpeakerLayout, directions: Sequence[Direction]) -> np.ndarray:
-    panner = _panner(layout)
-    return np.array([panner.vbap(d) for d in directions])
+    (face,), (q,) = _face_gains(layout, [d])
+    out = np.zeros(len(layout))
+    out[face] = np.sqrt(q / q.sum())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +348,6 @@ def identity_decoder(layout: SpeakerLayout) -> DecoderToSpeaker:
 # Channel-remapping baselines
 
 
-def encode_direction(spec: FormatSpec, layout: Optional[SpeakerLayout],
-                     d: Direction) -> np.ndarray:
-    """One direction's gain vector in the given output format."""
-    if isinstance(spec, AmbisonicsSpec):
-        return sh_matrix([d], spec.order, spec.normalization)[0]
-    if isinstance(spec, VbapSpec):
-        return vbap_gains(spec.layout, d)
-    if layout is not None:
-        return vbap_gains(layout, d)
-    raise DimensionError(f"cannot encode a direction in format {spec!r}")
-
-
 def remap_baseline(input_channel_directions: Sequence[Direction],
                    output: FormatSpec,
                    layout: Optional[SpeakerLayout] = None) -> np.ndarray:
@@ -374,10 +356,14 @@ def remap_baseline(input_channel_directions: Sequence[Direction],
     Column m encodes input channel m's direction into the output format:
     an ambisonics row, or panning gains over the output layout.
     """
-    cols = [
-        encode_direction(output, layout, d) for d in input_channel_directions
-    ]
-    return np.array(cols).T
+    if isinstance(output, AmbisonicsSpec):
+        return sh_matrix(input_channel_directions, output.order,
+                         output.normalization).T
+    if isinstance(output, VbapSpec):
+        layout = output.layout
+    if layout is None:
+        raise DimensionError(f"cannot encode a direction in format {output!r}")
+    return vbap_matrix(layout, input_channel_directions).T
 
 
 def panned_reference_decoder(input_spec: AmbisonicsSpec,

@@ -130,6 +130,20 @@ class TestGenerateCli:
         assert main(["generate", "--config", str(path), "--out",
                      str(tmp_path)]) == 3
 
+    def test_direction_behind_2d_layout_names_it(self, tmp_path, capsys):
+        cfg = {
+            "input": {"format": "objects"},
+            "output": {"format": "speakers",
+                       "layout": [["L", 30, 0], ["R", -30, 0]]},
+            "cloud": {"kind": "explicit", "directions": [[0, 0], [170, 0]]},
+            "coefficients": {"energy": 1},
+        }
+        path = tmp_path / "behind.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["generate", "--config", str(path), "--out",
+                     str(tmp_path)]) == 3
+        assert "direction az=170.000 el=0.000" in capsys.readouterr().err
+
 
 class TestEvaluateCompareCli:
     @pytest.fixture

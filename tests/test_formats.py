@@ -10,6 +10,7 @@ from satx import (
     DimensionError,
     Direction,
     ExplicitSpec,
+    GeometryError,
     ObjectsSpec,
     PointCloud,
     RingSpec,
@@ -31,8 +32,10 @@ from satx.geometry import (
     HemisphereSpec,
     MergeSpec,
     fibonacci_sphere,
+    from_unit_vector,
     layout_from_directions,
     to_unit_vector,
+    triangulate_hull,
 )
 
 from conftest import random_direction
@@ -54,6 +57,32 @@ def complex_sh_oracle(order, directions):
                 col = math.sqrt(2) * (-1) ** abs(m) * c.imag
             out[:, n * (n + 1) + m] = math.sqrt(4 * math.pi) * col
     return out
+
+
+def per_direction_gains(layout, faces, d, intensity=False):
+    """VBAP (or VBIP) gains of one direction, solving one face at a time.
+
+    The first of the hull faces (lowest index) whose gains are all
+    >= -1e-9 wins.
+    """
+    k = len(faces[0])
+    v = to_unit_vector(d)[:k]
+    if k == 2:
+        v = v / np.linalg.norm(v)
+    for face in faces:
+        base = layout.unit_vectors()[list(face), :k].T
+        if abs(np.linalg.det(base)) < 1e-12:
+            continue
+        g = np.linalg.inv(base) @ v
+        if g.min() >= -1e-9:
+            g = np.clip(g, 0.0, None)
+            out = np.zeros(len(layout))
+            if intensity:
+                out[list(face)] = np.sqrt(g / g.sum())
+                return out
+            out[list(face)] = g
+            return out / np.linalg.norm(out)
+    raise CoverageError(f"no face accepts {d}")
 
 
 class TestSphericalHarmonics:
@@ -160,22 +189,82 @@ class TestVbap:
     def test_edge_shared_by_adjacent_triangles(self):
         # solving either face adjacent to an edge direction must agree
         layout = named_layout("octahedron")
-        from satx.formats import _Panner
+        from satx.formats import _hull_bases
 
-        panner = _Panner(layout)
-        d = Direction(45, 0)
+        faces, inverses = _hull_bases(layout)
         v = np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0])
         solutions = []
-        for face, base in zip(panner.faces, panner._bases):
-            if base is None:
-                continue
-            g = base @ v
+        for face, inverse in zip(faces, inverses):
+            g = inverse @ v
             if g.min() >= -1e-9:
                 full = np.zeros(len(layout))
-                full[list(face)] = g
+                full[face] = g
                 solutions.append(full / np.linalg.norm(full))
         assert len(solutions) == 2  # the two faces sharing the edge
         np.testing.assert_allclose(solutions[0], solutions[1], atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["octahedron", "7.0.4", "5.0", "3.0.1"])
+    def test_batch_equals_per_direction_reference(self, name, rng):
+        layout = named_layout(name)
+        u = layout.unit_vectors()
+        faces = triangulate_hull(layout)
+        edges = [
+            (a, b) for face in faces
+            for a, b in zip(face, face[1:] + face[:1])
+        ]
+        dirs = [random_direction(rng, (-90, 90)) for _ in range(300)]
+        dirs += list(layout.directions)
+        dirs += [from_unit_vector(u[a] + u[b]) for a, b in edges
+                 if np.linalg.norm(u[a] + u[b]) > 1e-9]
+        covered = []
+        for d in dirs:
+            try:
+                per_direction_gains(layout, faces, d)
+            except CoverageError:
+                with pytest.raises(CoverageError):
+                    vbap_gains(layout, d)
+                continue
+            covered.append(d)
+            np.testing.assert_array_equal(
+                vbip_gains(layout, d),
+                per_direction_gains(layout, faces, d, intensity=True),
+            )
+        assert len(covered) > 150
+        expected = np.array(
+            [per_direction_gains(layout, faces, d) for d in covered]
+        )
+        np.testing.assert_array_equal(vbap_matrix(layout, covered) > 0,
+                                      expected > 0)
+        np.testing.assert_array_equal(vbap_matrix(layout, covered), expected)
+
+    def test_batch_names_its_first_uncovered_direction(self):
+        layout = named_layout("7.0.4")
+        outside1, outside2 = Direction(10, -40), Direction(-60, -70)
+        with pytest.raises(CoverageError) as single:
+            vbap_gains(layout, outside1)
+        with pytest.raises(CoverageError) as batch:
+            vbap_matrix(layout, [Direction(0, 30), outside1, outside2])
+        assert str(batch.value) == str(single.value)
+        assert "az=10.000 el=-40.000" in str(batch.value)
+
+    def test_direction_behind_a_narrow_2d_layout(self):
+        # every gain of the one face is negative, so the clipped resultant
+        # is the zero vector; the nearest speaker is reported instead
+        layout = SpeakerLayout(
+            (("L", Direction(30, 0)), ("R", Direction(-30, 0)))
+        )
+        with pytest.raises(CoverageError, match=(
+            r"az=170\.000 el=0\.000 is outside the panning hull; nearest "
+            r"covered direction is az=30\.000 el=0\.000"
+        )):
+            vbap_matrix(layout, [Direction(0, 0), Direction(170, 0)])
+
+    def test_layout_without_a_solvable_face(self):
+        layout = SpeakerLayout(
+            (("F", Direction(0, 0)), ("B", Direction(180, 0)))
+        )
+        with pytest.raises(GeometryError, match="coplanar with the origin"):
+            vbap_gains(layout, Direction(0, 0))
 
     def test_continuity_dense_sweep(self):
         layout = named_layout("7.0.4")

@@ -360,6 +360,16 @@ class TestConfig:
         (("name",), ["a"], "name"),
         (("name",), "..", "name"),
         (("name",), "", "name"),
+        (("input",), {"format": "objects", "order": 12}, "input.order"),
+        (("input",), {"format": "vbap", "layout": "5.0",
+                      "normalization": "SN3D"}, "input.normalization"),
+        (("output",), {"format": "speakers", "order": 3,
+                       "layout": [["L", 30, 0], ["R", -30, 0]]},
+         "output.order"),
+        (("output",), {"format": "ambisonics", "order": 1,
+                       "matrix": "d.smx",
+                       "virtual_layout": [["L", 30, 0], ["R", -30, 0]]},
+         "output.matrix"),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, where,
                                                value, key):
