@@ -75,8 +75,8 @@ def _parse_fmt(handle, size, end, fail):
                    f"{channels} channels")
     width = block_align // channels
     # the sample type follows the container width (block align over
-    # channels), as in scipy.io.wavfile; 24-bit samples widen to
-    # left-justified int32, so every integer type scales by a power of two
+    # channels); 24-bit samples widen to left-justified int32, so every
+    # integer type scales by a power of two
     if tag == _PCM and 1 <= bits <= 8:
         name = "u1"
     elif tag == _PCM and width in (3, 5, 6, 7):
@@ -186,7 +186,7 @@ def read_wav(path):
 
 
 def _float32_header(rate: int, channels: int, frames: int) -> bytes:
-    """Header of a 32-bit float WAV, as ``scipy.io.wavfile.write`` makes it.
+    """Header of a 32-bit float WAV (format tag 3).
 
     ``fmt `` carries a zero cbSize and is followed by ``fact``; when the
     RIFF size does not fit 32 bits the file is RF64 with a ``ds64`` chunk

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import lpmv
 
 from . import geometry
 from .errors import CoverageError, DimensionError, GeometryError, check_integer
@@ -41,6 +40,8 @@ def sh_matrix(directions: Sequence[Direction], order: int,
         raise DimensionError(f"ambisonics order {order} outside [0, 9]")
     if normalization not in (SN3D, N3D):
         raise DimensionError(f"unknown normalization {normalization!r}")
+    from scipy.special import lpmv
+
     dirs = list(directions)
     az = np.radians([d.azimuth for d in dirs])
     sin_el = np.sin(np.radians([d.elevation for d in dirs]))

@@ -13,7 +13,6 @@ from importlib import resources
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import GeometryError
 
@@ -403,6 +402,8 @@ def triangulate_hull(layout: SpeakerLayout):
             "3D hull needs at least 4 speakers; add virtual fill speakers "
             "to cover the missing region"
         )
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(vecs)
     except QhullError as exc:

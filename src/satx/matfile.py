@@ -24,6 +24,12 @@ KINDS = ("encoding", "transcoding", "decoder_to_speaker")
 
 @dataclass(frozen=True)
 class MatrixFile:
+    """A matrix with its kind and labels; empty labels become r0.. / c0..
+
+    The entry count is checked before any default label is made, so a
+    header declaring a huge size fails without allocating for it.
+    """
+
     kind: str
     rows: int
     cols: int
@@ -40,10 +46,14 @@ class MatrixFile:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-        for labels, count, what in (
-            (self.row_labels, self.rows, "row"),
-            (self.col_labels, self.cols, "column"),
+        for attr, prefix, count, what in (
+            ("row_labels", "r", self.rows, "row"),
+            ("col_labels", "c", self.cols, "column"),
         ):
+            labels = getattr(self, attr) or tuple(
+                f"{prefix}{i}" for i in range(count)
+            )
+            object.__setattr__(self, attr, labels)
             if len(labels) != count:
                 raise MatrixFileError(f"expected {count} {what} labels")
             if len(set(labels)) != len(labels):
@@ -64,18 +74,12 @@ def matrix_file(values, kind: str = "transcoding", row_labels=None,
     if values.ndim != 2:
         raise MatrixFileError("matrix must be 2-D")
     rows, cols = values.shape
-    row_labels = tuple(row_labels) if row_labels else tuple(
-        f"r{i}" for i in range(rows)
-    )
-    col_labels = tuple(col_labels) if col_labels else tuple(
-        f"c{i}" for i in range(cols)
-    )
     return MatrixFile(
         kind=kind,
         rows=rows,
         cols=cols,
-        row_labels=row_labels,
-        col_labels=col_labels,
+        row_labels=tuple(row_labels or ()),
+        col_labels=tuple(col_labels or ()),
         entries=tuple(float(x) for x in values.ravel()),
         note=note,
     )
@@ -175,18 +179,12 @@ def parse_matrix(text: str) -> MatrixFile:
                 f"line {number}: non-finite entry in {stripped!r}"
             )
         entries.extend(row)
-    row_labels = tuple(header.get("row_labels", "").split()) or tuple(
-        f"r{i}" for i in range(rows)
-    )
-    col_labels = tuple(header.get("col_labels", "").split()) or tuple(
-        f"c{i}" for i in range(cols)
-    )
     return MatrixFile(
         kind=header["kind"],
         rows=rows,
         cols=cols,
-        row_labels=row_labels,
-        col_labels=col_labels,
+        row_labels=tuple(header.get("row_labels", "").split()),
+        col_labels=tuple(header.get("col_labels", "").split()),
         entries=tuple(entries),
         note=header.get("note", ""),
     )

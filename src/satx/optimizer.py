@@ -1,23 +1,20 @@
 """Quasi-Newton minimization of the cost over the transcoding matrix.
 
-BFGS on the flattened transcoder entries with a strong-Wolfe line search
-and an Armijo backtracking fallback for the cost function's piecewise
-kinks.  Runs are sequential and fully deterministic for a fixed
-configuration; a failed line search returns the best iterate seen with
-``converged=False`` instead of aborting.
+BFGS on the flattened transcoder entries with an in-repo strong-Wolfe
+line search (Nocedal & Wright, Alg. 3.5 and 3.6) and an Armijo
+backtracking fallback for the cost function's piecewise kinks.  Runs are
+sequential and fully deterministic for a fixed configuration; a failed
+line search returns the best iterate seen with ``converged=False``
+instead of aborting.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.blas import dger
-from scipy.optimize import line_search
-from scipy.optimize._linesearch import LineSearchWarning
 
 from . import formats
 from .analysis import TranscodingMatrix
@@ -170,18 +167,142 @@ class _CachedObjective:
         return self._eval(x)[1]
 
 
+ZOOM_TRIALS = 11  # steps zoom tries before it gives up: 1 + 10 iterations
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """Minimizer of the cubic through (a, fa), (b, fb) and (c, fc) with
+    slope ``fpa`` at ``a``, or None."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db = b - a
+            dc = c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.array([[dc ** 2, -db ** 2], [-dc ** 3, db ** 3]],
+                          dtype=float)
+            A, B = np.dot(d1, np.array([fb - fa - fpa * db,
+                                        fc - fa - fpa * dc]))
+            A /= denom
+            B /= denom
+            radical = B * B - 3 * A * fpa
+            xmin = a + (-B + np.sqrt(radical)) / (3 * A)
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """Minimizer of the parabola through (a, fa) and (b, fb) with slope
+    ``fpa`` at ``a``, or None."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db = b - a * 1.0
+            B = (fb - fa - fpa * db) / (db * db)
+            xmin = a - fpa / (2.0 * B)
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
+def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0, derphi0,
+          c1, c2):
+    """Alg. 3.6: shrink the bracket [a_lo, a_hi] to a strong-Wolfe step.
+
+    Trial steps come from a cubic through the last three points, else a
+    parabola, else bisection, whichever first lands 20 % (cubic) or 10 %
+    (parabola) of the bracket inside its ends.  Returns (alpha,
+    phi(alpha)), or (None, None) after ZOOM_TRIALS trials.
+    """
+    phi_rec = phi0
+    a_rec = 0
+    for i in range(ZOOM_TRIALS):
+        dalpha = a_hi - a_lo
+        a, b = (a_hi, a_lo) if dalpha < 0 else (a_lo, a_hi)
+        if i > 0:
+            cchk = 0.2 * dalpha
+            a_j = _cubicmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi,
+                            a_rec, phi_rec)
+        if i == 0 or a_j is None or a_j > b - cchk or a_j < a + cchk:
+            qchk = 0.1 * dalpha
+            a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+            if a_j is None or a_j > b - qchk or a_j < a + qchk:
+                a_j = a_lo + 0.5 * dalpha
+        phi_aj = phi(a_j)
+        if phi_aj > phi0 + c1 * a_j * derphi0 or phi_aj >= phi_lo:
+            phi_rec, a_rec = phi_hi, a_hi
+            a_hi, phi_hi = a_j, phi_aj
+            continue
+        derphi_aj = derphi(a_j)
+        if abs(derphi_aj) <= -c2 * derphi0:
+            return a_j, phi_aj
+        if derphi_aj * (a_hi - a_lo) >= 0:
+            phi_rec, a_rec = phi_hi, a_hi
+            a_hi, phi_hi = a_lo, phi_lo
+        else:
+            phi_rec, a_rec = phi_lo, a_lo
+        a_lo, phi_lo, derphi_lo = a_j, phi_aj, derphi_aj
+    return None, None
+
+
+def line_search(f, fprime, xk, pk, gfk, old_fval, c1, c2, maxiter):
+    """Strong-Wolfe step length along ``pk`` from ``xk`` (Alg. 3.5).
+
+    Tries alpha = 1 and doubles it until a step meets the strong Wolfe
+    conditions or brackets one for ``_zoom``.  Returns ``(alpha, fc, gc,
+    f_new, old_fval, g_new)``: ``fc`` and ``gc`` count the calls of ``f``
+    and ``fprime``, and ``g_new`` is the gradient at the accepted step.
+    alpha, f_new and g_new are None when zoom fails; after ``maxiter``
+    doublings the last step is returned with g_new None.
+    """
+    calls = [0, 0]
+    grad = [None]
+
+    def phi(alpha):
+        calls[0] += 1
+        return f(xk + alpha * pk)
+
+    def derphi(alpha):
+        calls[1] += 1
+        grad[0] = fprime(xk + alpha * pk)
+        return np.dot(grad[0], pk)
+
+    derphi0 = np.dot(gfk, pk)
+    alpha0, alpha1 = 0, 1.0
+    phi_a0, phi_a1 = old_fval, phi(alpha1)
+    derphi_a0 = derphi0
+    for i in range(maxiter):
+        if (phi_a1 > old_fval + c1 * alpha1 * derphi0
+                or (i > 0 and phi_a1 >= phi_a0)):
+            alpha, f_new = _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0,
+                                 phi, derphi, old_fval, derphi0, c1, c2)
+            break
+        derphi_a1 = derphi(alpha1)
+        if abs(derphi_a1) <= -c2 * derphi0:
+            alpha, f_new = alpha1, phi_a1
+            break
+        if derphi_a1 >= 0:
+            alpha, f_new = _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1,
+                                 phi, derphi, old_fval, derphi0, c1, c2)
+            break
+        alpha0, alpha1 = alpha1, 2 * alpha1
+        phi_a0, phi_a1 = phi_a1, phi(alpha1)
+        derphi_a0 = derphi_a1
+    else:
+        return alpha1, calls[0], calls[1], phi_a1, old_fval, None
+    g_new = None if alpha is None else grad[0]
+    return alpha, calls[0], calls[1], f_new, old_fval, g_new
+
+
 def _search_step(obj, x, direction, f, g):
     """Strong-Wolfe line search with Armijo backtracking fallback.
 
     Returns (alpha, f_new, fell_back); alpha and f_new are None when no
     decrease is possible.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LineSearchWarning)
-        alpha, _, _, f_new, _, _ = line_search(
-            obj.value, obj.gradient, x, direction, gfk=g, old_fval=f,
-            c1=1e-4, c2=0.9, maxiter=40,
-        )
+    alpha, _, _, f_new, _, _ = line_search(
+        obj.value, obj.gradient, x, direction, gfk=g, old_fval=f,
+        c1=1e-4, c2=0.9, maxiter=40,
+    )
     if alpha is not None and f_new < f:
         return alpha, f_new, False
     slope = float(g @ direction)
@@ -210,6 +331,8 @@ def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     when it is Fortran-ordered, as ``identity_hessian`` makes it; otherwise
     it silently updates a copy.
     """
+    from scipy.linalg.blas import dger
+
     rho = 1.0 / float(y @ s)
     hy = h @ y
     w = (0.5 * rho * (rho * float(y @ hy) + 1.0)) * s - rho * hy

@@ -1,4 +1,7 @@
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 import yaml
 from scipy.io import wavfile
 
+import satx
 from satx import presets
 from satx.cli import main
 from satx.matfile import export_matrix, import_matrix, matrix_file
@@ -238,3 +242,60 @@ class TestApplyCli:
         assert main(["apply", "--matrix", str(mpath), "--in", str(wav_in),
                      "--outfile", str(wav_out)]) == 0
         assert wavfile.read(wav_out)[1].shape == (128, 11)
+
+
+def _scipy_after(script, *args):
+    """Run ``script`` in a fresh interpreter that imports satx from this
+    checkout; returns the scipy modules it loaded, sorted."""
+    src = str(Path(satx.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (script + "\nimport json, sys\nprint(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+class TestImportHygiene:
+    """scipy loads only where a command needs its hull, Legendre functions
+    or BLAS update."""
+
+    def test_config_parsing_loads_no_scipy(self, tiny_config):
+        script = (
+            "import sys\n"
+            "import satx.cli\n"
+            "from satx import presets\n"
+            "from satx.config import load_config\n"
+            "for name in presets.PRESET_NAMES:\n"
+            "    presets.load_preset(name)\n"
+            "load_config(sys.argv[1])\n"
+        )
+        assert _scipy_after(script, str(tiny_config)) == []
+
+    def test_apply_loads_no_scipy(self, tmp_path, rng):
+        wav_in = tmp_path / "in.wav"
+        wavfile.write(wav_in, 8000,
+                      rng.uniform(-1, 1, (64, 2)).astype(np.float32))
+        mpath = tmp_path / "m.smx"
+        export_matrix(matrix_file(np.eye(2)), mpath)
+        script = (
+            "import sys\n"
+            "from satx.cli import main\n"
+            "assert main(['apply', '--matrix', sys.argv[1], '--in', "
+            "sys.argv[2], '--outfile', sys.argv[3]]) == 0\n"
+        )
+        assert _scipy_after(script, str(mpath), str(wav_in),
+                            str(tmp_path / "out.wav")) == []
+
+    def test_generate_never_loads_scipy_optimize(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from satx.cli import main\n"
+            "assert main(['generate', '--preset', 'example3', '--out', "
+            "sys.argv[1]]) == 0\n"
+        )
+        loaded = _scipy_after(script, str(tmp_path))
+        assert "scipy.spatial" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.optimize")]

@@ -4,6 +4,7 @@ import math
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,25 @@ class TestMatrixFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MatrixFileError, match="cannot read"):
             import_matrix(tmp_path / "nope.smx")
+
+    def test_declared_size_checked_before_default_labels(self):
+        text = ("satx-matrix 1\nkind transcoding\nrows 1000000\ncols 1\n"
+                "1 2\n3 4\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixFileError,
+                               match="needs 1000000 entries, got 4"):
+                parse_matrix(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_default_labels(self):
+        text = "satx-matrix 1\nkind transcoding\nrows 2\ncols 1\n1\n2\n"
+        m = parse_matrix(text)
+        assert m.row_labels == ("r0", "r1")
+        assert m.col_labels == ("c0",)
 
 
 def write_pcm24(path, rate, data):
@@ -464,3 +484,80 @@ class TestConfigFuzz:
             # a parsed job still exits 2 where the matrix no longer fits
             assert code in (0, 2)
             assert parsed or code == 2
+
+
+# Tokens a mutated matrix file may hold: non-finite and signed-zero
+# numbers, integers too large for any allocation, control characters, and
+# header keys.
+_SMX_TOKENS = st.sampled_from([
+    "nan", "1e400", "-0", "99999999999999999999", "1" + "0" * 400,
+    "9" * 5000, "\x00", "\r", "", "0", "-3", "satx-matrix",
+    "kind", "rows", "cols", "row_labels", "col_labels", "note",
+])
+_SMX_KEYS = ("kind", "rows", "cols", "row_labels", "col_labels", "note")
+
+_SMX_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("swap"), st.integers(0, 20), st.integers(0, 5),
+              _SMX_TOKENS),
+    st.tuples(st.just("drop"), st.integers(0, 20)),
+    st.tuples(st.just("duplicate"), st.integers(0, 20)),
+    st.tuples(st.just("header"), st.sampled_from(_SMX_KEYS), _SMX_TOKENS),
+), min_size=1, max_size=4)
+
+
+def _mutate_lines(text, edits):
+    lines = text.splitlines()
+    for edit in edits:
+        if edit[0] == "header":
+            # set the key's value, or add the key where it is missing
+            _, key, token = edit
+            at = [i for i, line in enumerate(lines) if line.startswith(key)]
+            if at:
+                lines[at[0]] = f"{key} {token}"
+            else:
+                lines.insert(1, f"{key} {token}")
+            continue
+        if not lines:
+            continue
+        i = edit[1] % len(lines)
+        if edit[0] == "swap":
+            tokens = lines[i].split(" ")
+            tokens[edit[2] % len(tokens)] = edit[3]
+            lines[i] = " ".join(tokens)
+        elif edit[0] == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+def _smx_without_labels(text):
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(("row_labels", "col_labels")))
+
+
+class TestMatrixFileFuzz:
+    LABELLED = format_matrix(matrix_file(np.full((2, 4), 0.5),
+                                         row_labels=["L", "R"], note="fuzz"))
+    BASES = (LABELLED, _smx_without_labels(LABELLED))
+
+    @settings(max_examples=200, deadline=None)
+    @given(base=st.sampled_from(BASES), edits=_SMX_EDITS)
+    def test_parser_fails_only_with_matrix_file_error(self, base, edits):
+        from satx.cli import main
+
+        text = _mutate_lines(base, edits)
+        try:
+            parse_matrix(text)
+        except MatrixFileError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            job = os.path.join(tmp, "job.yaml")
+            with open(job, "w") as handle:
+                yaml.safe_dump(TestConfigFuzz.BASE, handle)
+            matrix = os.path.join(tmp, "t.smx")
+            with open(matrix, "w", newline="") as handle:
+                handle.write(text)
+            code = main(["evaluate", "--config", job, "--matrix", matrix,
+                         "--out", tmp])
+            assert code in (0, 2)

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from satx import (
     ConfigError,
@@ -17,7 +20,7 @@ from satx import (
 )
 from satx.formats import identity_decoder, remap_baseline, sh_matrix
 from satx.geometry import RingSpec, sample_cloud
-from satx.optimizer import bfgs_update, identity_hessian
+from satx.optimizer import bfgs_update, identity_hessian, line_search
 
 INCOHERENT_SET = CostCoefficients(
     energy=5, intensity_radial=2, intensity_transverse=1,
@@ -114,6 +117,92 @@ class TestBfgsUpdate:
         assert h.flags.f_contiguous
         error = np.linalg.norm(h - expected) / np.linalg.norm(expected)
         assert error <= 1e-12
+
+
+def _quadratic():
+    a = np.array([[3.0, 0.5, 0.1], [0.5, 2.0, -0.3], [0.1, -0.3, 0.7]])
+    b = np.array([1.0, -2.0, 0.5])
+    return (lambda x: 0.5 * x @ a @ x - b @ x), (lambda x: a @ x - b)
+
+
+def _kink():
+    return (lambda x: float(np.abs(x).sum())), np.sign
+
+
+def _linear():
+    return (lambda x: -float(x.sum())), (lambda x: -np.ones_like(x))
+
+
+def _rosen():
+    return scipy.optimize.rosen, scipy.optimize.rosen_der
+
+
+def _scaled(step):
+    return lambda g: -step * g / np.abs(g).sum()
+
+
+LINE_SEARCH_CASES = {
+    # name: (function and gradient, start, direction from the gradient, c2);
+    # c2 = 0.1 makes the search double the step before it brackets one
+    "quadratic": (_quadratic, [0.3, 0.2, -1.0], lambda g: -g, 0.9),
+    "quadratic_doubling": (_quadratic, [0.3, 0.2, -1.0], _scaled(0.01), 0.1),
+    "rosen_a": (_rosen, [-1.2, 1.0], lambda g: -g, 0.9),
+    "rosen_b": (_rosen, [0.5, -0.4, 1.3], lambda g: -g, 0.9),
+    "rosen_c": (_rosen, [-1.2, 1.0], _scaled(1e-4), 0.1),
+    "rosen_d": (_rosen, [0.9, 0.8], _scaled(0.3), 0.1),
+    "kink_zoom_fails": (_kink, [1.0], lambda g: -3.0 * g, 0.9),
+    "linear_maxiter": (_linear, [0.0, 0.0], lambda g: -g, 0.9),
+    "ascent": (_quadratic, [0.3, 0.2, -1.0], lambda g: g, 0.9),
+}
+
+
+def _bits(value):
+    return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+
+def _same_steps_as_scipy(f, fprime, x, p, c2=0.9):
+    """Run both searches from ``x`` along ``p``; check every returned bit
+    and call count, and return ours."""
+    kwargs = dict(gfk=fprime(x), old_fval=f(x), c1=1e-4, c2=c2, maxiter=40)
+    ours = line_search(f, fprime, x, p, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        theirs = scipy.optimize.line_search(f, fprime, x, p, **kwargs)
+    assert ours[1:3] == theirs[1:3]  # value and gradient calls
+    for i in (0, 3, 4, 5):  # alpha, f_new, old_fval, gradient at alpha
+        assert _bits(ours[i]) == _bits(theirs[i])
+    return ours
+
+
+class TestLineSearch:
+    """The strong-Wolfe search takes the same steps as scipy's."""
+
+    @pytest.mark.parametrize("case", LINE_SEARCH_CASES)
+    def test_equals_scipy(self, case):
+        make, start, direction_of, c2 = LINE_SEARCH_CASES[case]
+        f, fprime = make()
+        x = np.array(start)
+        alpha, _, _, f_new, f0, g_new = _same_steps_as_scipy(
+            f, fprime, x, direction_of(fprime(x)), c2)
+        if case in ("kink_zoom_fails", "ascent"):
+            assert alpha is None and f_new is None
+        elif case == "linear_maxiter":
+            assert alpha == 2.0 ** 40 and g_new is None
+        else:
+            assert f_new < f0
+
+    def test_equals_scipy_on_the_cost(self, rng):
+        problem = matched_objects_problem()
+
+        def f(x):
+            return problem.cost_and_gradient(x.reshape(problem.shape))[0]
+
+        def fprime(x):
+            return problem.cost_and_gradient(x.reshape(problem.shape))[1].ravel()
+
+        for _ in range(5):
+            x = rng.uniform(-1, 1, problem.shape).ravel()
+            _same_steps_as_scipy(f, fprime, x, -fprime(x))
 
 
 class TestInitialize:
