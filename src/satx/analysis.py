@@ -116,37 +116,53 @@ def guard_energy(e: np.ndarray) -> np.ndarray:
     return np.maximum(e, ENERGY_GUARD)
 
 
-def direction_vector(x: np.ndarray, u: np.ndarray, v: np.ndarray, guard):
-    """Per-direction magnitude and the radial/transverse parts of its vector.
+def speaker_sum(xt: np.ndarray) -> np.ndarray:
+    """Per-direction sum over the rows of a speaker-major (P x L) array.
 
-    ``x`` holds per-speaker weights (L x P): the gains s for the coherent
-    pressure and velocity vector, their squares s*s for the incoherent
-    energy and energy vector.  ``u`` are the speaker and ``v`` the
-    direction unit vectors; ``guard`` keeps the magnitude away from zero.
-    Returns the magnitude, the guarded magnitude g, and the radial part
-    r = vec . v and transverse part vec - r v of vec = (x @ u) / g.
+    The rows are speakers, or the three components of a vector.  Returns
+    bit for bit what ``.sum(axis=1)`` gives on the same values stored
+    direction-major (L x P, C order).  numpy adds a row of fewer than
+    eight values left to right, which a reduction over axis 0 of the
+    speaker-major array repeats at a tenth of the cost; a longer row it
+    adds with eight interleaved accumulators, which only the row sum of a
+    direction-major copy reproduces.  Either memory order of ``xt`` works.
     """
-    magnitude = x.sum(axis=1)
-    g = guard(magnitude)
+    if len(xt) < 8:
+        return np.add.reduce(xt, axis=0)
+    return np.ascontiguousarray(xt.T).sum(axis=1)
+
+
+def direction_vector(x: np.ndarray, g: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Radial and transverse parts of a per-direction vector.
+
+    ``x`` holds per-speaker weights (L x P, C order): the gains s for the
+    coherent velocity vector, their squares s*s for the incoherent energy
+    vector.  ``g`` is the guarded magnitude, the speaker sum of ``x``
+    (pressure or energy) kept away from zero.  ``u`` are the speaker and
+    ``v`` the direction unit vectors.  Returns the radial part r = vec . v
+    and the transverse part vec - r v of vec = (x @ u) / g.
+    """
     vec = (x @ u) / g[:, None]
     radial = np.einsum("lk,lk->l", vec, v)
-    return magnitude, g, radial, vec - radial[:, None] * v
+    return radial, vec - radial[:, None] * v
 
 
 def coherent_metrics(s: SpeakerMatrix):
     """Pressure and radial/transverse velocity per direction."""
-    pressure, _, radial, perp = direction_vector(
-        s.entries, s.layout.unit_vectors(), s.cloud.unit_vectors(),
-        guard_pressure,
+    pressure = speaker_sum(s.entries.T)
+    radial, perp = direction_vector(
+        s.entries, guard_pressure(pressure), s.layout.unit_vectors(),
+        s.cloud.vectors,
     )
     return pressure, radial, np.linalg.norm(perp, axis=1)
 
 
 def incoherent_metrics(s: SpeakerMatrix):
     """Energy and radial/transverse energy-vector components per direction."""
-    energy, _, radial, perp = direction_vector(
-        s.entries**2, s.layout.unit_vectors(), s.cloud.unit_vectors(),
-        guard_energy,
+    x = s.entries**2
+    energy = speaker_sum(x.T)
+    radial, perp = direction_vector(
+        x, guard_energy(energy), s.layout.unit_vectors(), s.cloud.vectors,
     )
     return energy, radial, np.linalg.norm(perp, axis=1)
 

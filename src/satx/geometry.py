@@ -7,6 +7,7 @@ positive up, in [-90, 90].  Unit vectors are (x front, y left, z up).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -111,8 +112,12 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.directions)
 
-    def unit_vectors(self) -> np.ndarray:
-        return unit_vectors(self.directions)
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """Read-only (L, 3) unit vectors, computed on first use."""
+        vecs = unit_vectors(self.directions)
+        vecs.flags.writeable = False
+        return vecs
 
 
 # Cloud specifications -------------------------------------------------------
@@ -246,13 +251,13 @@ def _sample(spec: CloudSpec):
     raise GeometryError(f"unknown cloud spec {spec!r}")
 
 
-def mirror_indices(directions: Sequence[Direction], tol_deg: float = 0.1) -> np.ndarray:
-    """Index of each direction's left-right mirror partner, or -1 if absent.
+def mirror_indices(vecs: np.ndarray, tol_deg: float = 0.1) -> np.ndarray:
+    """Index of each unit vector's left-right mirror partner, or -1 if absent.
 
-    Median-plane directions are their own partner.  Used by the symmetry
-    cost term to compare mirrored source directions.
+    ``vecs`` is (n, 3), a cloud's ``vectors``.  Median-plane directions are
+    their own partner.  Used by the symmetry cost term to compare mirrored
+    source directions.
     """
-    vecs = unit_vectors(directions)
     mirrored = vecs * np.array([1.0, -1.0, 1.0])
     cos_tol = math.cos(math.radians(tol_deg))
     out = np.empty(len(vecs), dtype=int)

@@ -177,11 +177,21 @@ def run_generate(job: JobConfig, out_dir, seed: Optional[int] = None) -> Generat
     return GenerateResult(report, matrix_path, log_path)
 
 
-def evaluate_matrix(job: JobConfig, t: np.ndarray) -> DirectionMetrics:
-    """Per-direction metrics of a transcoder over the evaluation cloud."""
+def evaluation_chain(job: JobConfig):
+    """The encoding over the evaluation cloud, and the decoder."""
     cloud = geometry.sample_cloud(job.eval_cloud_spec)
-    encoding = formats.build_encoding_matrix(job.input_spec, cloud)
-    decoder = formats.build_decoder_to_speaker(job.output_spec, job.output_layout)
+    return (formats.build_encoding_matrix(job.input_spec, cloud),
+            formats.build_decoder_to_speaker(job.output_spec,
+                                             job.output_layout))
+
+
+def evaluate_matrix(job: JobConfig, t: np.ndarray,
+                    chain=None) -> DirectionMetrics:
+    """Per-direction metrics of a transcoder over the evaluation cloud.
+
+    ``chain`` is ``evaluation_chain(job)``, where it is already built.
+    """
+    encoding, decoder = chain if chain is not None else evaluation_chain(job)
     t = np.asarray(t, dtype=float)
     if t.shape != (decoder.entries.shape[1], encoding.entries.shape[1]):
         raise DimensionError(
@@ -261,9 +271,10 @@ def run_compare(job: JobConfig, named: Sequence, out_dir) -> dict:
     if len(named) < 2:
         raise ConfigError("compare needs at least two matrices")
     os.makedirs(out_dir, exist_ok=True)
+    chain = evaluation_chain(job)
     results = {}
     for name, t in named:
-        metrics = evaluate_matrix(job, t)
+        metrics = evaluate_matrix(job, t, chain)
         results[name] = (metrics, summaries(metrics))
         write_text_atomic(
             os.path.join(out_dir, f"{name}_metrics.dat"),

@@ -331,7 +331,7 @@ def test_criterion_8_metric_units_and_invariance(rng):
         s = SpeakerMatrix(local.normal(size=(n_dirs, n_spk)), cloud, layout)
         rot = Rotation.random(random_state=k)
         cloud_r = PointCloud(
-            tuple(from_unit_vector(rot.apply(v)) for v in cloud.unit_vectors())
+            tuple(from_unit_vector(rot.apply(v)) for v in cloud.vectors.copy())
         )
         layout_r = SpeakerLayout(
             tuple(

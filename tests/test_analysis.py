@@ -219,7 +219,7 @@ class TestInvariances:
             cloud_r = PointCloud(
                 tuple(
                     from_unit_vector(rot.apply(v))
-                    for v in s.cloud.unit_vectors()
+                    for v in s.cloud.vectors.copy()
                 ),
                 s.cloud.weights,
             )

@@ -17,8 +17,17 @@ from satx import (
     direction_metrics,
     named_layout,
 )
-from satx.analysis import SpeakerMatrix
-from satx.cost import TERM_NAMES
+from satx import presets, runner
+from satx.analysis import (
+    ENERGY_GUARD,
+    PRESSURE_GUARD,
+    SpeakerMatrix,
+    guard_energy,
+    guard_pressure,
+    speaker_sum,
+)
+from satx.config import parse_config
+from satx.cost import TERM_NAMES, _evaluate, _weighted_total
 from satx.formats import DecoderToSpeaker, EncodingMatrix, identity_decoder
 
 from conftest import mirrored_cloud, paired_layout
@@ -131,7 +140,7 @@ class TestTermValues:
         cloud = mirrored_cloud(rng, n_duos=2, n_median=1)
         from satx.geometry import mirror_indices
 
-        mu = mirror_indices(cloud.directions)
+        mu = mirror_indices(cloud.vectors)
         s = rng.normal(size=(len(cloud), 3))
         # enforce s[mirror(l), (b,a,c)] == s[l, (a,b,c)]
         for ell in range(len(cloud)):
@@ -291,3 +300,246 @@ class TestGradient:
     def test_non_number_coefficient_rejected(self, name, value, reason):
         with pytest.raises(ConfigError, match=f"{name} {reason}"):
             CostCoefficients(**{name: value})
+
+
+# ---------------------------------------------------------------------------
+# The speaker-major kernel against the row-major one it replaced
+
+
+def _reference_direction_vector(x, u, v, guard):
+    magnitude = x.sum(axis=1)
+    g = guard(magnitude)
+    vec = (x @ u) / g[:, None]
+    radial = np.einsum("lk,lk->l", vec, v)
+    return magnitude, g, radial, vec - radial[:, None] * v
+
+
+def _reference_evaluate(s, t, geo, coeffs, want_gradient):
+    """The row-major (L x P) kernel: all 14 terms, dC/dS as L x P."""
+    s = np.asarray(s, dtype=float)
+    w, u, v = geo.w, geo.u, geo.v
+    udotv = v @ u.T
+    p_raw, pg, vr, vt = _reference_direction_vector(s, u, v, guard_pressure)
+    e_raw, eg, ir, it = _reference_direction_vector(s * s, u, v, guard_energy)
+    abs_pg = np.abs(pg)
+    vt2 = (vt * vt).sum(axis=1)
+    it2 = (it * it).sum(axis=1)
+
+    s_neg = np.minimum(s, 0.0)
+    m1_neg = -s_neg.sum(axis=1)
+    e_neg = (s_neg * s_neg).sum(axis=1)
+    phi_lin = m1_neg / abs_pg
+    phi_quad = e_neg / eg
+
+    l1 = np.abs(s).sum(axis=1)
+    l2 = np.sqrt(e_raw)
+    sp_lin = (l1 - l2) / abs_pg
+    sp_quad = (l1 * l1 - e_raw) / eg
+
+    have_pairs = geo.pa.size > 0 and geo.rows.size > 0
+    delta_lin = np.zeros(len(s))
+    delta_quad = np.zeros(len(s))
+    if have_pairs:
+        rows, mu = geo.rows, geo.mu
+        dmat = s[rows][:, geo.pa] - s[mu][:, geo.pb]
+        delta_lin[rows] = np.abs(dmat).sum(axis=1) / abs_pg[rows]
+        delta_quad[rows] = (dmat * dmat).sum(axis=1) / eg[rows]
+
+    if t is not None:
+        t = np.asarray(t, dtype=float)
+        nm = t.size
+        cap_mask = t > coeffs.max_gain
+        sig_lin = (t * cap_mask).sum() / nm
+        sig_quad = (t * t * cap_mask).sum() / nm
+    else:
+        sig_lin = sig_quad = 0.0
+
+    terms = {
+        "pressure": float((w * (1.0 - p_raw) ** 2).sum()),
+        "velocity_radial": float((w * (1.0 - vr) ** 2).sum()),
+        "velocity_transverse": float((w * vt2).sum()),
+        "energy": float((w * (1.0 - e_raw) ** 2).sum()),
+        "intensity_radial": float((w * (1.0 - ir) ** 2).sum()),
+        "intensity_transverse": float((w * it2).sum()),
+        "in_phase_linear": float((w * phi_lin**2).sum()),
+        "in_phase_quadratic": float((w * phi_quad**2).sum()),
+        "symmetry_linear": float((w * delta_lin**2).sum()),
+        "symmetry_quadratic": float((w * delta_quad**2).sum()),
+        "gain_cap_linear": float(sig_lin**2),
+        "gain_cap_quadratic": float(sig_quad**2),
+        "sparsity_linear": float((w * sp_lin**2).sum()),
+        "sparsity_quadratic": float((w * sp_quad**2).sum()),
+    }
+    if not want_gradient:
+        return terms, None, None
+
+    c = coeffs
+    ds = np.zeros_like(s)
+    dt = np.zeros_like(t) if t is not None else None
+    g_p = (np.abs(p_raw) > PRESSURE_GUARD).astype(float)
+    g_e = (e_raw > ENERGY_GUARD).astype(float)
+    sgn_pg = np.sign(pg)
+
+    if c.pressure:
+        ds += (c.pressure * 2.0 * w * (p_raw - 1.0))[:, None]
+    if c.velocity_radial:
+        a = c.velocity_radial * 2.0 * w * (vr - 1.0) / pg
+        ds += a[:, None] * (udotv - (vr * g_p)[:, None])
+    if c.velocity_transverse:
+        b = c.velocity_transverse * 2.0 * w / pg
+        ds += b[:, None] * (vt @ u.T - (vt2 * g_p)[:, None])
+    if c.energy:
+        ds += (c.energy * 4.0 * w * (e_raw - 1.0))[:, None] * s
+    if c.intensity_radial:
+        a = c.intensity_radial * 4.0 * w * (ir - 1.0) / eg
+        ds += a[:, None] * s * (udotv - (ir * g_e)[:, None])
+    if c.intensity_transverse:
+        b = c.intensity_transverse * 4.0 * w / eg
+        ds += b[:, None] * s * (it @ u.T - (it2 * g_e)[:, None])
+    if c.in_phase_linear:
+        a = c.in_phase_linear * 2.0 * w * phi_lin
+        dphi = (
+            -(s < 0).astype(float) / abs_pg[:, None]
+            - (m1_neg * sgn_pg * g_p / pg**2)[:, None]
+        )
+        ds += a[:, None] * dphi
+    if c.in_phase_quadratic:
+        a = c.in_phase_quadratic * 2.0 * w * phi_quad
+        dphi = 2.0 * s_neg / eg[:, None] - (2.0 * e_neg * g_e / eg**2)[:, None] * s
+        ds += a[:, None] * dphi
+    if have_pairs and (c.symmetry_linear or c.symmetry_quadratic):
+        rows, mu = geo.rows, geo.mu
+        if c.symmetry_linear:
+            a = (c.symmetry_linear * 2.0 * w * delta_lin)[rows]
+            sgn_d = np.sign(dmat)
+            scale = (a / abs_pg[rows])[:, None] * sgn_d
+            np.add.at(ds, (rows[:, None], geo.pa[None, :]), scale)
+            np.add.at(ds, (mu[:, None], geo.pb[None, :]), -scale)
+            den = a * (-delta_lin[rows] * sgn_pg[rows] * g_p[rows] / abs_pg[rows])
+            ds[rows] += den[:, None]
+        if c.symmetry_quadratic:
+            a = (c.symmetry_quadratic * 2.0 * w * delta_quad)[rows]
+            scale = (a / eg[rows])[:, None] * 2.0 * dmat
+            np.add.at(ds, (rows[:, None], geo.pa[None, :]), scale)
+            np.add.at(ds, (mu[:, None], geo.pb[None, :]), -scale)
+            den = a * (-delta_quad[rows] * 2.0 * g_e[rows] / eg[rows])
+            ds[rows] += den[:, None] * s[rows]
+    if c.sparsity_linear:
+        a = c.sparsity_linear * 2.0 * w * sp_lin
+        dl2 = s / np.maximum(l2, 1e-300)[:, None]
+        dsp = (np.sign(s) - dl2) / abs_pg[:, None] - (
+            sp_lin * sgn_pg * g_p / abs_pg
+        )[:, None]
+        ds += a[:, None] * dsp
+    if c.sparsity_quadratic:
+        a = c.sparsity_quadratic * 2.0 * w * sp_quad
+        dsp = (2.0 * l1[:, None] * np.sign(s) - 2.0 * s) / eg[:, None] - (
+            sp_quad * 2.0 * g_e / eg
+        )[:, None] * s
+        ds += a[:, None] * dsp
+    if t is not None and c.gain_cap_linear:
+        dt += c.gain_cap_linear * 2.0 * sig_lin * cap_mask / t.size
+    if t is not None and c.gain_cap_quadratic:
+        dt += c.gain_cap_quadratic * 2.0 * sig_quad * 2.0 * t * cap_mask / t.size
+    return terms, ds, dt
+
+
+def _job(name, input_layout, output_layout, cloud):
+    return parse_config({
+        "name": name, "mode": "generate", "analysis": "incoherent",
+        "input": {"format": "vbap", "layout": input_layout},
+        "output": {"format": "speakers", "layout": output_layout},
+        "cloud": cloud, "coefficients": {"energy": 1.0},
+    })
+
+
+ORACLE_JOBS = {
+    **{name: presets.load_preset(name) for name in presets.PRESET_NAMES},
+    # 2 000 directions, three symmetry pairs on the output
+    "vbap_704_502": _job("vbap_704_502", "7.0.4", "5.0.2", {
+        "kind": "fibonacci", "points": 4000, "hemisphere": True}),
+    # 2D panning on both sides
+    "flat": _job("flat", "5.0", "5.0_regular", {"kind": "ring", "points": 90}),
+}
+
+
+def _coefficient_sets(problem, rng):
+    sets = {
+        "job": problem.coeffs,
+        # every term on, gain caps binding above 0.1
+        "all": CostCoefficients(**dict(zip(
+            TERM_NAMES, rng.uniform(0.1, 3.0, len(TERM_NAMES)))),
+            max_boost_db=-20.0),
+        "none": CostCoefficients(),
+    }
+    for k in range(4):
+        chosen = rng.choice(TERM_NAMES, size=int(rng.integers(1, 8)),
+                            replace=False)
+        sets[f"subset{k}"] = CostCoefficients(
+            **{str(name): float(rng.uniform(0.01, 5.0)) for name in chosen},
+            max_boost_db=float(rng.uniform(-20.0, 6.0)))
+    return sets
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.fixture(scope="module")
+def oracle_problems():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return {name: runner.build_problem(job)
+                for name, job in ORACLE_JOBS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_JOBS))
+def test_kernel_matches_row_major_reference_bitwise(name, oracle_problems):
+    problem = oracle_problems[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    geo = problem._geo
+    d, e = problem.decoder.entries, problem.encoding.entries
+    matrices = [np.zeros(problem.shape)] + [
+        rng.normal(size=problem.shape) * scale for scale in (1e-3, 0.1, 1.0, 3.0)
+    ]
+    for label, coeffs in _coefficient_sets(problem, rng).items():
+        for t in matrices:
+            s = problem.speaker_gains(t)
+            ref_terms, ref_ds, ref_dt = _reference_evaluate(
+                s, t, geo, coeffs, True)
+            ref_total = float(sum(getattr(coeffs, k) * ref_terms[k]
+                                  for k in TERM_NAMES))
+            if label == "all" and t.max() > 1.0:
+                assert ref_terms["gain_cap_quadratic"] > 0.0
+            terms, _, _ = _evaluate(s, t, geo, coeffs, False, every_term=True)
+            assert terms == ref_terms, label
+            hot, ds, dt = _evaluate(s, t, geo, coeffs, True)
+            assert set(hot) == {k for k in TERM_NAMES if getattr(coeffs, k)}
+            assert _weighted_total(hot, coeffs) == ref_total, label
+            assert _bits(ds) == _bits(ref_ds.T), label
+            assert _bits(dt) == _bits(ref_dt), label
+            value, grad = TranscodingProblem(
+                problem.encoding, problem.decoder, coeffs, problem.pairs,
+            ).cost_and_gradient(t)
+            assert value == ref_total, label
+            assert _bits(grad) == _bits(d.T @ ref_ds.T @ e + ref_dt), label
+
+
+@pytest.mark.parametrize("n_dirs", [1, 56, 5000])
+def test_speaker_sum_equals_row_sum_bitwise(n_dirs):
+    rng = np.random.default_rng(n_dirs)
+    for n_spk in [*range(1, 71), 127, 128, 129]:
+        # magnitudes over 16 decades make every summation order visible
+        xt = rng.normal(size=(n_spk, n_dirs)) * 10.0 ** rng.uniform(
+            -8, 8, size=(n_spk, n_dirs))
+        for layout in (xt, np.asfortranarray(xt)):
+            expected = np.ascontiguousarray(layout.T).sum(axis=1)
+            assert _bits(speaker_sum(layout)) == _bits(expected), n_spk
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_JOBS))
+def test_hot_total_equals_cost(name, oracle_problems):
+    problem = oracle_problems[name]
+    rng = np.random.default_rng(5)
+    for t in (np.zeros(problem.shape), rng.normal(size=problem.shape)):
+        assert problem.cost_and_gradient(t)[0] == problem.cost(t)

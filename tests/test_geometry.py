@@ -81,7 +81,7 @@ class TestClouds:
     def test_embedded_design_first_moment(self):
         cloud = sample_cloud(TDesignSpec(56))
         assert len(cloud) == 56
-        moment = cloud.unit_vectors().sum(axis=0)
+        moment = cloud.vectors.sum(axis=0)
         assert np.abs(moment).max() < 1e-9
 
     def test_hemisphere_halves_of_designs(self):
@@ -130,7 +130,7 @@ class TestClouds:
 
     def test_mirror_indices_on_ring(self):
         cloud = sample_cloud(RingSpec(8))
-        idx = mirror_indices(cloud.directions)
+        idx = mirror_indices(cloud.vectors)
         for i, d in enumerate(cloud.directions):
             partner = cloud.directions[idx[i]]
             assert partner.azimuth == pytest.approx(d.mirrored().azimuth, abs=1e-9)
@@ -138,10 +138,10 @@ class TestClouds:
     def test_mirror_indices_cover_embedded_designs(self):
         for n in (56, 60):
             cloud = sample_cloud(TDesignSpec(n))
-            assert (mirror_indices(cloud.directions) >= 0).all()
+            assert (mirror_indices(cloud.vectors) >= 0).all()
 
     def test_mirror_indices_absent(self):
-        idx = mirror_indices((Direction(25, 10), Direction(80, -5)))
+        idx = mirror_indices(unit_vectors((Direction(25, 10), Direction(80, -5))))
         assert list(idx) == [-1, -1]
 
     @pytest.mark.parametrize("rows", [7, 256])
@@ -159,7 +159,7 @@ class TestClouds:
         close = dots[np.arange(len(dirs)), best] >= math.cos(math.radians(0.1))
         one_shot = np.where(close, best, -1)
         monkeypatch.setattr(geometry, "_MIRROR_ROWS", rows)
-        got = mirror_indices(dirs)
+        got = mirror_indices(vecs)
         np.testing.assert_array_equal(got, one_shot)
         assert got[60] == got[0] < 60 and (got >= 0).sum() > 100
 
