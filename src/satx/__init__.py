@@ -5,24 +5,13 @@ Generates an N x M transcoding matrix from any linear input format
 matrices) to any output format or 2D/3D loudspeaker layout by minimizing
 a psychoacoustically motivated cost over sampled virtual-source
 directions, then evaluates, compares, and applies such matrices.
+
+The package re-exports the building blocks of a hand-assembled problem
+and the error classes; everything else is imported from its module
+(``satx.runner``, ``satx.presets``, ``satx.geometry``, ...).
 """
 
-from .analysis import (
-    COHERENT,
-    INCOHERENT,
-    DirectionMetrics,
-    SpeakerMatrix,
-    TranscodingMatrix,
-    direction_metrics,
-    speaker_matrix,
-    summarize,
-)
-from .cost import (
-    CostBreakdown,
-    CostCoefficients,
-    TranscodingProblem,
-    cost_terms,
-)
+from .cost import CostCoefficients, TranscodingProblem
 from .errors import (
     AudioError,
     ConfigError,
@@ -32,45 +21,16 @@ from .errors import (
     MatrixFileError,
     SatxError,
 )
-from .formats import (
-    N3D,
-    SN3D,
-    AmbisonicsSpec,
-    DecoderToSpeaker,
-    EncodingMatrix,
-    ExternalSpec,
-    ObjectsSpec,
-    VbapSpec,
-    ambisonics_encode,
-    build_decoder_to_speaker,
-    build_encoding_matrix,
-    remap_baseline,
-    vbap_gains,
-    vbip_gains,
-)
-from .geometry import (
-    Direction,
-    ExplicitSpec,
-    FibonacciSpec,
-    HemisphereSpec,
-    MergeSpec,
-    PointCloud,
-    RingSpec,
-    SpeakerLayout,
-    TDesignSpec,
-    detect_symmetry_pairs,
-    named_layout,
-    sample_cloud,
-    to_unit_vector,
-    triangulate_hull,
-)
-from .optimizer import (
-    OptimizationConfig,
-    OptimizationReport,
-    initialize,
-    optimize,
-)
+from .formats import AmbisonicsSpec, build_encoding_matrix
+from .geometry import TDesignSpec, named_layout, sample_cloud
+from .optimizer import OptimizationConfig, optimize
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AmbisonicsSpec", "CostCoefficients", "OptimizationConfig",
+    "TDesignSpec", "TranscodingProblem", "build_encoding_matrix",
+    "named_layout", "optimize", "sample_cloud",
+    "AudioError", "ConfigError", "CoverageError", "DimensionError",
+    "GeometryError", "MatrixFileError", "SatxError",
+]

@@ -151,7 +151,7 @@ def coherent_metrics(s: SpeakerMatrix):
     """Pressure and radial/transverse velocity per direction."""
     pressure = speaker_sum(s.entries.T)
     radial, perp = direction_vector(
-        s.entries, guard_pressure(pressure), s.layout.unit_vectors(),
+        s.entries, guard_pressure(pressure), s.layout.vectors,
         s.cloud.vectors,
     )
     return pressure, radial, np.linalg.norm(perp, axis=1)
@@ -162,7 +162,7 @@ def incoherent_metrics(s: SpeakerMatrix):
     x = s.entries**2
     energy = speaker_sum(x.T)
     radial, perp = direction_vector(
-        x, guard_energy(energy), s.layout.unit_vectors(), s.cloud.vectors,
+        x, guard_energy(energy), s.layout.vectors, s.cloud.vectors,
     )
     return energy, radial, np.linalg.norm(perp, axis=1)
 
@@ -206,10 +206,8 @@ class DirectionMetrics:
     mode: str
 
     def column(self, name: str) -> np.ndarray:
-        if name == "azimuth":
-            return np.array([d.azimuth for d in self.cloud.directions])
-        if name == "elevation":
-            return np.array([d.elevation for d in self.cloud.directions])
+        if name in ("azimuth", "elevation"):
+            return getattr(self.cloud, name)
         if name == "weight":
             return self.cloud.weights
         return getattr(self, name)

@@ -241,10 +241,9 @@ def _parse_output(node, path, pair_tol):
                 f"{path}.virtual_layout: required for ambisonics output"
             )
         if isinstance(virt, dict) and "kind" in virt:
-            cloud = geometry.sample_cloud(
+            layout = geometry.layout_from_cloud(geometry.sample_cloud(
                 parse_cloud(virt, f"{path}.virtual_layout")
-            )
-            layout = geometry.layout_from_directions(cloud.directions)
+            ))
         else:
             layout = parse_layout(virt, f"{path}.virtual_layout", pair_tol)
         return spec, layout

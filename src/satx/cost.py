@@ -136,19 +136,27 @@ class _ProblemGeometry:
     """Static per-(cloud, layout) arrays shared by cost and gradient."""
 
     def __init__(self, cloud, layout, pairs, coeffs: CostCoefficients):
-        if (coeffs.symmetry_linear or coeffs.symmetry_quadratic) and not pairs:
+        symmetry = coeffs.symmetry_linear or coeffs.symmetry_quadratic
+        if symmetry and not pairs:
             warnings.warn(
                 "symmetry coefficients set but the layout has no symmetry "
                 "pairs; the symmetry terms are zero",
                 stacklevel=3,
             )
         self.v = cloud.vectors  # (L, 3)
-        self.u = layout.unit_vectors()  # (P, 3)
+        self.u = layout.vectors  # (P, 3)
         self.w = cloud.weights / len(cloud)  # premultiplied 1/L
         self.udotv_t = (self.v @ self.u.T).T.copy()  # (P, L)
         mirror = geometry.mirror_indices(cloud.vectors)
         self.rows = np.nonzero(mirror >= 0)[0]
         self.mu = mirror[self.rows]
+        if symmetry and 2 * len(self.rows) < len(cloud):
+            warnings.warn(
+                f"symmetry coefficients set but only {len(self.rows)} of "
+                f"{len(cloud)} cloud directions have a left-right mirror "
+                "partner; the symmetry terms see only those",
+                stacklevel=3,
+            )
         self.pa = np.array([p for p, _ in pairs], dtype=int)
         self.pb = np.array([q for _, q in pairs], dtype=int)
 
@@ -357,8 +365,9 @@ def cost_terms(s: SpeakerMatrix, gains=None, pairs=None,
 class TranscodingProblem:
     """Everything the optimizer needs: formats, cloud, layout, prefactors.
 
-    ``input_channel_directions`` enables remap-style initialization when
-    the input format has per-channel directions (speaker beds, objects).
+    ``input_channel_directions``, the (azimuth, elevation) degree arrays
+    of the input channels, enables remap-style initialization when the
+    input format has per-channel directions (speaker beds, objects).
     """
 
     encoding: EncodingMatrix

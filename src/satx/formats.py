@@ -12,7 +12,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,11 +28,11 @@ N3D = "N3D"
 # Real spherical harmonics (ACN channel ordering)
 
 
-def sh_matrix(directions: Sequence[Direction], order: int,
+def sh_matrix(azimuth, elevation, order: int,
               normalization: str = SN3D) -> np.ndarray:
-    """Real spherical harmonics evaluated at each direction.
+    """Real spherical harmonics evaluated at each direction (degree arrays).
 
-    Returns a (len(directions), (order+1)**2) matrix in ACN channel order
+    Returns an (L, (order+1)**2) matrix in ACN channel order
     (index n*(n+1)+m).  SN3D and N3D normalizations are supported; the
     degree-0 channel is 1 under both.  No Condon-Shortley phase.
     """
@@ -42,10 +42,9 @@ def sh_matrix(directions: Sequence[Direction], order: int,
         raise DimensionError(f"unknown normalization {normalization!r}")
     from scipy.special import lpmv
 
-    dirs = list(directions)
-    az = np.radians([d.azimuth for d in dirs])
-    sin_el = np.sin(np.radians([d.elevation for d in dirs]))
-    out = np.empty((len(dirs), (order + 1) ** 2))
+    az = np.radians(np.asarray(azimuth, dtype=float))
+    sin_el = np.sin(np.radians(np.asarray(elevation, dtype=float)))
+    out = np.empty((len(az), (order + 1) ** 2))
     for n in range(order + 1):
         for m in range(n + 1):
             # strip the Condon-Shortley phase baked into lpmv
@@ -80,14 +79,14 @@ def _hull_bases(layout: SpeakerLayout):
     """
     faces = np.array(geometry.triangulate_hull(layout))
     k = faces.shape[1]
-    bases = layout.unit_vectors()[faces, :k].transpose(0, 2, 1)  # speaker columns
+    bases = layout.vectors[faces, :k].transpose(0, 2, 1)  # speaker columns
     solvable = np.abs(np.linalg.det(bases)) >= 1e-12
     if not solvable.any():
         raise GeometryError("every panning face is coplanar with the origin")
     return faces[solvable], np.linalg.inv(bases[solvable])
 
 
-def _face_gains(layout: SpeakerLayout, directions: Sequence[Direction]):
+def _face_gains(layout: SpeakerLayout, azimuth, elevation):
     """Panning face and clipped raw gains of every direction (L x k each).
 
     Every direction is solved against every face at once and takes the
@@ -96,7 +95,7 @@ def _face_gains(layout: SpeakerLayout, directions: Sequence[Direction]):
     """
     faces, inverses = _hull_bases(layout)
     k = faces.shape[1]
-    v = geometry.unit_vectors(directions)[:, :k]
+    v = geometry.unit_vectors(azimuth, elevation)[:, :k]
     flat = np.zeros(len(v), dtype=bool)
     if k == 2:
         norm = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
@@ -107,7 +106,7 @@ def _face_gains(layout: SpeakerLayout, directions: Sequence[Direction]):
     covered = accepted.any(axis=1)
     if not covered.all():
         first = int(np.argmin(covered))
-        d = directions[first]
+        d = Direction(azimuth[first], elevation[first])
         if flat[first]:
             raise CoverageError(
                 f"direction az={d.azimuth:.2f} el={d.elevation:.2f} has no "
@@ -126,7 +125,7 @@ def _uncovered(layout, d, v, faces, g) -> CoverageError:
     """
     best = int(np.argmax(g.min(axis=1)))
     gains = np.clip(g[best], 0.0, None)
-    u = layout.unit_vectors()
+    u = layout.vectors.copy()
     u[:, len(v):] = 0.0  # 2D layouts pan in the horizontal plane
     if gains.any():
         near = geometry.from_unit_vector(u[faces[best]].T @ gains)
@@ -139,9 +138,9 @@ def _uncovered(layout, d, v, faces, g) -> CoverageError:
     )
 
 
-def vbap_matrix(layout: SpeakerLayout, directions: Sequence[Direction]) -> np.ndarray:
+def vbap_matrix(layout: SpeakerLayout, azimuth, elevation) -> np.ndarray:
     """VBAP gains, one energy-normalized row (sum g^2 = 1) per direction."""
-    faces, gains = _face_gains(layout, directions)
+    faces, gains = _face_gains(layout, azimuth, elevation)
     out = np.zeros((len(faces), len(layout)))
     np.put_along_axis(out, faces, gains, axis=1)
     return out / np.sqrt(out[:, None, :] @ out[:, :, None])[:, 0]
@@ -149,12 +148,12 @@ def vbap_matrix(layout: SpeakerLayout, directions: Sequence[Direction]) -> np.nd
 
 def vbap_gains(layout: SpeakerLayout, d: Direction) -> np.ndarray:
     """Vector-base amplitude panning gains, energy-normalized (sum g^2 = 1)."""
-    return vbap_matrix(layout, [d])[0]
+    return vbap_matrix(layout, [d.azimuth], [d.elevation])[0]
 
 
 def vbip_gains(layout: SpeakerLayout, d: Direction) -> np.ndarray:
     """Vector-base intensity panning: the energy vector aligns with d."""
-    (face,), (q,) = _face_gains(layout, [d])
+    (face,), (q,) = _face_gains(layout, [d.azimuth], [d.elevation])
     out = np.zeros(len(layout))
     out[face] = np.sqrt(q / q.sum())
     return out
@@ -268,16 +267,11 @@ class DecoderToSpeaker:
     def shape(self):
         return self.entries.shape
 
-    @property
-    def is_identity(self) -> bool:
-        p, n = self.entries.shape
-        return p == n and np.array_equal(self.entries, np.eye(p))
-
 
 def ambisonics_encode(cloud: PointCloud, order: int,
                       normalization: str = SN3D) -> EncodingMatrix:
     """Encode every cloud direction into ambisonics channels."""
-    y = sh_matrix(cloud.directions, order, normalization)
+    y = sh_matrix(cloud.azimuth, cloud.elevation, order, normalization)
     return EncodingMatrix(y, cloud, acn_labels(order))
 
 
@@ -286,7 +280,7 @@ def build_encoding_matrix(spec: FormatSpec, cloud: PointCloud) -> EncodingMatrix
     if isinstance(spec, AmbisonicsSpec):
         return ambisonics_encode(cloud, spec.order, spec.normalization)
     if isinstance(spec, VbapSpec):
-        gains = vbap_matrix(spec.layout, cloud.directions)
+        gains = vbap_matrix(spec.layout, cloud.azimuth, cloud.elevation)
         return EncodingMatrix(gains, cloud, spec.layout.labels)
     if isinstance(spec, ObjectsSpec):
         n = len(cloud)
@@ -319,7 +313,8 @@ def build_decoder_to_speaker(spec: FormatSpec, layout: SpeakerLayout) -> Decoder
         # speaker-format output: channels are the speakers themselves
         return identity_decoder(layout)
     if isinstance(spec, AmbisonicsSpec):
-        y = sh_matrix(layout.directions, spec.order, spec.normalization)
+        y = sh_matrix(layout.azimuth, layout.elevation, spec.order,
+                      spec.normalization)
         if len(layout) < spec.channels:
             warnings.warn(
                 f"virtual layout has {len(layout)} speakers for "
@@ -349,22 +344,22 @@ def identity_decoder(layout: SpeakerLayout) -> DecoderToSpeaker:
 # Channel-remapping baselines
 
 
-def remap_baseline(input_channel_directions: Sequence[Direction],
-                   output: FormatSpec,
+def remap_baseline(azimuth, elevation, output: FormatSpec,
                    layout: Optional[SpeakerLayout] = None) -> np.ndarray:
     """Direct per-channel remapping transcoder (N x M).
 
-    Column m encodes input channel m's direction into the output format:
-    an ambisonics row, or panning gains over the output layout.
+    Column m encodes input channel m's direction (degree arrays) into the
+    output format: an ambisonics row, or panning gains over the output
+    layout.
     """
     if isinstance(output, AmbisonicsSpec):
-        return sh_matrix(input_channel_directions, output.order,
+        return sh_matrix(azimuth, elevation, output.order,
                          output.normalization).T
     if isinstance(output, VbapSpec):
         layout = output.layout
     if layout is None:
         raise DimensionError(f"cannot encode a direction in format {output!r}")
-    return vbap_matrix(layout, input_channel_directions).T
+    return vbap_matrix(layout, azimuth, elevation).T
 
 
 def panned_reference_decoder(input_spec: AmbisonicsSpec,
@@ -378,5 +373,6 @@ def panned_reference_decoder(input_spec: AmbisonicsSpec,
     per-channel remapping is not defined.
     """
     virt = build_decoder_to_speaker(input_spec, virtual_layout)
-    remap = vbap_matrix(output_layout, virtual_layout.directions).T  # P x J
+    remap = vbap_matrix(output_layout, virtual_layout.azimuth,
+                        virtual_layout.elevation).T  # P x J
     return remap @ virt.entries

@@ -3,6 +3,12 @@
 Conventions: azimuth in degrees, counterclockwise-positive seen from above
 (0 = front, +90 = left), normalized to (-180, 180]; elevation in degrees,
 positive up, in [-90, 90].  Unit vectors are (x front, y left, z up).
+
+A set of directions (a sampling cloud, a layout's speakers) is a pair of
+degree arrays, ``azimuth`` and ``elevation``; ``PointCloud`` and
+``SpeakerLayout`` both provide that pair and their ``vectors``.  A
+``Direction`` is one point: a config entry, a speaker, or the direction an
+error message names.
 """
 
 from __future__ import annotations
@@ -21,13 +27,11 @@ _EMBEDDED_DESIGN_SIZES = (56, 60)
 _MIRROR_ROWS = 256
 
 
-def _normalize_azimuth(az: float) -> float:
-    a = math.fmod(float(az), 360.0)
-    if a > 180.0:
-        a -= 360.0
-    elif a <= -180.0:
-        a += 360.0
-    return a
+def _normalize_azimuth(az):
+    """Azimuths (a number or an array) wrapped into (-180, 180]."""
+    a = np.fmod(np.asarray(az, dtype=float), 360.0)
+    a = np.where(a > 180.0, a - 360.0, a)
+    return np.where(a <= -180.0, a + 360.0, a)
 
 
 @dataclass(frozen=True)
@@ -43,25 +47,22 @@ class Direction:
             raise GeometryError(f"elevation {el} outside [-90, 90]")
         if not math.isfinite(self.azimuth):
             raise GeometryError(f"azimuth {self.azimuth} is not finite")
-        object.__setattr__(self, "azimuth", _normalize_azimuth(self.azimuth))
+        object.__setattr__(self, "azimuth",
+                           float(_normalize_azimuth(self.azimuth)))
         object.__setattr__(self, "elevation", el)
 
-    def mirrored(self) -> "Direction":
-        """Left-right mirror (azimuth sign flip)."""
-        return Direction(-self.azimuth, self.elevation)
 
-
-def to_unit_vector(d: Direction) -> np.ndarray:
-    """Cartesian unit vector (x front, y left, z up) of a direction."""
-    az = math.radians(d.azimuth)
-    el = math.radians(d.elevation)
-    return np.array(
-        [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
-    )
+def unit_vectors(azimuth, elevation) -> np.ndarray:
+    """(n, 3) unit vectors (x front, y left, z up) of degree arrays."""
+    az = np.radians(np.asarray(azimuth, dtype=float))
+    el = np.radians(np.asarray(elevation, dtype=float))
+    cos_el = np.cos(el)
+    return np.column_stack((cos_el * np.cos(az), cos_el * np.sin(az),
+                            np.sin(el)))
 
 
 def from_unit_vector(v: Sequence[float]) -> Direction:
-    """Inverse of :func:`to_unit_vector` (input need not be normalized)."""
+    """The direction of one vector (it need not be normalized)."""
     x, y, z = (float(c) for c in v)
     r = math.sqrt(x * x + y * y + z * z)
     if r == 0.0:
@@ -71,9 +72,9 @@ def from_unit_vector(v: Sequence[float]) -> Direction:
     return Direction(az, el)
 
 
-def unit_vectors(directions: Sequence[Direction]) -> np.ndarray:
-    """Stack unit vectors of several directions into an (n, 3) array."""
-    return np.array([to_unit_vector(d) for d in directions]).reshape(-1, 3)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -84,40 +85,50 @@ def unit_vectors(directions: Sequence[Direction]) -> np.ndarray:
 class PointCloud:
     """Sampled virtual-source directions with per-direction weights.
 
-    Weights are rescaled at construction so that their mean is 1
-    (sum equals the number of directions); relative weights are what
-    matters downstream.
+    ``azimuth``, ``elevation`` and ``weights`` are read-only arrays of one
+    entry per direction; azimuths are normalized at construction.  Weights
+    are rescaled so that their mean is 1 (sum equals the number of
+    directions); relative weights are what matters downstream.
     """
 
-    directions: tuple
+    azimuth: np.ndarray
+    elevation: np.ndarray
     weights: np.ndarray = None
 
     def __post_init__(self):
-        dirs = tuple(self.directions)
-        if not dirs:
+        az = np.array(self.azimuth, dtype=float).reshape(-1)
+        el = np.array(self.elevation, dtype=float).reshape(-1)
+        if not len(az):
             raise GeometryError("point cloud needs at least one direction")
-        if self.weights is None:
-            w = np.ones(len(dirs))
-        else:
-            w = np.asarray(self.weights, dtype=float).copy()
-        if w.shape != (len(dirs),):
-            raise GeometryError("one weight per direction required")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise GeometryError("weights must be positive and finite")
-        w *= len(dirs) / w.sum()
-        w.flags.writeable = False
-        object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "weights", w)
+        w = (np.ones(len(az)) if self.weights is None
+             else np.array(self.weights, dtype=float).reshape(-1))
+        for name, x in (("elevation", el), ("weight", w)):
+            if len(x) != len(az):
+                raise GeometryError(
+                    f"{len(x)} {name}s for {len(az)} azimuths; index "
+                    f"{min(len(x), len(az))} is unmatched"
+                )
+        bad = (~np.isfinite(az) | ~(np.abs(el) <= 90.0) | ~(w > 0.0)
+               | ~np.isfinite(w))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GeometryError(
+                f"direction {i}: azimuth {az[i]}, elevation {el[i]}, weight "
+                f"{w[i]}; angles must be finite, elevation in [-90, 90] and "
+                "the weight positive and finite"
+            )
+        w *= len(az) / w.sum()
+        object.__setattr__(self, "azimuth", _read_only(_normalize_azimuth(az)))
+        object.__setattr__(self, "elevation", _read_only(el))
+        object.__setattr__(self, "weights", _read_only(w))
 
     def __len__(self) -> int:
-        return len(self.directions)
+        return len(self.azimuth)
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
         """Read-only (L, 3) unit vectors, computed on first use."""
-        vecs = unit_vectors(self.directions)
-        vecs.flags.writeable = False
-        return vecs
+        return _read_only(unit_vectors(self.azimuth, self.elevation))
 
 
 # Cloud specifications -------------------------------------------------------
@@ -168,7 +179,8 @@ CloudSpec = Union[TDesignSpec, RingSpec, FibonacciSpec, ExplicitSpec,
                   HemisphereSpec, MergeSpec]
 
 
-def _load_design(points: int) -> list:
+def _load_design(points: int):
+    """(azimuth, elevation) of an embedded design."""
     if points not in _EMBEDDED_DESIGN_SIZES:
         raise GeometryError(
             f"unknown t-design size {points}; embedded sizes: "
@@ -179,75 +191,73 @@ def _load_design(points: int) -> list:
         .joinpath(f"tdesign_sphere_{points}.txt")
         .read_text()
     )
-    dirs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        az, el = line.split()
-        dirs.append(Direction(float(az), float(el)))
-    if len(dirs) != points:
+    rows = [[float(x) for x in line.split()] for line in text.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+    if len(rows) != points or any(len(row) != 2 for row in rows):
         raise GeometryError(f"embedded design table corrupt for n={points}")
-    return dirs
+    az, el = np.array(rows).T
+    return az, el
 
 
-def fibonacci_sphere(n: int) -> list:
-    """Deterministic Fibonacci spiral point set (n directions, full sphere)."""
+def fibonacci_sphere(n: int):
+    """(azimuth, elevation) of a deterministic Fibonacci spiral of n points.
+
+    The elevations take ``math.asin`` point by point: ``np.arcsin`` rounds
+    differently on some inputs, and the clouds must keep their bits.
+    """
     if n < 1:
         raise GeometryError("fibonacci cloud needs n >= 1")
     golden = math.pi * (3.0 - math.sqrt(5.0))
-    dirs = []
-    for k in range(n):
-        z = 1.0 - (2.0 * k + 1.0) / n
-        az = math.degrees(k * golden)
-        el = math.degrees(math.asin(max(-1.0, min(1.0, z))))
-        dirs.append(Direction(az, el))
-    return dirs
+    k = np.arange(n)
+    z = np.clip(1.0 - (2.0 * k + 1.0) / n, -1.0, 1.0)
+    el = np.degrees([math.asin(x) for x in z.tolist()])
+    return np.degrees(k * golden), el
 
 
 def sample_cloud(spec: CloudSpec) -> PointCloud:
     """Realize a cloud specification; weights come out with mean 1."""
-    dirs, weights = _sample(spec)
-    return PointCloud(tuple(dirs), np.asarray(weights, dtype=float))
+    return PointCloud(*_sample(spec))
 
 
 def _sample(spec: CloudSpec):
+    """(azimuth, elevation, weights) arrays of a cloud spec."""
     if isinstance(spec, TDesignSpec):
-        dirs = _load_design(spec.points)
-        return dirs, [1.0] * len(dirs)
+        az, el = _load_design(spec.points)
+        return az, el, np.ones(len(az))
     if isinstance(spec, RingSpec):
         if spec.points < 1:
             raise GeometryError("ring needs at least one point")
-        dirs = [Direction(360.0 * k / spec.points, 0.0) for k in range(spec.points)]
-        return dirs, [1.0] * len(dirs)
+        az = 360.0 * np.arange(spec.points) / spec.points
+        return az, np.zeros(spec.points), np.ones(spec.points)
     if isinstance(spec, FibonacciSpec):
-        dirs = fibonacci_sphere(spec.points)
-        return dirs, [1.0] * len(dirs)
+        az, el = fibonacci_sphere(spec.points)
+        return az, el, np.ones(len(az))
     if isinstance(spec, ExplicitSpec):
-        dirs = list(spec.directions)
-        if not dirs:
+        if not spec.directions:
             raise GeometryError("explicit cloud is empty")
-        w = list(spec.weights) if spec.weights is not None else [1.0] * len(dirs)
-        return dirs, w
+        az = np.array([d.azimuth for d in spec.directions])
+        el = np.array([d.elevation for d in spec.directions])
+        w = np.ones(len(az)) if spec.weights is None else spec.weights
+        return az, el, np.asarray(w, dtype=float)
     if isinstance(spec, HemisphereSpec):
-        dirs, w = _sample(spec.base)
-        kept = [(d, x) for d, x in zip(dirs, w) if d.elevation >= 0.0]
-        if not kept:
+        az, el, w = _sample(spec.base)
+        keep = el >= 0.0
+        if not keep.any():
             raise GeometryError("hemisphere filter removed every direction")
-        return [d for d, _ in kept], [x for _, x in kept]
+        return az[keep], el[keep], w[keep]
     if isinstance(spec, MergeSpec):
         if not spec.parts:
             raise GeometryError("empty merge")
-        dirs, weights = [], []
+        parts = []
         for sub, rel in spec.parts:
             rel = float(rel)
             if rel <= 0:
                 raise GeometryError("merge weights must be positive")
-            sub_dirs, sub_w = _sample(sub)
-            mean = sum(sub_w) / len(sub_w)
-            dirs.extend(sub_dirs)
-            weights.extend(rel * x / mean for x in sub_w)
-        return dirs, weights
+            az, el, w = _sample(sub)
+            # Python's sum adds left to right, as the cloud's bits require
+            mean = sum(w.tolist()) / len(w)
+            parts.append((az, el, rel * w / mean))
+        return tuple(np.concatenate(col) for col in zip(*parts))
     raise GeometryError(f"unknown cloud spec {spec!r}")
 
 
@@ -276,7 +286,11 @@ def mirror_indices(vecs: np.ndarray, tol_deg: float = 0.1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpeakerLayout:
-    """Named loudspeaker directions plus optional left-right symmetry pairs."""
+    """Named loudspeaker directions plus optional left-right symmetry pairs.
+
+    ``azimuth``, ``elevation`` and ``vectors`` are read-only arrays over the
+    speakers, as on a ``PointCloud``.
+    """
 
     speakers: tuple  # of (label, Direction)
     symmetry_pairs: tuple = field(default=())
@@ -285,14 +299,14 @@ class SpeakerLayout:
         spk = tuple((str(label), d) for label, d in self.speakers)
         if not spk:
             raise GeometryError("layout needs at least one speaker")
-        labels = [label for label, _ in spk]
+        object.__setattr__(self, "speakers", spk)
+        labels = self.labels
         if len(set(labels)) != len(labels):
             raise GeometryError("speaker labels must be unique")
         for label in labels:
             if not label or any(c.isspace() for c in label):
                 raise GeometryError(f"bad speaker label {label!r}")
-        vecs = unit_vectors([d for _, d in spk])
-        dots = vecs @ vecs.T
+        dots = self.vectors @ self.vectors.T
         np.fill_diagonal(dots, -1.0)
         if dots.max() > math.cos(math.radians(0.1)):
             i, j = np.unravel_index(np.argmax(dots), dots.shape)
@@ -307,7 +321,6 @@ class SpeakerLayout:
             if p in seen or q in seen:
                 raise GeometryError("speaker appears in more than one pair")
             seen.update((p, q))
-        object.__setattr__(self, "speakers", spk)
         object.__setattr__(self, "symmetry_pairs", pairs)
 
     def __len__(self) -> int:
@@ -321,18 +334,29 @@ class SpeakerLayout:
     def directions(self) -> tuple:
         return tuple(d for _, d in self.speakers)
 
-    def unit_vectors(self) -> np.ndarray:
-        return unit_vectors(self.directions)
+    @functools.cached_property
+    def azimuth(self) -> np.ndarray:
+        return _read_only(np.array([d.azimuth for _, d in self.speakers]))
+
+    @functools.cached_property
+    def elevation(self) -> np.ndarray:
+        return _read_only(np.array([d.elevation for _, d in self.speakers]))
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """Read-only (P, 3) unit vectors of the speakers."""
+        return _read_only(unit_vectors(self.azimuth, self.elevation))
 
     def with_detected_pairs(self, tol_deg: float = 1.0) -> "SpeakerLayout":
         return SpeakerLayout(self.speakers, detect_symmetry_pairs(self, tol_deg))
 
 
-def layout_from_directions(directions: Sequence[Direction], prefix: str = "V") -> SpeakerLayout:
-    """Wrap anonymous directions (e.g. a virtual layout) as a layout."""
-    return SpeakerLayout(
-        tuple((f"{prefix}{i}", d) for i, d in enumerate(directions))
-    )
+def layout_from_cloud(cloud: PointCloud) -> SpeakerLayout:
+    """A virtual layout of speakers V0, V1, ... at a cloud's directions."""
+    return SpeakerLayout(tuple(
+        (f"V{i}", Direction(az, el)) for i, (az, el)
+        in enumerate(zip(cloud.azimuth.tolist(), cloud.elevation.tolist()))
+    ))
 
 
 def detect_symmetry_pairs(layout: SpeakerLayout, tol_deg: float = 1.0) -> tuple:
@@ -344,30 +368,21 @@ def detect_symmetry_pairs(layout: SpeakerLayout, tol_deg: float = 1.0) -> tuple:
     """
     if tol_deg < 0:
         raise GeometryError("tolerance must be >= 0")
-    dirs = layout.directions
-    n = len(dirs)
-
-    def on_median(d: Direction) -> bool:
-        return min(abs(d.azimuth), abs(180.0 - abs(d.azimuth))) <= tol_deg
-
-    candidates = []
-    for i in range(n):
-        if on_median(dirs[i]):
-            continue
-        for j in range(i + 1, n):
-            if on_median(dirs[j]):
-                continue
-            az_err = abs(_normalize_azimuth(dirs[i].azimuth + dirs[j].azimuth))
-            el_err = abs(dirs[i].elevation - dirs[j].elevation)
-            if az_err <= tol_deg and el_err <= tol_deg:
-                candidates.append((max(az_err, el_err), i, j))
+    az, el = layout.azimuth, layout.elevation
+    off_median = np.minimum(np.abs(az), np.abs(180.0 - np.abs(az))) > tol_deg
+    az_err = np.abs(_normalize_azimuth(az[:, None] + az[None, :]))
+    el_err = np.abs(el[:, None] - el[None, :])
+    close = ((az_err <= tol_deg) & (el_err <= tol_deg)
+             & off_median[:, None] & off_median[None, :])
+    i, j = np.nonzero(np.triu(close, 1))
+    err = np.maximum(az_err, el_err)[i, j]
     pairs = []
     used = set()
-    for _, i, j in sorted(candidates):
-        if i in used or j in used:
+    for _, p, q in sorted(zip(err.tolist(), i.tolist(), j.tolist())):
+        if p in used or q in used:
             continue
-        used.update((i, j))
-        pairs.append((i, j))
+        used.update((p, q))
+        pairs.append((p, q))
     return tuple(sorted(pairs))
 
 
@@ -378,7 +393,7 @@ _FLAT_ELEVATION_DEG = 0.5
 
 
 def is_horizontal_layout(layout: SpeakerLayout) -> bool:
-    return all(abs(d.elevation) <= _FLAT_ELEVATION_DEG for d in layout.directions)
+    return bool(np.all(np.abs(layout.elevation) <= _FLAT_ELEVATION_DEG))
 
 
 def triangulate_hull(layout: SpeakerLayout):
@@ -392,7 +407,7 @@ def triangulate_hull(layout: SpeakerLayout):
         n = len(layout)
         if n < 2:
             raise GeometryError("2D panning needs at least two speakers")
-        order = sorted(range(n), key=lambda i: layout.directions[i].azimuth)
+        order = np.argsort(layout.azimuth, kind="stable").tolist()
         pairs = []
         for k in range(n):
             a, b = order[k], order[(k + 1) % n]
@@ -401,7 +416,7 @@ def triangulate_hull(layout: SpeakerLayout):
                 pairs.append(pair)
         return pairs
 
-    vecs = layout.unit_vectors()
+    vecs = layout.vectors
     if len(layout) < 4:
         raise GeometryError(
             "3D hull needs at least 4 speakers; add virtual fill speakers "
@@ -434,18 +449,6 @@ def triangulate_hull(layout: SpeakerLayout):
             b, c = c, b
         triangles.append((a, b, c))
     return triangles
-
-
-def spherical_triangle_solid_angle(u1, u2, u3) -> float:
-    """Signed solid angle of a spherical triangle (Van Oosterom-Strackee)."""
-    triple = float(np.dot(u1, np.cross(u2, u3)))
-    denom = (
-        1.0
-        + float(np.dot(u1, u2))
-        + float(np.dot(u2, u3))
-        + float(np.dot(u3, u1))
-    )
-    return 2.0 * math.atan2(triple, denom)
 
 
 # ---------------------------------------------------------------------------

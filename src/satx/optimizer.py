@@ -107,19 +107,20 @@ def initialize(config: OptimizationConfig, problem: TranscodingProblem) -> np.nd
     """Starting transcoder per the configured strategy."""
     kind = config.init
     if kind is None:
-        kind = "remap_plus_noise" if problem.input_channel_directions else "random"
+        kind = ("random" if problem.input_channel_directions is None
+                else "remap_plus_noise")
     shape = problem.shape
     if kind in ("given", "reference"):
         if config.matrix is None:
             raise ConfigError(f"{kind} initialization needs a matrix")
         t0 = np.array(config.matrix, dtype=float)
     elif kind in ("remap", "remap_plus_noise"):
-        if not problem.input_channel_directions:
+        if problem.input_channel_directions is None:
             raise ConfigError(
                 "remap initialization needs input channel directions"
             )
         t0 = formats.remap_baseline(
-            problem.input_channel_directions, problem.output_spec,
+            *problem.input_channel_directions, problem.output_spec,
             problem.decoder.layout,
         )
     else:

@@ -40,18 +40,18 @@ def _sampling_cloud(job: JobConfig) -> geometry.PointCloud:
 
 
 def input_channel_directions(job: JobConfig, cloud=None) -> Optional[tuple]:
-    """Per-channel directions of bed and object inputs, else None.
+    """(azimuth, elevation) arrays of bed and object input channels, else None.
 
     Objects sit at the sampling-cloud directions; pass ``cloud`` where it
     is already sampled.
     """
     spec = job.input_spec
     if isinstance(spec, formats.VbapSpec):
-        return spec.layout.directions
+        return spec.layout.azimuth, spec.layout.elevation
     if isinstance(spec, formats.ObjectsSpec):
         if cloud is None:
             cloud = _sampling_cloud(job)
-        return cloud.directions
+        return cloud.azimuth, cloud.elevation
     return None
 
 
@@ -92,18 +92,18 @@ def reference_transcoder(job: JobConfig) -> np.ndarray:
     onto the output layout.
     """
     if isinstance(job.input_spec, formats.AmbisonicsSpec):
-        virtual_cloud = geometry.sample_cloud(_REFERENCE_VIRTUAL)
-        virtual = geometry.layout_from_directions(virtual_cloud.directions)
+        virtual = geometry.layout_from_cloud(
+            geometry.sample_cloud(_REFERENCE_VIRTUAL))
         return formats.panned_reference_decoder(
             job.input_spec, virtual, job.output_layout
         )
     directions = input_channel_directions(job)
-    if not directions:
+    if directions is None:
         raise ConfigError(
             "no reference transcoder is defined for this input format"
         )
     return formats.remap_baseline(
-        directions, job.output_spec, job.output_layout
+        *directions, job.output_spec, job.output_layout
     )
 
 
@@ -209,10 +209,14 @@ def summaries(metrics: DirectionMetrics) -> dict:
     }
 
 
+def _table_lines(table: np.ndarray) -> list:
+    """One line per row, every cell formatted ``%.10g``."""
+    fmt = " ".join(["%.10g"] * table.shape[1])
+    return [fmt % tuple(row) for row in table.tolist()]
+
+
 def metrics_table_text(metrics: DirectionMetrics) -> str:
-    lines = ["# " + " ".join(METRIC_COLUMNS)]
-    for row in metrics.table():
-        lines.append(" ".join(f"{x:.10g}" for x in row))
+    lines = ["# " + " ".join(METRIC_COLUMNS)] + _table_lines(metrics.table())
     return "\n".join(lines) + "\n"
 
 
@@ -301,18 +305,13 @@ def run_compare(job: JobConfig, named: Sequence, out_dir) -> dict:
             for m in ("level_db", "asw_deg", "angular_error_deg")
         )
     ]
-    az = base_metrics.column("azimuth")
-    el = base_metrics.column("elevation")
-    deltas = []
+    columns = [base_metrics.column(c) for c in ("azimuth", "elevation")]
     for name, (metrics, _) in results.items():
         if name == base_name:
             continue
         for m in ("level_db", "asw_deg", "angular_error_deg"):
-            deltas.append(metrics.column(m) - base_metrics.column(m))
-    for i in range(len(az)):
-        row = [f"{az[i]:.10g}", f"{el[i]:.10g}"]
-        row += [f"{col[i]:.10g}" for col in deltas]
-        delta_lines.append(" ".join(row))
+            columns.append(metrics.column(m) - base_metrics.column(m))
+    delta_lines += _table_lines(np.column_stack(columns))
     write_text_atomic(
         os.path.join(out_dir, "compare_deltas.dat"),
         "\n".join(delta_lines) + "\n",

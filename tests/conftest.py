@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from satx import Direction, PointCloud, SpeakerLayout
+from satx.geometry import Direction, PointCloud, SpeakerLayout, unit_vectors
 
 
 @pytest.fixture
@@ -16,17 +16,34 @@ def random_direction(rng, el_range=(-89.0, 89.0)) -> Direction:
     )
 
 
+def to_unit_vector(d: Direction) -> np.ndarray:
+    return unit_vectors([d.azimuth], [d.elevation])[0]
+
+
+def direction_arrays(directions) -> tuple:
+    """(azimuth, elevation) arrays of a sequence of Directions."""
+    return (np.array([d.azimuth for d in directions]),
+            np.array([d.elevation for d in directions]))
+
+
+def random_directions(rng, n: int, el_range=(-89.0, 89.0)) -> tuple:
+    """(azimuth, elevation) arrays of n ``random_direction`` draws."""
+    return direction_arrays([random_direction(rng, el_range) for _ in range(n)])
+
+
 def mirrored_cloud(rng, n_duos: int = 2, n_median: int = 1) -> PointCloud:
     """Cloud where every direction has a left-right mirror partner."""
-    dirs = []
+    az, el = [], []
     for _ in range(n_duos):
-        az = float(rng.uniform(10.0, 170.0))
-        el = float(rng.uniform(-80.0, 80.0))
-        dirs += [Direction(az, el), Direction(-az, el)]
+        a = float(rng.uniform(10.0, 170.0))
+        e = float(rng.uniform(-80.0, 80.0))
+        az += [a, -a]
+        el += [e, e]
     for _ in range(n_median):
-        dirs.append(Direction(0.0, float(rng.uniform(-80.0, 80.0))))
-    weights = rng.uniform(0.5, 2.0, len(dirs))
-    return PointCloud(tuple(dirs), weights)
+        az.append(0.0)
+        el.append(float(rng.uniform(-80.0, 80.0)))
+    weights = rng.uniform(0.5, 2.0, len(az))
+    return PointCloud(az, el, weights)
 
 
 def paired_layout(rng) -> SpeakerLayout:

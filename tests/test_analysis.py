@@ -1,30 +1,40 @@
 import numpy as np
 import pytest
 
-from satx import (
+from satx.analysis import (
     COHERENT,
     INCOHERENT,
-    DimensionError,
-    Direction,
-    PointCloud,
-    SpeakerLayout,
-    direction_metrics,
-    named_layout,
-    sample_cloud,
-    speaker_matrix,
-    summarize,
-)
-from satx.analysis import (
     METRIC_COLUMNS,
     SpeakerMatrix,
     TranscodingMatrix,
     coherent_metrics,
+    direction_metrics,
     incoherent_metrics,
     perceptual_metrics,
+    speaker_matrix,
+    summarize,
 )
-from satx.formats import EncodingMatrix, DecoderToSpeaker, build_encoding_matrix, identity_decoder
-from satx.geometry import FibonacciSpec, RingSpec
-from satx import ObjectsSpec
+from satx.errors import DimensionError
+from satx.formats import (
+    DecoderToSpeaker,
+    EncodingMatrix,
+    ObjectsSpec,
+    VbapSpec,
+    build_encoding_matrix,
+    identity_decoder,
+)
+from satx.geometry import (
+    Direction,
+    FibonacciSpec,
+    PointCloud,
+    RingSpec,
+    SpeakerLayout,
+    layout_from_cloud,
+    named_layout,
+    sample_cloud,
+)
+
+from conftest import direction_arrays
 
 
 def single_direction_setup(speaker_azimuths, gains, source_az=0.0):
@@ -32,13 +42,13 @@ def single_direction_setup(speaker_azimuths, gains, source_az=0.0):
     layout = SpeakerLayout(
         tuple((f"s{i}", Direction(az, 0)) for i, az in enumerate(speaker_azimuths))
     )
-    cloud = PointCloud((Direction(source_az, 0.0),))
+    cloud = PointCloud([source_az], [0.0])
     return SpeakerMatrix(np.array([gains], dtype=float), cloud, layout)
 
 
 class TestSpeakerMatrix:
     def test_scalar_chain(self):
-        cloud = PointCloud((Direction(0, 0),))
+        cloud = PointCloud([0.0], [0.0])
         layout = SpeakerLayout((("s", Direction(0, 0)),))
         g = EncodingMatrix(np.array([[1.0]]), cloud, ("in",))
         d = DecoderToSpeaker(np.array([[1.0]]), layout, ("out",))
@@ -48,18 +58,13 @@ class TestSpeakerMatrix:
     def test_identity_chain_passes_through(self):
         cloud = sample_cloud(RingSpec(6))
         layout = named_layout("5.0")
-        from satx import VbapSpec, build_encoding_matrix
-
         g = build_encoding_matrix(VbapSpec(layout), cloud)
         s = speaker_matrix(g, np.eye(5), identity_decoder(layout))
         np.testing.assert_allclose(s.entries, g.entries, atol=1e-15)
 
     def test_reference_shapes(self, rng):
-        from satx.geometry import layout_from_directions
-
         cloud = sample_cloud(FibonacciSpec(54))
-        virt = sample_cloud(FibonacciSpec(66))
-        layout = layout_from_directions(virt.directions)
+        layout = layout_from_cloud(sample_cloud(FibonacciSpec(66)))
         g = EncodingMatrix(rng.normal(size=(54, 11)), cloud,
                            tuple(f"i{k}" for k in range(11)))
         d = DecoderToSpeaker(rng.normal(size=(66, 36)), layout,
@@ -167,10 +172,10 @@ class TestPerceptualMetrics:
 class TestInvariances:
     def random_speaker_matrix(self, rng, n_dirs=6, n_spk=4):
         cloud = PointCloud(
-            tuple(
+            *direction_arrays([
                 Direction(rng.uniform(-180, 180), rng.uniform(-85, 85))
                 for _ in range(n_dirs)
-            ),
+            ]),
             rng.uniform(0.5, 2, n_dirs),
         )
         layout = SpeakerLayout(
@@ -203,7 +208,7 @@ class TestInvariances:
             m = s.entries
             from satx.analysis import guard_pressure
 
-            vel = (m @ s.layout.unit_vectors()) / guard_pressure(m.sum(1))[:, None]
+            vel = (m @ s.layout.vectors) / guard_pressure(m.sum(1))[:, None]
             np.testing.assert_allclose(
                 vr**2 + vt**2, (vel**2).sum(1), atol=1e-12
             )
@@ -217,16 +222,17 @@ class TestInvariances:
             s = self.random_speaker_matrix(rng)
             rot = Rotation.random(random_state=int(rng.integers(1 << 30)))
             cloud_r = PointCloud(
-                tuple(
+                *direction_arrays([
                     from_unit_vector(rot.apply(v))
                     for v in s.cloud.vectors.copy()
-                ),
+                ]),
                 s.cloud.weights,
             )
             layout_r = SpeakerLayout(
                 tuple(
                     (lab, from_unit_vector(rot.apply(v)))
-                    for (lab, _), v in zip(s.layout.speakers, s.layout.unit_vectors())
+                    for (lab, _), v in zip(s.layout.speakers,
+                                           s.layout.vectors.copy())
                 )
             )
             rotated = SpeakerMatrix(s.entries, cloud_r, layout_r)

@@ -3,32 +3,43 @@ import warnings
 import numpy as np
 import pytest
 
-from satx import (
-    ConfigError,
-    CostCoefficients,
-    Direction,
-    ObjectsSpec,
-    PointCloud,
-    SpeakerLayout,
-    TranscodingProblem,
-    VbapSpec,
-    build_encoding_matrix,
-    cost_terms,
-    direction_metrics,
-    named_layout,
-)
 from satx import presets, runner
 from satx.analysis import (
     ENERGY_GUARD,
     PRESSURE_GUARD,
     SpeakerMatrix,
+    direction_metrics,
     guard_energy,
     guard_pressure,
     speaker_sum,
 )
 from satx.config import parse_config
-from satx.cost import TERM_NAMES, _evaluate, _weighted_total
-from satx.formats import DecoderToSpeaker, EncodingMatrix, identity_decoder
+from satx.cost import (
+    TERM_NAMES,
+    CostCoefficients,
+    TranscodingProblem,
+    _evaluate,
+    _weighted_total,
+    cost_terms,
+)
+from satx.errors import ConfigError
+from satx.formats import (
+    DecoderToSpeaker,
+    EncodingMatrix,
+    ObjectsSpec,
+    VbapSpec,
+    build_encoding_matrix,
+    identity_decoder,
+)
+from satx.geometry import (
+    Direction,
+    FibonacciSpec,
+    HemisphereSpec,
+    PointCloud,
+    SpeakerLayout,
+    named_layout,
+    sample_cloud,
+)
 
 from conftest import mirrored_cloud, paired_layout
 
@@ -78,7 +89,7 @@ def finite_difference(problem, t):
 def one_hot_matched_problem(coeffs):
     """Objects on the speaker directions, identity decoder."""
     layout = named_layout("octahedron").with_detected_pairs()
-    cloud = PointCloud(layout.directions)
+    cloud = PointCloud(layout.azimuth, layout.elevation)
     g = build_encoding_matrix(ObjectsSpec(), cloud)
     return TranscodingProblem(g, identity_decoder(layout), coeffs)
 
@@ -94,7 +105,7 @@ class TestTermValues:
         layout = SpeakerLayout(
             (("a", Direction(90, 0)), ("b", Direction(-90, 0)))
         )
-        cloud = PointCloud((Direction(0, 0),))
+        cloud = PointCloud([0.0], [0.0])
         s = SpeakerMatrix(np.array([[0.5, 0.5]]), cloud, layout)
         b = cost_terms(s, coeffs=ALL_ONES)
         assert b["pressure"] == pytest.approx(0.0, abs=1e-15)
@@ -108,7 +119,7 @@ class TestTermValues:
         layout = SpeakerLayout(
             (("a", Direction(30, 0)), ("b", Direction(-30, 0)))
         )
-        cloud = PointCloud((Direction(0, 0),))
+        cloud = PointCloud([0.0], [0.0])
         s = SpeakerMatrix(np.array([[0.8, -0.2]]), cloud, layout)
         b = cost_terms(s, coeffs=ALL_ONES)
         phi = 0.04 / 0.68
@@ -171,7 +182,7 @@ class TestTermValues:
         layout = SpeakerLayout(
             (("a", Direction(45, 0)), ("b", Direction(-45, 0)))
         )
-        cloud = PointCloud((Direction(10, 0), Direction(-10, 0)))
+        cloud = PointCloud([10.0, -10.0], [0.0, 0.0])
         one_hot = SpeakerMatrix(np.array([[0.7, 0.0], [0.0, 1.3]]), cloud, layout)
         spread = SpeakerMatrix(np.array([[0.7, 0.1], [0.0, 1.3]]), cloud, layout)
         assert cost_terms(one_hot, coeffs=ALL_ONES)["sparsity_linear"] == 0.0
@@ -183,7 +194,7 @@ class TestTermValues:
         perm = rng.permutation(len(problem.encoding.cloud))
         cloud = problem.encoding.cloud
         cloud_p = PointCloud(
-            tuple(cloud.directions[i] for i in perm), cloud.weights[perm]
+            cloud.azimuth[perm], cloud.elevation[perm], cloud.weights[perm]
         )
         g_p = EncodingMatrix(
             problem.encoding.entries[perm], cloud_p, problem.encoding.channel_labels
@@ -222,7 +233,7 @@ class TestTermValues:
 
     def test_missing_pairs_warns_and_zeroes_term(self):
         layout = named_layout("3.0.1")  # no symmetric pairs
-        cloud = PointCloud(layout.directions)
+        cloud = PointCloud(layout.azimuth, layout.elevation)
         g = build_encoding_matrix(ObjectsSpec(), cloud)
         with pytest.warns(UserWarning, match="symmetry"):
             problem = TranscodingProblem(
@@ -232,6 +243,20 @@ class TestTermValues:
             )
         b = problem.breakdown(np.eye(4))
         assert b["symmetry_quadratic"] == 0.0
+
+    def test_sparse_mirror_coverage_warns(self):
+        layout = named_layout("5.0.2")
+        cloud = sample_cloud(HemisphereSpec(FibonacciSpec(1000)))
+        g = build_encoding_matrix(VbapSpec(named_layout("7.0.4")), cloud)
+        with pytest.warns(UserWarning, match=r"only \d+ of 500 cloud "
+                          "directions have a left-right mirror partner"):
+            TranscodingProblem(g, identity_decoder(layout),
+                               CostCoefficients(energy=1.0,
+                                                symmetry_linear=0.1))
+        # example1's t-design pairs every direction with its mirror
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runner.build_problem(presets.load_preset("example1"))
 
     def test_breakdown_text_block(self):
         problem, t = random_problem(7)

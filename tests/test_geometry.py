@@ -1,13 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from satx import (
+from satx import geometry, runner
+from satx.errors import GeometryError
+from satx.geometry import (
     Direction,
     ExplicitSpec,
-    GeometryError,
+    FibonacciSpec,
     HemisphereSpec,
     MergeSpec,
     PointCloud,
@@ -15,32 +18,34 @@ from satx import (
     SpeakerLayout,
     TDesignSpec,
     detect_symmetry_pairs,
+    from_unit_vector,
+    layout_from_cloud,
+    mirror_indices,
     named_layout,
     sample_cloud,
-    to_unit_vector,
     triangulate_hull,
-)
-from satx import geometry
-from satx.geometry import (
-    FibonacciSpec,
-    from_unit_vector,
-    layout_from_directions,
-    mirror_indices,
-    spherical_triangle_solid_angle,
     unit_vectors,
 )
+
+from conftest import to_unit_vector
+
+
+def spherical_triangle_solid_angle(u1, u2, u3) -> float:
+    """Signed solid angle of a spherical triangle (Van Oosterom-Strackee)."""
+    triple = float(np.dot(u1, np.cross(u2, u3)))
+    denom = (
+        1.0
+        + float(np.dot(u1, u2))
+        + float(np.dot(u2, u3))
+        + float(np.dot(u3, u1))
+    )
+    return 2.0 * math.atan2(triple, denom)
 
 
 class TestDirection:
     def test_front_left_zenith_axes(self):
         np.testing.assert_allclose(
-            to_unit_vector(Direction(0, 0)), [1, 0, 0], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            to_unit_vector(Direction(90, 0)), [0, 1, 0], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            to_unit_vector(Direction(0, 90)), [0, 0, 1], atol=1e-15
+            unit_vectors([0, 90, 0], [0, 0, 90]), np.eye(3), atol=1e-15
         )
 
     def test_azimuth_normalized_to_half_open_range(self):
@@ -74,8 +79,8 @@ class TestDirection:
 class TestClouds:
     def test_ring_of_four(self):
         cloud = sample_cloud(RingSpec(4))
-        assert [d.azimuth for d in cloud.directions] == [0, 90, 180, -90]
-        assert all(d.elevation == 0 for d in cloud.directions)
+        assert cloud.azimuth.tolist() == [0, 90, 180, -90]
+        assert (cloud.elevation == 0).all()
         np.testing.assert_allclose(cloud.weights, 1.0)
 
     def test_embedded_design_first_moment(self):
@@ -126,14 +131,70 @@ class TestClouds:
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(GeometryError):
-            PointCloud((Direction(0, 0),), np.array([0.0]))
+            PointCloud([0.0], [0.0], np.array([0.0]))
+
+    @pytest.mark.parametrize("azimuth, elevation, weights, index", [
+        ([0, 10, float("nan")], [0, 0, 0], None, "direction 2"),
+        ([0, 10, 20], [0, 90.5, 0], None, "direction 1"),
+        ([0, 10, 20], [0, 0, 0], [1, 0, 1], "direction 1"),
+        ([0, 10, 20], [0, 0], None, "index 2"),
+        ([0, 10, 20], [0, 0, 0], [1, 1, 1, 1], "index 3"),
+    ])
+    def test_invalid_cloud_names_the_index(self, azimuth, elevation,
+                                           weights, index):
+        with pytest.raises(GeometryError, match=index):
+            PointCloud(azimuth, elevation, weights)
+
+    def test_cloud_arrays_read_only_and_normalized(self):
+        cloud = PointCloud([270.0, -180.0], [0.0, 10.0], [1.0, 3.0])
+        assert cloud.azimuth.tolist() == [-90.0, 180.0]
+        assert cloud.weights.tolist() == [0.5, 1.5]
+        for a in (cloud.azimuth, cloud.elevation, cloud.weights,
+                  cloud.vectors):
+            assert not a.flags.writeable
+        assert not hasattr(cloud, "directions")
+
+    # SHA-256 of the float64 bytes, recorded with the per-Direction clouds
+    # these arrays replaced; they change if the Fibonacci elevations take
+    # np.arcsin or a merge mean takes a pairwise np.sum
+    PINNED = {
+        "fibonacci": (
+            HemisphereSpec(FibonacciSpec(10000)), {
+                "azimuth": "c32095937b6e5f693c5ac2f0901be829abbe6e17b1cd55ee2bfa30dd781d59ab",
+                "elevation": "ed90cceeebbff51c1891d32f34a8cf00b10f056daeb5b7c47ffbde385487dfa7",
+                "vectors": "f0a2fd632654505afc68a64e1cc24e7e1f229278dc034eebc1fafe777ecfd6aa",
+            }),
+        "reference_virtual": (
+            runner._REFERENCE_VIRTUAL, {
+                "azimuth": "ff96636a27fe090e84992035962775a56a7156bffb14ca1c3f713180dac41aa1",
+                "elevation": "59fc0b625e66aeee0b20357dcbb7af2eb5d37f6f16b432455436013b34d7c236",
+                "vectors": "014202469b34641039ba4f561e6c0ef178babde48eb942d5bd29f60b94d0c074",
+            }),
+        "nested_merge": (
+            MergeSpec((
+                (MergeSpec(((FibonacciSpec(100), 0.1), (RingSpec(7), 0.3))), 0.7),
+                (HemisphereSpec(TDesignSpec(56)), 0.2),
+            )), {
+                "azimuth": "55f851da3c3a2beb80d4bd0b7218fb9f448b0cf2603802a515506e4ba09837da",
+                "elevation": "031756a68885bf5ee2ac68ac8037455a47f49fac33b2eb4073908152b96bd881",
+                "weights": "8906e11a297e84d77d2d93d0df7ce0c208590b3c3bad4b48135414b507f541cb",
+            }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_cloud_bits_pinned(self, name):
+        spec, digests = self.PINNED[name]
+        cloud = sample_cloud(spec)
+        for attr, digest in digests.items():
+            data = np.ascontiguousarray(getattr(cloud, attr), dtype=np.float64)
+            assert hashlib.sha256(data.tobytes()).hexdigest() == digest, attr
 
     def test_mirror_indices_on_ring(self):
         cloud = sample_cloud(RingSpec(8))
         idx = mirror_indices(cloud.vectors)
-        for i, d in enumerate(cloud.directions):
-            partner = cloud.directions[idx[i]]
-            assert partner.azimuth == pytest.approx(d.mirrored().azimuth, abs=1e-9)
+        for i, az in enumerate(cloud.azimuth):
+            assert cloud.azimuth[idx[i]] == pytest.approx(
+                float(geometry._normalize_azimuth(-az)), abs=1e-9)
 
     def test_mirror_indices_cover_embedded_designs(self):
         for n in (56, 60):
@@ -141,7 +202,7 @@ class TestClouds:
             assert (mirror_indices(cloud.vectors) >= 0).all()
 
     def test_mirror_indices_absent(self):
-        idx = mirror_indices(unit_vectors((Direction(25, 10), Direction(80, -5))))
+        idx = mirror_indices(unit_vectors([25, 80], [10, -5]))
         assert list(idx) == [-1, -1]
 
     @pytest.mark.parametrize("rows", [7, 256])
@@ -152,11 +213,10 @@ class TestClouds:
             (TDesignSpec(60), 1.0), (TDesignSpec(60), 1.0), (RingSpec(8), 1.0),
             (FibonacciSpec(700), 1.0), (HemisphereSpec(TDesignSpec(56)), 1.0),
         ))
-        dirs = sample_cloud(spec).directions
-        vecs = unit_vectors(dirs)
+        vecs = sample_cloud(spec).vectors
         dots = (vecs * [1.0, -1.0, 1.0]) @ vecs.T
         best = np.argmax(dots, axis=1)
-        close = dots[np.arange(len(dirs)), best] >= math.cos(math.radians(0.1))
+        close = dots[np.arange(len(vecs)), best] >= math.cos(math.radians(0.1))
         one_shot = np.where(close, best, -1)
         monkeypatch.setattr(geometry, "_MIRROR_ROWS", rows)
         got = mirror_indices(vecs)
@@ -222,7 +282,7 @@ class TestHull:
         used = {i for f in faces for i in f}
         assert used == set(range(len(layout)))
         # brute-force support check: all other vertices behind each face
-        vecs = layout.unit_vectors()
+        vecs = layout.vectors
         for a, b, c in faces:
             normal = np.cross(vecs[b] - vecs[a], vecs[c] - vecs[a])
             offsets = (vecs - vecs[a]) @ normal
@@ -230,7 +290,7 @@ class TestHull:
 
     def test_outward_orientation_and_solid_angle_sum(self):
         layout = named_layout("octahedron")
-        vecs = layout.unit_vectors()
+        vecs = layout.vectors
         total = 0.0
         for a, b, c in triangulate_hull(layout):
             omega = spherical_triangle_solid_angle(vecs[a], vecs[b], vecs[c])
@@ -240,8 +300,8 @@ class TestHull:
 
     def test_solid_angle_sum_random_full_sphere_layout(self):
         cloud = sample_cloud(FibonacciSpec(14))
-        layout = layout_from_directions(cloud.directions)
-        vecs = layout.unit_vectors()
+        layout = layout_from_cloud(cloud)
+        vecs = layout.vectors
         total = sum(
             spherical_triangle_solid_angle(vecs[a], vecs[b], vecs[c])
             for a, b, c in triangulate_hull(layout)
@@ -297,5 +357,5 @@ class TestLayout:
 
     def test_unit_vectors_shape(self):
         layout = named_layout("5.0.2")
-        assert layout.unit_vectors().shape == (7, 3)
-        assert unit_vectors(layout.directions).shape == (7, 3)
+        assert layout.vectors.shape == (7, 3)
+        assert unit_vectors(layout.azimuth, layout.elevation).shape == (7, 3)

@@ -4,23 +4,31 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from satx import (
-    ConfigError,
-    CostCoefficients,
-    Direction,
+from satx.cost import CostCoefficients, TranscodingProblem
+from satx.errors import ConfigError
+from satx.formats import (
+    AmbisonicsSpec,
     ObjectsSpec,
-    OptimizationConfig,
-    PointCloud,
-    TranscodingProblem,
     VbapSpec,
     build_encoding_matrix,
-    initialize,
+    identity_decoder,
+    remap_baseline,
+    sh_matrix,
+)
+from satx.geometry import (
+    PointCloud,
+    RingSpec,
     named_layout,
+    sample_cloud,
+)
+from satx.optimizer import (
+    OptimizationConfig,
+    bfgs_update,
+    identity_hessian,
+    initialize,
+    line_search,
     optimize,
 )
-from satx.formats import identity_decoder, remap_baseline, sh_matrix
-from satx.geometry import RingSpec, sample_cloud
-from satx.optimizer import bfgs_update, identity_hessian, line_search
 
 INCOHERENT_SET = CostCoefficients(
     energy=5, intensity_radial=2, intensity_transverse=1,
@@ -30,13 +38,13 @@ INCOHERENT_SET = CostCoefficients(
 
 def matched_objects_problem(layout_name="octahedron"):
     layout = named_layout(layout_name)
-    cloud = PointCloud(layout.directions)
+    cloud = PointCloud(layout.azimuth, layout.elevation)
     g = build_encoding_matrix(ObjectsSpec(), cloud)
     return TranscodingProblem(
         g,
         identity_decoder(layout),
         INCOHERENT_SET,
-        input_channel_directions=cloud.directions,
+        input_channel_directions=(cloud.azimuth, cloud.elevation),
         output_spec=VbapSpec(layout),
     )
 
@@ -51,7 +59,7 @@ def bed_problem(seed=0):
         g,
         identity_decoder(dst),
         INCOHERENT_SET,
-        input_channel_directions=src.directions,
+        input_channel_directions=(src.azimuth, src.elevation),
         output_spec=VbapSpec(dst),
     )
 
@@ -232,26 +240,36 @@ class TestInitialize:
         layout = named_layout("7.0.4")
         cloud = sample_cloud(RingSpec(12))
         g = build_encoding_matrix(VbapSpec(layout), cloud)
-        from satx import AmbisonicsSpec
-        from satx.geometry import layout_from_directions, FibonacciSpec
+        from satx.geometry import layout_from_cloud, FibonacciSpec
         from satx.formats import build_decoder_to_speaker
 
         virt = sample_cloud(FibonacciSpec(40))
         decoder = build_decoder_to_speaker(
-            AmbisonicsSpec(5), layout_from_directions(virt.directions)
+            AmbisonicsSpec(5), layout_from_cloud(virt)
         )
         problem = TranscodingProblem(
             g,
             decoder,
             CostCoefficients(pressure=1),
-            input_channel_directions=layout.directions,
+            input_channel_directions=(layout.azimuth, layout.elevation),
             output_spec=AmbisonicsSpec(5),
         )
         t0 = initialize(OptimizationConfig(init="remap"), problem)
         assert t0.shape == (36, 11)
         np.testing.assert_allclose(
-            t0, sh_matrix(layout.directions, 5).T, atol=1e-15
+            t0, sh_matrix(layout.azimuth, layout.elevation, 5).T, atol=1e-15
         )
+
+    def test_remap_with_array_channel_directions(self):
+        # one (2, M) array: its truth value is ambiguous, so the init
+        # switch must test it against None
+        problem = matched_objects_problem()
+        problem.input_channel_directions = np.array(
+            problem.input_channel_directions)
+        t0 = initialize(OptimizationConfig(init="remap"), problem)
+        np.testing.assert_allclose(t0, np.eye(6), atol=1e-9)
+        noisy = initialize(OptimizationConfig(seed=0), problem)
+        assert 0 < np.abs(noisy - t0).max() <= 0.05
 
     def test_remap_without_channel_directions(self):
         problem = matched_objects_problem()
@@ -305,7 +323,7 @@ class TestOptimize:
 
     def test_needs_a_primary_coefficient(self):
         layout = named_layout("octahedron")
-        cloud = PointCloud(layout.directions)
+        cloud = PointCloud(layout.azimuth, layout.elevation)
         g = build_encoding_matrix(ObjectsSpec(), cloud)
         problem = TranscodingProblem(
             g,
@@ -342,7 +360,7 @@ class TestOptimize:
             problem.coeffs,
             problem.pairs,
             input_channel_directions=tuple(
-                problem.input_channel_directions[i] for i in perm
+                a[perm] for a in problem.input_channel_directions
             ),
             output_spec=problem.output_spec,
         )
