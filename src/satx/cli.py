@@ -124,7 +124,8 @@ def _cmd_compare(args) -> int:
         t = matfile.import_matrix(path).values()
         named.append((_unique_name(path, named), t))
     for kind in args.baseline:
-        named.append((kind, runner.reference_transcoder(job)))
+        named.append((_unique_name(kind, named),
+                      runner.reference_transcoder(job)))
     all_stats = runner.run_compare(job, named, args.out)
     for name, stats in all_stats.items():
         s = stats["level_db"]

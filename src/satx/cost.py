@@ -133,15 +133,17 @@ class CostBreakdown:
 
 
 class _ProblemGeometry:
-    """Static per-(cloud, layout) arrays shared by cost and gradient."""
+    """Static per-(cloud, layout) arrays shared by cost and gradient;
+    the symmetry warnings name the caller ``stacklevel`` frames up."""
 
-    def __init__(self, cloud, layout, pairs, coeffs: CostCoefficients):
+    def __init__(self, cloud, layout, pairs, coeffs: CostCoefficients,
+                 stacklevel: int = 3):
         symmetry = coeffs.symmetry_linear or coeffs.symmetry_quadratic
         if symmetry and not pairs:
             warnings.warn(
                 "symmetry coefficients set but the layout has no symmetry "
                 "pairs; the symmetry terms are zero",
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
         self.v = cloud.vectors  # (L, 3)
         self.u = layout.vectors  # (P, 3)
@@ -155,7 +157,7 @@ class _ProblemGeometry:
                 f"symmetry coefficients set but only {len(self.rows)} of "
                 f"{len(cloud)} cloud directions have a left-right mirror "
                 "partner; the symmetry terms see only those",
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
         self.pa = np.array([p for p, _ in pairs], dtype=int)
         self.pb = np.array([q for _, q in pairs], dtype=int)
@@ -363,25 +365,20 @@ def cost_terms(s: SpeakerMatrix, gains=None, pairs=None,
 
 @dataclass
 class TranscodingProblem:
-    """Everything the optimizer needs: formats, cloud, layout, prefactors.
-
-    ``input_channel_directions``, the (azimuth, elevation) degree arrays
-    of the input channels, enables remap-style initialization when the
-    input format has per-channel directions (speaker beds, objects).
-    """
+    """Everything the optimizer needs: formats, cloud, layout, prefactors."""
 
     encoding: EncodingMatrix
     decoder: DecoderToSpeaker
     coeffs: CostCoefficients
     pairs: Optional[tuple] = None
-    input_channel_directions: Optional[tuple] = None
-    output_spec: object = None
 
     def __post_init__(self):
         if self.pairs is None:
             self.pairs = self.decoder.layout.symmetry_pairs
+        # warnings name the caller of the dataclass-generated __init__
         self._geo = _ProblemGeometry(
-            self.encoding.cloud, self.decoder.layout, self.pairs, self.coeffs
+            self.encoding.cloud, self.decoder.layout, self.pairs, self.coeffs,
+            stacklevel=4,
         )
 
     @property

@@ -5,7 +5,8 @@ line search (Nocedal & Wright, Alg. 3.5 and 3.6) and an Armijo
 backtracking fallback for the cost function's piecewise kinks.  Runs are
 sequential and fully deterministic for a fixed configuration; a failed
 line search returns the best iterate seen with ``converged=False``
-instead of aborting.
+instead of aborting.  The start matrix is ``OptimizationConfig.matrix``,
+set by ``runner.optimization_config``; ``initialize`` only adds noise.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import formats
 from .analysis import TranscodingMatrix
 from .cost import CostBreakdown, TranscodingProblem
 from .errors import ConfigError, DimensionError, check_integer, check_number
@@ -32,11 +32,11 @@ INIT_SCALE = {"remap_plus_noise": 0.05, "random": 0.5}
 class OptimizationConfig:
     """Optimizer settings.
 
-    ``init`` is one of INIT_KINDS; by default it is remap_plus_noise where
-    the input has channel directions, else random.  ``scale`` overrides
-    the noise amplitude of the noisy inits (INIT_SCALE).  ``matrix`` is
-    the starting transcoder of a given init; ``runner.optimization_config``
-    loads it from the job, and turns a reference init into a given one.
+    ``matrix`` is the start of every init but random, which starts from
+    zeros; ``runner.optimization_config`` sets it from the job.  ``init``
+    is one of INIT_KINDS and only picks the noise; by default it is
+    remap_plus_noise when ``matrix`` is set, else random.  ``scale``
+    overrides the noise amplitude of the noisy inits (INIT_SCALE).
     """
 
     init: Optional[str] = None
@@ -103,28 +103,18 @@ class OptimizationReport:
         return self.final_breakdown.total
 
 
-def initialize(config: OptimizationConfig, problem: TranscodingProblem) -> np.ndarray:
-    """Starting transcoder per the configured strategy."""
+def initialize(config: OptimizationConfig, shape: tuple) -> np.ndarray:
+    """Starting transcoder: ``config.matrix`` (zeros for a random init)
+    plus the seeded noise of the init kind."""
     kind = config.init
     if kind is None:
-        kind = ("random" if problem.input_channel_directions is None
-                else "remap_plus_noise")
-    shape = problem.shape
-    if kind in ("given", "reference"):
-        if config.matrix is None:
-            raise ConfigError(f"{kind} initialization needs a matrix")
-        t0 = np.array(config.matrix, dtype=float)
-    elif kind in ("remap", "remap_plus_noise"):
-        if problem.input_channel_directions is None:
-            raise ConfigError(
-                "remap initialization needs input channel directions"
-            )
-        t0 = formats.remap_baseline(
-            *problem.input_channel_directions, problem.output_spec,
-            problem.decoder.layout,
-        )
-    else:
+        kind = "random" if config.matrix is None else "remap_plus_noise"
+    if kind == "random":
         t0 = np.zeros(shape)
+    elif config.matrix is None:
+        raise ConfigError(f"is required by the {kind} init", "matrix")
+    else:
+        t0 = np.array(config.matrix, dtype=float)
     if t0.shape != shape:
         raise DimensionError(
             f"initial matrix has shape {t0.shape}, expected {shape}"
@@ -433,7 +423,7 @@ def optimize(problem: TranscodingProblem,
     best = None
     for restart in range(config.restarts):
         seeded = replace(config, seed=config.seed + restart, restarts=1)
-        t0 = initialize(seeded, problem)
+        t0 = initialize(seeded, problem.shape)
         initial = problem.breakdown(t0)
         run = _run_bfgs(problem, seeded, t0)
         if run.cost > initial.total:  # line search never accepts ascent

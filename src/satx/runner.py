@@ -39,18 +39,16 @@ def _sampling_cloud(job: JobConfig) -> geometry.PointCloud:
     return geometry.sample_cloud(job.cloud_spec)
 
 
-def input_channel_directions(job: JobConfig, cloud=None) -> Optional[tuple]:
+def input_channel_directions(job: JobConfig) -> Optional[tuple]:
     """(azimuth, elevation) arrays of bed and object input channels, else None.
 
-    Objects sit at the sampling-cloud directions; pass ``cloud`` where it
-    is already sampled.
+    Objects sit at the sampling-cloud directions.
     """
     spec = job.input_spec
     if isinstance(spec, formats.VbapSpec):
         return spec.layout.azimuth, spec.layout.elevation
     if isinstance(spec, formats.ObjectsSpec):
-        if cloud is None:
-            cloud = _sampling_cloud(job)
+        cloud = _sampling_cloud(job)
         return cloud.azimuth, cloud.elevation
     return None
 
@@ -79,8 +77,6 @@ def build_problem(job: JobConfig) -> TranscodingProblem:
         ),
         coeffs=job.coeffs,
         pairs=resolve_pairs(job, job.output_layout),
-        input_channel_directions=input_channel_directions(job, cloud),
-        output_spec=job.output_spec,
     )
 
 
@@ -111,15 +107,23 @@ def optimization_config(job: JobConfig,
                         seed: Optional[int] = None) -> optimizer.OptimizationConfig:
     """The job's optimizer settings, ready for ``optimizer.optimize``.
 
-    A given init gets its matrix file loaded, a reference init becomes a
-    given one from ``reference_transcoder``, and ``seed`` overrides the job's.
+    Sets the start matrix of every init but random: the loaded file of a
+    given init, else ``reference_transcoder``, the per-channel remap on
+    bed and object inputs.  ``seed`` overrides the job's.
     """
     config = job.optimizer
-    if config.init == "given":
-        config = replace(config,
-                         matrix=matfile.import_matrix(job.init_matrix).values())
-    elif config.init == "reference":
-        config = replace(config, init="given", matrix=reference_transcoder(job))
+    kind = config.init
+    if kind == "given":
+        matrix = matfile.import_matrix(job.init_matrix).values()
+    elif kind == "reference" or (
+            kind != "random" and input_channel_directions(job) is not None):
+        matrix = reference_transcoder(job)
+    elif kind in ("remap", "remap_plus_noise"):
+        raise ConfigError(f"{kind} initialization needs input channel "
+                          "directions (a bed or object input)")
+    else:
+        matrix = None
+    config = replace(config, matrix=matrix)
     return config if seed is None else replace(config, seed=seed)
 
 
@@ -220,14 +224,18 @@ def metrics_table_text(metrics: DirectionMetrics) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SUMMARY_FIELDS = ("median", "q1", "q3", "whisker_low", "whisker_high")
+
+
+def _summary_lines(stats: dict, prefix: str = "") -> list:
+    """One ``prefix metric`` line of _SUMMARY_FIELDS per summary metric."""
+    return [prefix + " ".join([name] + ["%.10g" % stats[name][f]
+                                        for f in _SUMMARY_FIELDS])
+            for name in SUMMARY_METRICS]
+
+
 def summary_table_text(stats: dict) -> str:
-    lines = ["# metric median q1 q3 whisker_low whisker_high"]
-    for name in SUMMARY_METRICS:
-        s = stats[name]
-        lines.append(
-            f"{name} {s['median']:.10g} {s['q1']:.10g} {s['q3']:.10g} "
-            f"{s['whisker_low']:.10g} {s['whisker_high']:.10g}"
-        )
+    lines = ["# metric " + " ".join(_SUMMARY_FIELDS)] + _summary_lines(stats)
     return "\n".join(lines) + "\n"
 
 
@@ -274,6 +282,8 @@ def run_compare(job: JobConfig, named: Sequence, out_dir) -> dict:
     """
     if len(named) < 2:
         raise ConfigError("compare needs at least two matrices")
+    if len({name for name, _ in named}) < len(named):
+        raise ConfigError("compare needs distinct matrix names")
     os.makedirs(out_dir, exist_ok=True)
     chain = evaluation_chain(job)
     results = {}
@@ -284,15 +294,9 @@ def run_compare(job: JobConfig, named: Sequence, out_dir) -> dict:
             os.path.join(out_dir, f"{name}_metrics.dat"),
             metrics_table_text(metrics),
         )
-    lines = ["# matrix metric median q1 q3 whisker_low whisker_high"]
+    lines = ["# matrix metric " + " ".join(_SUMMARY_FIELDS)]
     for name, (_, stats) in results.items():
-        for metric in SUMMARY_METRICS:
-            s = stats[metric]
-            lines.append(
-                f"{name} {metric} {s['median']:.10g} {s['q1']:.10g} "
-                f"{s['q3']:.10g} {s['whisker_low']:.10g} "
-                f"{s['whisker_high']:.10g}"
-            )
+        lines += _summary_lines(stats, f"{name} ")
     write_text_atomic(
         os.path.join(out_dir, "compare_summary.dat"), "\n".join(lines) + "\n"
     )

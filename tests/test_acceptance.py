@@ -30,6 +30,7 @@ from satx.formats import (
     VbapSpec,
     build_encoding_matrix,
     identity_decoder,
+    remap_baseline,
     sh_matrix,
     vbap_gains,
     vbap_matrix,
@@ -129,13 +130,13 @@ def test_criterion_2_trivial_recovery():
         build_encoding_matrix(ObjectsSpec(), cloud),
         identity_decoder(layout),
         EXAMPLE1_COEFFS,
-        input_channel_directions=(cloud.azimuth, cloud.elevation),
-        output_spec=VbapSpec(layout),
     )
     rep = optimize(
         problem,
         OptimizationConfig(
             seed=0,
+            matrix=remap_baseline(cloud.azimuth, cloud.elevation,
+                                  VbapSpec(layout)),
             gradient_tolerance=1e-13,
             cost_tolerance=1e-24,
             max_iterations=20000,

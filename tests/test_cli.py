@@ -12,6 +12,7 @@ from scipy.io import wavfile
 import satx
 from satx import presets
 from satx.cli import main
+from satx.errors import ConfigError
 from satx.matfile import export_matrix, import_matrix, matrix_file
 
 DATA = Path(__file__).parent / "data"
@@ -198,6 +199,33 @@ class TestEvaluateCompareCli:
             "--out", str(out),
         ]) == 0
         assert (out / "reference_metrics.dat").exists()
+
+    def test_compare_matrix_named_like_a_baseline(self, tiny_config,
+                                                  generated, tmp_path):
+        matrix = tmp_path / "reference.smx"
+        matrix.write_bytes(generated.read_bytes())
+        out = tmp_path / "cmpname"
+        assert main([
+            "compare", "--config", str(tiny_config),
+            "--matrix", str(matrix), "--baseline", "reference",
+            "--out", str(out),
+        ]) == 0
+        assert (out / "reference_metrics.dat").exists()
+        assert (out / "reference_2_metrics.dat").exists()
+        summary = (out / "compare_summary.dat").read_text().splitlines()
+        assert {row.split()[0] for row in summary[1:]} == {
+            "reference", "reference_2"}
+        header = (out / "compare_deltas.dat").read_text().splitlines()[0]
+        assert "reference_2:d_level_db" in header.split()
+
+    def test_compare_rejects_duplicate_names(self, tiny_config, tmp_path):
+        from satx import runner
+        from satx.config import load_config
+
+        t = np.zeros((3, 12))
+        with pytest.raises(ConfigError, match="distinct"):
+            runner.run_compare(load_config(str(tiny_config)),
+                               [("a", t), ("a", t)], tmp_path / "dup")
 
     def test_mode_override(self, tiny_config, generated, tmp_path):
         out_inc = tmp_path / "minc"

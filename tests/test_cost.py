@@ -235,24 +235,32 @@ class TestTermValues:
         layout = named_layout("3.0.1")  # no symmetric pairs
         cloud = PointCloud(layout.azimuth, layout.elevation)
         g = build_encoding_matrix(ObjectsSpec(), cloud)
-        with pytest.warns(UserWarning, match="symmetry"):
-            problem = TranscodingProblem(
-                g,
-                identity_decoder(layout),
-                CostCoefficients(energy=1.0, symmetry_quadratic=2.0),
-            )
+        coeffs = CostCoefficients(energy=1.0, symmetry_quadratic=2.0)
+        with pytest.warns(UserWarning, match="symmetry") as record:
+            problem = TranscodingProblem(g, identity_decoder(layout), coeffs)
+        assert record[0].filename == __file__
         b = problem.breakdown(np.eye(4))
+        assert b["symmetry_quadratic"] == 0.0
+        with pytest.warns(UserWarning, match="symmetry") as record:
+            b = cost_terms(SpeakerMatrix(g.entries, cloud, layout),
+                           coeffs=coeffs)
+        assert record[0].filename == __file__
         assert b["symmetry_quadratic"] == 0.0
 
     def test_sparse_mirror_coverage_warns(self):
         layout = named_layout("5.0.2")
         cloud = sample_cloud(HemisphereSpec(FibonacciSpec(1000)))
         g = build_encoding_matrix(VbapSpec(named_layout("7.0.4")), cloud)
-        with pytest.warns(UserWarning, match=r"only \d+ of 500 cloud "
-                          "directions have a left-right mirror partner"):
-            TranscodingProblem(g, identity_decoder(layout),
-                               CostCoefficients(energy=1.0,
-                                                symmetry_linear=0.1))
+        coeffs = CostCoefficients(energy=1.0, symmetry_linear=0.1)
+        match = (r"only \d+ of 500 cloud directions have a left-right "
+                 "mirror partner")
+        with pytest.warns(UserWarning, match=match) as record:
+            problem = TranscodingProblem(g, identity_decoder(layout), coeffs)
+        assert record[0].filename == __file__
+        gains = problem.speaker_gains(np.ones(problem.shape))
+        with pytest.warns(UserWarning, match=match) as record:
+            cost_terms(SpeakerMatrix(gains, cloud, layout), coeffs=coeffs)
+        assert record[0].filename == __file__
         # example1's t-design pairs every direction with its mirror
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,9 +1,13 @@
+import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from satx import presets, runner
+from satx.config import parse_config
 from satx.cost import CostCoefficients, TranscodingProblem
 from satx.errors import ConfigError
 from satx.formats import (
@@ -21,6 +25,7 @@ from satx.geometry import (
     named_layout,
     sample_cloud,
 )
+from satx.matfile import export_matrix, matrix_file
 from satx.optimizer import (
     OptimizationConfig,
     bfgs_update,
@@ -40,13 +45,25 @@ def matched_objects_problem(layout_name="octahedron"):
     layout = named_layout(layout_name)
     cloud = PointCloud(layout.azimuth, layout.elevation)
     g = build_encoding_matrix(ObjectsSpec(), cloud)
-    return TranscodingProblem(
-        g,
-        identity_decoder(layout),
-        INCOHERENT_SET,
-        input_channel_directions=(cloud.azimuth, cloud.elevation),
-        output_spec=VbapSpec(layout),
-    )
+    return TranscodingProblem(g, identity_decoder(layout), INCOHERENT_SET)
+
+
+def matched_objects_remap(layout_name="octahedron"):
+    """Remap start of ``matched_objects_problem``: objects at the speakers."""
+    layout = named_layout(layout_name)
+    return remap_baseline(layout.azimuth, layout.elevation, VbapSpec(layout))
+
+
+def matched_objects_job(**optimizer):
+    """``matched_objects_problem`` on the octahedron as a job."""
+    return parse_config({
+        "name": "matched",
+        "input": {"format": "objects"},
+        "output": {"format": "speakers", "layout": "octahedron"},
+        "cloud": {"kind": "layout", "layout": "octahedron"},
+        "coefficients": {"energy": 1},
+        "optimizer": optimizer,
+    })
 
 
 def bed_problem(seed=0):
@@ -55,13 +72,14 @@ def bed_problem(seed=0):
     dst = named_layout("5.0_regular")
     cloud = sample_cloud(RingSpec(24))
     g = build_encoding_matrix(VbapSpec(src), cloud)
-    return TranscodingProblem(
-        g,
-        identity_decoder(dst),
-        INCOHERENT_SET,
-        input_channel_directions=(src.azimuth, src.elevation),
-        output_spec=VbapSpec(dst),
-    )
+    return TranscodingProblem(g, identity_decoder(dst), INCOHERENT_SET)
+
+
+def bed_remap():
+    """Remap start of ``bed_problem``."""
+    src = named_layout("5.0")
+    return remap_baseline(src.azimuth, src.elevation,
+                          VbapSpec(named_layout("5.0_regular")))
 
 
 class TestConfig:
@@ -215,24 +233,21 @@ class TestLineSearch:
 
 class TestInitialize:
     def test_given_identity(self):
-        problem = matched_objects_problem()
         t0 = initialize(
-            OptimizationConfig(init="given", matrix=np.eye(6)), problem
+            OptimizationConfig(init="given", matrix=np.eye(6)), (6, 6)
         )
         np.testing.assert_array_equal(t0, np.eye(6))
 
     def test_given_shape_checked(self):
-        problem = matched_objects_problem()
         with pytest.raises(Exception, match="shape"):
             initialize(
-                OptimizationConfig(init="given", matrix=np.eye(5)), problem
+                OptimizationConfig(init="given", matrix=np.eye(5)), (6, 6)
             )
 
     def test_random_deterministic(self):
-        problem = matched_objects_problem()
         cfg = OptimizationConfig(init="random", seed=7)
-        a = initialize(cfg, problem)
-        b = initialize(cfg, problem)
+        a = initialize(cfg, (6, 6))
+        b = initialize(cfg, (6, 6))
         np.testing.assert_array_equal(a, b)
         assert np.abs(a).max() <= 0.5
 
@@ -247,53 +262,133 @@ class TestInitialize:
         decoder = build_decoder_to_speaker(
             AmbisonicsSpec(5), layout_from_cloud(virt)
         )
-        problem = TranscodingProblem(
-            g,
-            decoder,
-            CostCoefficients(pressure=1),
-            input_channel_directions=(layout.azimuth, layout.elevation),
-            output_spec=AmbisonicsSpec(5),
-        )
-        t0 = initialize(OptimizationConfig(init="remap"), problem)
+        problem = TranscodingProblem(g, decoder, CostCoefficients(pressure=1))
+        remap = remap_baseline(layout.azimuth, layout.elevation,
+                               AmbisonicsSpec(5))
+        t0 = initialize(OptimizationConfig(init="remap", matrix=remap),
+                        problem.shape)
         assert t0.shape == (36, 11)
         np.testing.assert_allclose(
             t0, sh_matrix(layout.azimuth, layout.elevation, 5).T, atol=1e-15
         )
 
-    def test_remap_with_array_channel_directions(self):
+    def test_remap_with_array_channel_directions(self, monkeypatch):
         # one (2, M) array: its truth value is ambiguous, so the init
         # switch must test it against None
-        problem = matched_objects_problem()
-        problem.input_channel_directions = np.array(
-            problem.input_channel_directions)
-        t0 = initialize(OptimizationConfig(init="remap"), problem)
+        job = matched_objects_job(init="remap")
+        directions = np.array(runner.input_channel_directions(job))
+        monkeypatch.setattr(runner, "input_channel_directions",
+                            lambda job: directions)
+        t0 = initialize(runner.optimization_config(job), (6, 6))
         np.testing.assert_allclose(t0, np.eye(6), atol=1e-9)
-        noisy = initialize(OptimizationConfig(seed=0), problem)
+        job = matched_objects_job(seed=0)
+        noisy = initialize(runner.optimization_config(job), (6, 6))
         assert 0 < np.abs(noisy - t0).max() <= 0.05
 
     def test_remap_without_channel_directions(self):
-        problem = matched_objects_problem()
-        problem.input_channel_directions = None
+        job = presets.load_preset("example1")  # an ambisonics input
+        job.optimizer = OptimizationConfig(init="remap")
         with pytest.raises(ConfigError, match="channel directions"):
-            initialize(OptimizationConfig(init="remap"), problem)
+            runner.optimization_config(job)
 
     def test_default_picks_remap_noise_when_possible(self):
-        problem = matched_objects_problem()
-        t0 = initialize(OptimizationConfig(seed=3), problem)
+        job = matched_objects_job(seed=3)
+        t0 = initialize(runner.optimization_config(job), (6, 6))
         assert np.abs(t0 - np.eye(6)).max() <= 0.05
+
+    def test_matrix_required_except_for_random(self):
+        for kind in ("remap", "remap_plus_noise", "given", "reference"):
+            with pytest.raises(ConfigError, match="matrix is required"):
+                initialize(OptimizationConfig(init=kind), (6, 6))
+        np.testing.assert_array_equal(
+            initialize(OptimizationConfig(init="random", scale=0.0), (6, 6)),
+            np.zeros((6, 6)))
+
+# SHA-256 of the seed-0 start matrix per preset and init kind (None is the
+# default), recorded before the runner took over the start matrix; None
+# marks an init the input format has no start matrix for
+START_DIGESTS = [
+    ("example1", None,
+     "4aa601f3be626bff0a3c134cb98c34ab095ff3e2b354446848b7c1a6e29cb5e1"),
+    ("example1", "remap", None),
+    ("example1", "remap_plus_noise", None),
+    ("example1", "random",
+     "4aa601f3be626bff0a3c134cb98c34ab095ff3e2b354446848b7c1a6e29cb5e1"),
+    ("example1", "given",
+     "08fcacb922d9256d1e26863a28e6db7c3fe114309dad4566f30bf7ef0c23b175"),
+    ("example1", "reference",
+     "3884727178f1fabb58c6a4780d1cae38cd679cf857233f1dbb6b076e7746fbc5"),
+    ("example2", None,
+     "f5105b626e1351078e9be8c8c9bda3d87ffe937c270db728285cbca8e710db79"),
+    ("example2", "remap",
+     "764dd5f76dbe0cfce69a2ade6a76a43a28b8bad74dfe1c5e118c4747f2844445"),
+    ("example2", "remap_plus_noise",
+     "f5105b626e1351078e9be8c8c9bda3d87ffe937c270db728285cbca8e710db79"),
+    ("example2", "random",
+     "4aa601f3be626bff0a3c134cb98c34ab095ff3e2b354446848b7c1a6e29cb5e1"),
+    ("example2", "given",
+     "08fcacb922d9256d1e26863a28e6db7c3fe114309dad4566f30bf7ef0c23b175"),
+    ("example2", "reference",
+     "764dd5f76dbe0cfce69a2ade6a76a43a28b8bad74dfe1c5e118c4747f2844445"),
+    ("example3", None,
+     "63e2fbfc37220e672374c251cbb7abc9f2df941f6adc52ae8000d4a9a4a8d864"),
+    ("example3", "remap",
+     "7bd369b5ef79fda7ce7fd8e7493378cc6653c36f00b480b2053e38c4957e9fc3"),
+    ("example3", "remap_plus_noise",
+     "63e2fbfc37220e672374c251cbb7abc9f2df941f6adc52ae8000d4a9a4a8d864"),
+    ("example3", "random",
+     "b1ba8062f65924a647f28df7f729b31bc9f7fd0740d9f56fedc3e91e3df0f258"),
+    ("example3", "given",
+     "5ed9f2e0ba6b45ef2ca619d19706e4f2dcf6b78c9426ad31dab1ce98e1cfa7dc"),
+    ("example3", "reference",
+     "7bd369b5ef79fda7ce7fd8e7493378cc6653c36f00b480b2053e38c4957e9fc3"),
+    ("example4", None,
+     "3fe3888e54d989c5b943f88472973566d15b68be379e5f254936be13bef1d324"),
+    ("example4", "remap",
+     "15fcc2255ed04880662f9d60287d19864c89a3df9d5781f9b7a523186aa47692"),
+    ("example4", "remap_plus_noise",
+     "3fe3888e54d989c5b943f88472973566d15b68be379e5f254936be13bef1d324"),
+    ("example4", "random",
+     "679c7271601e22f9c2a58d8f5819241b3f82cb2e5a63d5799cc880a941f986fd"),
+    ("example4", "given",
+     "225ee69690459f42f4c64cad34e5dd18f92edf4152b3841547374480454b3f5c"),
+    ("example4", "reference",
+     "15fcc2255ed04880662f9d60287d19864c89a3df9d5781f9b7a523186aa47692"),
+]
+PRESET_SHAPES = {"example1": (11, 36), "example2": (36, 11),
+                 "example3": (4, 7), "example4": (5, 72)}
+
+
+@pytest.mark.parametrize("name, kind, digest", START_DIGESTS)
+def test_start_matrix_digests(name, kind, digest, tmp_path):
+    shape = PRESET_SHAPES[name]
+    job = presets.load_preset(name)
+    job.optimizer = replace(job.optimizer, init=kind, scale=None)
+    if kind == "given":
+        job.init_matrix = str(tmp_path / "t0.smx")
+        export_matrix(matrix_file(np.arange(float(np.prod(shape)))
+                                  .reshape(shape) / 100), job.init_matrix)
+    if digest is None:
+        with pytest.raises(ConfigError, match="channel directions"):
+            runner.optimization_config(job, 0)
+        return
+    t0 = initialize(runner.optimization_config(job, 0), shape)
+    assert hashlib.sha256(t0.tobytes()).hexdigest() == digest
 
 
 class TestOptimize:
     def test_trivial_recovery(self):
         problem = matched_objects_problem()
-        report = optimize(problem, OptimizationConfig(seed=0))
+        report = optimize(
+            problem, OptimizationConfig(seed=0, matrix=matched_objects_remap())
+        )
         assert report.converged
         assert report.final_cost < 1e-6
         assert report.final_cost <= report.initial_cost
 
     def test_bit_identical_reruns(self):
         problem = bed_problem()
-        cfg = OptimizationConfig(seed=42)
+        cfg = OptimizationConfig(seed=42, matrix=bed_remap())
         a = optimize(problem, cfg)
         b = optimize(problem, cfg)
         np.testing.assert_array_equal(
@@ -303,7 +398,7 @@ class TestOptimize:
 
     def test_run_counters_deterministic(self):
         problem = bed_problem()
-        cfg = OptimizationConfig(seed=42)
+        cfg = OptimizationConfig(seed=42, matrix=bed_remap())
         a, b = optimize(problem, cfg), optimize(problem, cfg)
 
         def counters(report):
@@ -316,7 +411,8 @@ class TestOptimize:
     def test_final_never_exceeds_initial_even_unconverged(self):
         problem = bed_problem()
         report = optimize(
-            problem, OptimizationConfig(seed=1, max_iterations=3)
+            problem,
+            OptimizationConfig(seed=1, max_iterations=3, matrix=bed_remap()),
         )
         assert not report.converged
         assert report.final_cost <= report.initial_cost
@@ -336,7 +432,8 @@ class TestOptimize:
     def test_progress_lines(self):
         problem = bed_problem()
         report = optimize(
-            problem, OptimizationConfig(seed=0, log_every=10, max_iterations=25)
+            problem, OptimizationConfig(seed=0, log_every=10, max_iterations=25,
+                                        matrix=bed_remap())
         )
         assert report.progress_lines
         iteration, cost, gnorm = report.progress_lines[0].split()
@@ -359,14 +456,12 @@ class TestOptimize:
             problem.decoder,
             problem.coeffs,
             problem.pairs,
-            input_channel_directions=tuple(
-                a[perm] for a in problem.input_channel_directions
-            ),
-            output_spec=problem.output_spec,
         )
-        cfg = OptimizationConfig(init="remap", max_iterations=200)
+        cfg = OptimizationConfig(init="remap", max_iterations=200,
+                                 matrix=bed_remap())
         t = optimize(problem, cfg).final_matrix.entries
-        t_p = optimize(problem_p, cfg).final_matrix.entries
+        cfg_p = replace(cfg, matrix=bed_remap()[:, perm])
+        t_p = optimize(problem_p, cfg_p).final_matrix.entries
         np.testing.assert_allclose(t_p, t[:, perm], atol=1e-6)
 
     def test_restarts_pick_lowest(self):
@@ -391,6 +486,7 @@ class TestOptimize:
                 energy=5, intensity_radial=2, intensity_transverse=c_it,
                 in_phase_quadratic=10, symmetry_quadratic=2,
             )
-            report = optimize(problem, OptimizationConfig(seed=9))
+            report = optimize(problem,
+                              OptimizationConfig(seed=9, matrix=bed_remap()))
             achieved.append(report.final_breakdown["intensity_transverse"])
         assert all(b <= a + 1e-9 for a, b in zip(achieved, achieved[1:]))

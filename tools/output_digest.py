@@ -5,6 +5,9 @@
 Runs, through ``satx.cli.main`` from this checkout's ``src``:
 
 - ``generate --seed 0`` and ``evaluate`` of the presets example1-4;
+- ``generate`` of example3 (a bed input) at seed 0 once per other init
+  kind: ``remap``, ``random``, ``reference``, and ``given`` starting
+  from example3's own seed-0 ``.smx``;
 - ``generate`` and ``compare --baseline reference`` of the benchmark's
   ``dense_cloud`` job at seed 0 (its YAML comes from ``bench/synth.py``).
 
@@ -29,8 +32,11 @@ import yaml  # noqa: E402
 
 import synth  # noqa: E402
 from satx.cli import main as satx_main  # noqa: E402
+from satx.presets import preset_dict  # noqa: E402
 
 PRESETS = ("example1", "example2", "example3", "example4")
+# the preset itself covers remap_plus_noise
+INIT_KINDS = ("remap", "random", "reference", "given")
 
 
 def run(argv):
@@ -41,23 +47,37 @@ def run(argv):
         raise SystemExit(f"satx {' '.join(argv)} exited {code}")
 
 
-def run_set(out_dir):
-    for name in PRESETS:
-        job_dir = os.path.join(out_dir, name)
-        run(["generate", "--preset", name, "--seed", "0", "--out", job_dir])
-        run(["evaluate", "--preset", name, "--matrix",
-             os.path.join(job_dir, f"{name}_transcoder.smx"),
-             "--out", job_dir])
-    job_dir = os.path.join(out_dir, "dense_cloud")
-    os.makedirs(job_dir, exist_ok=True)
-    config = os.path.join(job_dir, "dense_cloud.yaml")
+def write_config(job):
+    os.makedirs(job["name"], exist_ok=True)
+    config = os.path.join(job["name"], f"{job['name']}.yaml")
     with open(config, "w") as handle:
-        yaml.safe_dump(synth.dense_cloud_job(0, "full"), handle,
-                       sort_keys=True)
-    run(["generate", "--config", config, "--out", job_dir])
+        yaml.safe_dump(job, handle, sort_keys=True)
+    return config
+
+
+def run_set():
+    """Run every job into a directory of its name under the current one.
+
+    Paths stay relative, so the given init's YAML holds the same bytes
+    in every output directory.
+    """
+    for name in PRESETS:
+        run(["generate", "--preset", name, "--seed", "0", "--out", name])
+        run(["evaluate", "--preset", name, "--matrix",
+             os.path.join(name, f"{name}_transcoder.smx"), "--out", name])
+    for kind in INIT_KINDS:
+        job = preset_dict("example3")
+        job["name"] = f"example3_{kind}"
+        job["optimizer"] = {"init": kind, "seed": 0}
+        if kind == "given":
+            job["optimizer"]["matrix"] = os.path.join(
+                "example3", "example3_transcoder.smx")
+        run(["generate", "--config", write_config(job), "--out", job["name"]])
+    config = write_config(synth.dense_cloud_job(0, "full"))
+    run(["generate", "--config", config, "--out", "dense_cloud"])
     run(["compare", "--config", config, "--matrix",
-         os.path.join(job_dir, "dense_cloud_transcoder.smx"),
-         "--baseline", "reference", "--out", job_dir])
+         os.path.join("dense_cloud", "dense_cloud_transcoder.smx"),
+         "--baseline", "reference", "--out", "dense_cloud"])
 
 
 def digests(out_dir):
@@ -77,7 +97,9 @@ def main(argv=None):
     out_dir = argv[0]
     if os.path.isdir(out_dir) and os.listdir(out_dir):
         raise SystemExit(f"{out_dir} is not empty; stale files would be digested")
-    run_set(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    with contextlib.chdir(out_dir):
+        run_set()
     for line in digests(out_dir):
         print(line)
 
