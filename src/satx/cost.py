@@ -380,6 +380,10 @@ class TranscodingProblem:
             self.encoding.cloud, self.decoder.layout, self.pairs, self.coeffs,
             stacklevel=4,
         )
+        # speaker outputs decode through the identity: skip both products
+        d = self.decoder.entries
+        self._identity_decoder = (d.shape[0] == d.shape[1]
+                                  and np.array_equal(d, np.eye(len(d))))
 
     @property
     def n_inputs(self) -> int:
@@ -405,7 +409,8 @@ class TranscodingProblem:
 
     def speaker_gains(self, t) -> np.ndarray:
         t = self._check(t)
-        return self.encoding.entries @ t.T @ self.decoder.entries.T
+        s = self.encoding.entries @ t.T
+        return s if self._identity_decoder else s @ self.decoder.entries.T
 
     def breakdown(self, t) -> CostBreakdown:
         t = self._check(t)
@@ -422,7 +427,9 @@ class TranscodingProblem:
         t = self._check(t)
         s = self.speaker_gains(t)
         terms, ds, dt = _evaluate(s, t, self._geo, self.coeffs, True)
-        grad = self.decoder.entries.T @ ds @ self.encoding.entries
+        if not self._identity_decoder:
+            ds = self.decoder.entries.T @ ds
+        grad = ds @ self.encoding.entries
         if dt is not None:
             grad = grad + dt
         return _weighted_total(terms, self.coeffs), grad

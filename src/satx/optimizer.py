@@ -2,7 +2,10 @@
 
 BFGS on the flattened transcoder entries with an in-repo strong-Wolfe
 line search (Nocedal & Wright, Alg. 3.5 and 3.6) and an Armijo
-backtracking fallback for the cost function's piecewise kinks.  Runs are
+backtracking fallback for the cost function's piecewise kinks.  The
+inverse Hessian is symmetric, so only its upper triangle is stored and
+updated; the product H g of the search direction is carried from one
+iteration to the next, at one symmetric product per iteration.  Runs are
 sequential and fully deterministic for a fixed configuration; a failed
 line search returns the best iterate seen with ``converged=False``
 instead of aborting.  The start matrix is ``OptimizationConfig.matrix``,
@@ -62,8 +65,12 @@ class OptimizationConfig:
                     f"is only read by the {' and '.join(INIT_SCALE)} inits",
                     "scale",
                 )
-        if self.matrix is not None and not np.isfinite(self.matrix).all():
-            raise ConfigError("entries must be finite", "matrix")
+        if self.matrix is not None:
+            if self.init == "random":
+                raise ConfigError("is not read by the random init, which "
+                                  "starts from zeros", "matrix")
+            if not np.isfinite(self.matrix).all():
+                raise ConfigError("entries must be finite", "matrix")
         for name, minimum in (("max_iterations", 1), ("restarts", 1),
                               ("log_every", 0), ("seed", 0)):
             check_integer(getattr(self, name), name, minimum)
@@ -313,22 +320,45 @@ def identity_hessian(n: int) -> np.ndarray:
     return np.eye(n, order="F")
 
 
-def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """BFGS update of the inverse Hessian ``h``, in place; returns ``h``.
+def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray,
+                g_new: np.ndarray, hg: np.ndarray, first: bool = False):
+    """BFGS update of the inverse Hessian ``h`` at a step ``s``, in place.
 
-    (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / y^T s
-    equals H + s w^T + w s^T with w = rho (rho y^T H y + 1) s / 2 - rho H y,
-    applied as two BLAS rank-1 updates.  BLAS updates ``h`` itself only
-    when it is Fortran-ordered, as ``identity_hessian`` makes it; otherwise
-    it silently updates a copy.
+    ``h`` holds H in its upper triangle only; the strict lower triangle
+    is never read and is not kept up to date.  ``hg`` is H g at the point
+    the step left, and ``y = g_new - g``.  Returns ``(hg_new, updated)``:
+    ``hg_new`` is the updated H times ``g_new``, and ``updated`` is False
+    when the curvature ``y.s`` is too small and H stays as it was.
+
+    One symmetric product gives H g_new, so H y = H g_new - hg needs no
+    second one.  The first update after a reset (``first``) scales H, and
+    with it both products, by y.s / y.y.  Then
+    (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / y.s
+    equals H + s w^T + w s^T with w = rho (rho y.Hy + 1) s / 2 - rho Hy:
+    one BLAS rank-2 update of the triangle, after which
+    H g_new gains s (w.g_new) + w (s.g_new).  BLAS updates ``h`` itself
+    only when it is Fortran-ordered, as ``identity_hessian`` makes it, so
+    any other ``h`` is rejected.
     """
-    from scipy.linalg.blas import dger
+    from scipy.linalg.blas import dsymv, dsyr2
 
-    rho = 1.0 / float(y @ s)
-    hy = h @ y
+    if not h.flags.f_contiguous:
+        raise ValueError("the inverse Hessian must be Fortran-ordered")
+    hg_new = dsymv(1.0, h, g_new)
+    ys = float(y @ s)
+    if not ys > 1e-12 * np.linalg.norm(y) * np.linalg.norm(s):
+        return hg_new, False
+    hy = hg_new - hg
+    if first:
+        scale = ys / float(y @ y)
+        h *= scale
+        hg_new *= scale
+        hy *= scale
+    rho = 1.0 / ys
     w = (0.5 * rho * (rho * float(y @ hy) + 1.0)) * s - rho * hy
-    h = dger(1.0, s, w, a=h, overwrite_a=True)
-    return dger(1.0, w, s, a=h, overwrite_a=True)
+    dsyr2(1.0, s, w, a=h, overwrite_a=True)
+    hg_new += float(w @ g_new) * s + float(s @ g_new) * w
+    return hg_new, True
 
 
 class _Run(NamedTuple):
@@ -350,6 +380,7 @@ def _run_bfgs(problem, config, t0):
     n = x.size
     f, g = obj._eval(x)
     h = identity_hessian(n)
+    hg = g  # H g, carried from one iteration to the next
     history = [f]
     progress = []
     converged = False
@@ -366,12 +397,13 @@ def _run_bfgs(problem, config, t0):
             converged = True
             message = "gradient tolerance reached"
             break
-        direction = -(h @ g)
+        direction = -hg
         alpha, f_new, fell_back = _search_step(obj, x, direction, f, g)
         fallbacks += fell_back
         if alpha is None:
             # kinked or flat landscape: retry once along steepest descent
             h = identity_hessian(n)
+            hg = g
             resets += 1
             first_update = True
             direction = -g
@@ -382,14 +414,10 @@ def _run_bfgs(problem, config, t0):
                 break
         x_new = x + alpha * direction
         g_new = obj.gradient(x_new)
-        s = x_new - x
-        y = g_new - g
-        ys = float(y @ s)
-        if ys > 1e-12 * np.linalg.norm(y) * np.linalg.norm(s):
-            if first_update:
-                h *= ys / float(y @ y)
-                first_update = False
-            h = bfgs_update(h, s, y)
+        hg, updated = bfgs_update(h, x_new - x, g_new - g, g_new, hg,
+                                  first_update)
+        if updated:
+            first_update = False
         x, f, g = x_new, f_new, g_new
         history.append(f)
         if len(history) > CHANGE_WINDOW:

@@ -39,6 +39,10 @@ def _sampling_cloud(job: JobConfig) -> geometry.PointCloud:
     return geometry.sample_cloud(job.cloud_spec)
 
 
+# the input formats whose channels have directions
+_CHANNEL_INPUTS = (formats.VbapSpec, formats.ObjectsSpec)
+
+
 def input_channel_directions(job: JobConfig) -> Optional[tuple]:
     """(azimuth, elevation) arrays of bed and object input channels, else None.
 
@@ -116,7 +120,7 @@ def optimization_config(job: JobConfig,
     if kind == "given":
         matrix = matfile.import_matrix(job.init_matrix).values()
     elif kind == "reference" or (
-            kind != "random" and input_channel_directions(job) is not None):
+            kind != "random" and isinstance(job.input_spec, _CHANNEL_INPUTS)):
         matrix = reference_transcoder(job)
     elif kind in ("remap", "remap_plus_noise"):
         raise ConfigError(f"{kind} initialization needs input channel "

@@ -576,3 +576,21 @@ def test_hot_total_equals_cost(name, oracle_problems):
     rng = np.random.default_rng(5)
     for t in (np.zeros(problem.shape), rng.normal(size=problem.shape)):
         assert problem.cost_and_gradient(t)[0] == problem.cost(t)
+
+
+@pytest.mark.parametrize("name", ["example1", "vbap_704_502"])
+def test_identity_decoder_skips_its_products_exactly(name, oracle_problems):
+    # speaker outputs: value and gradient equal the explicit products
+    # through D, up to the sign of zero (== holds for -0.0 and +0.0)
+    problem = oracle_problems[name]
+    assert problem._identity_decoder
+    assert not oracle_problems["example2"]._identity_decoder
+    d, e = problem.decoder.entries, problem.encoding.entries
+    rng = np.random.default_rng(7)
+    for t in (np.zeros(problem.shape), rng.normal(size=problem.shape)):
+        s = e @ t.T @ d.T
+        assert (problem.speaker_gains(t) == s).all()
+        terms, ds, dt = _evaluate(s, t, problem._geo, problem.coeffs, True)
+        value, grad = problem.cost_and_gradient(t)
+        assert value == _weighted_total(terms, problem.coeffs)
+        assert (grad == d.T @ ds @ e + dt).all()

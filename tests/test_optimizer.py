@@ -118,6 +118,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="scale is only read by"):
             OptimizationConfig(init=init, scale=0.1)
 
+    def test_matrix_rejected_by_random_init(self):
+        with pytest.raises(ConfigError,
+                           match="matrix is not read by the random init"):
+            OptimizationConfig(init="random", matrix=np.ones((2, 2)))
+        OptimizationConfig(matrix=np.ones((2, 2)))  # default init reads it
+
+
+def _full(h):
+    """The symmetric matrix whose upper triangle ``h`` holds."""
+    return np.triu(h) + np.triu(h, 1).T
+
 
 class TestBfgsUpdate:
     N = 50
@@ -137,12 +148,58 @@ class TestBfgsUpdate:
         rho = 1.0 / (y @ s)
         v = np.eye(n) - rho * np.outer(y, s)
         expected = v.T @ h @ v + rho * np.outer(s, s)
+        g_new = rng.normal(size=n)
+        hg = h @ (g_new - y)
+        h[np.tril_indices(n, -1)] = np.nan  # the lower triangle is not read
 
-        updated = bfgs_update(h, s, y)
-        assert updated is h
+        _, updated = bfgs_update(h, s, y, g_new, hg)
+        assert updated
         assert h.flags.f_contiguous
-        error = np.linalg.norm(h - expected) / np.linalg.norm(expected)
+        error = (np.linalg.norm(np.triu(h) - np.triu(expected))
+                 / np.linalg.norm(np.triu(expected)))
         assert error <= 1e-12
+
+    def test_carried_product_equals_full_product(self):
+        # steps of a quadratic with Hessian a; steps 0 and 3 have no
+        # curvature, so step 0 leaves H = I and step 1 is the scaled one
+        rng = np.random.default_rng(5)
+        n = self.N
+        b = rng.normal(size=(n, n))
+        a = b @ b.T + np.eye(n)
+        h = identity_hessian(n)
+        g = rng.normal(size=n)
+        hg, first = g, True
+        for step in range(6):
+            s = rng.normal(size=n)
+            y = a @ s
+            if step in (0, 3):
+                y -= (y @ s) / (s @ s) * s
+            g_new = g + y
+            hg, updated = bfgs_update(h, s, y, g_new, hg, first)
+            assert updated == (step not in (0, 3))
+            if step == 0:
+                np.testing.assert_array_equal(h, np.eye(n))
+            if step == 1:  # the textbook update of (y.s / y.y) I
+                rho = 1.0 / (y @ s)
+                v = np.eye(n) - rho * np.outer(y, s)
+                start = (y @ s) / (y @ y) * np.eye(n)
+                textbook = v.T @ start @ v + rho * np.outer(s, s)
+                np.testing.assert_allclose(np.triu(h), np.triu(textbook),
+                                           rtol=0, atol=1e-12)
+            first = first and not updated
+            expected = _full(h) @ g_new
+            error = np.linalg.norm(hg - expected) / np.linalg.norm(expected)
+            assert error <= 1e-12, step
+            g = g_new
+
+    def test_c_ordered_hessian_rejected(self):
+        # BLAS would update a copy and the carried product would be wrong
+        n = self.N
+        h = np.eye(n)
+        g = np.ones(n)
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            bfgs_update(h, g, g, g, g)
+        np.testing.assert_array_equal(h, np.eye(n))
 
 
 def _quadratic():
@@ -290,6 +347,20 @@ class TestInitialize:
         job.optimizer = OptimizationConfig(init="remap")
         with pytest.raises(ConfigError, match="channel directions"):
             runner.optimization_config(job)
+
+    def test_objects_input_samples_the_cloud_once_per_use(self, monkeypatch):
+        # build_problem and the remap start each sample it once; deciding
+        # that objects have channel directions samples nothing
+        job = presets.load_preset("example4")
+        assert isinstance(job.input_spec, ObjectsSpec)
+        specs = []
+        sample = runner.geometry.sample_cloud
+        monkeypatch.setattr(runner.geometry, "sample_cloud",
+                            lambda spec: specs.append(spec) or sample(spec))
+        runner.build_problem(job)
+        assert len(specs) == 1
+        assert runner.optimization_config(job, 0).matrix is not None
+        assert specs == [job.cloud_spec] * 2
 
     def test_default_picks_remap_noise_when_possible(self):
         job = matched_objects_job(seed=3)

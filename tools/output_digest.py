@@ -15,11 +15,16 @@ Each job writes into its own directory under OUT_DIR; then one
 ``sha256  path`` line per file is printed, paths relative to OUT_DIR.
 Run it in two checkouts and ``diff`` the outputs: a change that keeps
 every matrix, log and table byte for byte prints the same lines.
+
+Standard error ends with a ``job iterations final_cost`` header and one
+such line per generate, read from its ``_log.txt``: when rounding moves
+the costs, the two checkouts' lines give the before/after table.
 """
 
 from __future__ import annotations
 
 import contextlib
+import glob
 import hashlib
 import os
 import sys
@@ -90,6 +95,17 @@ def digests(out_dir):
             yield f"{hashlib.sha256(handle.read()).hexdigest()}  {path}"
 
 
+def generate_summaries(out_dir):
+    """``job iterations final_cost`` of every generate log under OUT_DIR."""
+    for path in sorted(glob.glob(os.path.join(out_dir, "*", "*_log.txt"))):
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        fields = dict(line.split(" ", 1) for line in lines if " " in line)
+        final = lines[lines.index("final_cost_terms"):]
+        total = next(line for line in final if line.startswith("total "))
+        yield f"{fields['job']} {fields['iterations']} {total.split()[1]}"
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -100,6 +116,9 @@ def main(argv=None):
     os.makedirs(out_dir, exist_ok=True)
     with contextlib.chdir(out_dir):
         run_set()
+    print("job iterations final_cost", file=sys.stderr)
+    for line in generate_summaries(out_dir):
+        print(line, file=sys.stderr)
     for line in digests(out_dir):
         print(line)
 
