@@ -22,15 +22,15 @@ from .errors import (
     SatxError,
 )
 from .formats import AmbisonicsSpec, build_encoding_matrix
-from .geometry import TDesignSpec, named_layout, sample_cloud
+from .geometry import PointCloud, named_layout
 from .optimizer import OptimizationConfig, optimize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbisonicsSpec", "CostCoefficients", "OptimizationConfig",
-    "TDesignSpec", "TranscodingProblem", "build_encoding_matrix",
-    "named_layout", "optimize", "sample_cloud",
+    "PointCloud", "TranscodingProblem", "build_encoding_matrix",
+    "named_layout", "optimize",
     "AudioError", "ConfigError", "CoverageError", "DimensionError",
     "GeometryError", "MatrixFileError", "SatxError",
 ]

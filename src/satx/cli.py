@@ -36,7 +36,7 @@ def _add_job_source(parser):
 
 def _load_job(args):
     if args.config:
-        job = load_config(args.config)
+        job = load_config(args.config, args.command)
     else:
         job = presets.load_preset(args.preset)
     if getattr(args, "mode", None):

@@ -5,6 +5,12 @@ rejected with their full key path; every error names the offending key.
 Sections that map onto a dataclass (``optimizer``, ``coefficients``,
 ambisonics formats) are checked by its constructor; the parser only puts
 the key path in front of the field the constructor rejects.
+
+Every section present is parsed, whatever the mode; the mode decides only
+which sections must be present.  A cloud is checked and sampled in one
+pass (``parse_cloud`` returns a ``PointCloud``), so the job holds sampled
+clouds and a bad cloud fails at load under its key path.  Explicit
+``symmetry.pairs`` become the output layout's symmetry pairs.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import os
 from dataclasses import dataclass, fields
 from typing import Optional
 
+import numpy as np
 import yaml
 
 from . import geometry
@@ -25,19 +32,14 @@ from .formats import (
     ObjectsSpec,
     VbapSpec,
 )
-from .geometry import (
-    Direction,
-    ExplicitSpec,
-    FibonacciSpec,
-    HemisphereSpec,
-    MergeSpec,
-    RingSpec,
-    SpeakerLayout,
-    TDesignSpec,
-)
+from .geometry import Direction, PointCloud, SpeakerLayout
 from .optimizer import OptimizationConfig
 
-MODES = ("generate", "evaluate", "compare", "apply")
+# the sections each mode reads that have no default
+_REQUIRED = {"generate": ("input", "output", "cloud", "coefficients"),
+             "evaluate": ("input", "output"), "compare": ("input", "output"),
+             "apply": ()}
+MODES = tuple(_REQUIRED)
 ANALYSIS_MODES = ("incoherent", "coherent")
 
 _TOP_KEYS = {
@@ -66,12 +68,11 @@ class JobConfig:
     name: str
     input_spec: object
     output_spec: object  # None for plain speaker decoding
-    output_layout: Optional[SpeakerLayout]
-    cloud_spec: object
-    eval_cloud_spec: object
+    output_layout: Optional[SpeakerLayout]  # carries the symmetry pairs
+    cloud: Optional[PointCloud]
+    eval_cloud: PointCloud
     coeffs: CostCoefficients
     optimizer: OptimizationConfig
-    explicit_pairs: Optional[tuple] = None  # label pairs
     init_matrix: Optional[str] = None  # matrix file of a given init
 
 
@@ -102,12 +103,15 @@ def _checked(make, *args, path=None, **kwargs):
 
     The error names the setting in ``field``: a full key path for the
     ``check_*`` functions, a field of ``make`` below ``path`` otherwise.
+    An error without a field is reported under ``path`` itself.
     """
     try:
         return make(*args, **kwargs)
     except SatxError as exc:
         if exc.field is None:
-            raise
+            if path is None:
+                raise
+            raise ConfigError(f"{path}: {exc}") from exc
         key = exc.field if path is None else f"{path}.{exc.field}"
         raise ConfigError(f"{key}: {exc.reason}") from exc
 
@@ -146,64 +150,83 @@ def parse_layout(node, path, pair_tol=1.0) -> SpeakerLayout:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def parse_cloud(node, path):
+# the keys each cloud kind reads besides kind and hemisphere
+_CLOUD_KEYS = {"tdesign": {"points"}, "ring": {"points"},
+               "fibonacci": {"points"}, "explicit": {"directions", "weights"},
+               "layout": {"layout"}, "merge": {"parts"}}
+_GENERATORS = {"tdesign": geometry.tdesign,
+               "ring": lambda n: (360.0 * np.arange(n) / n, np.zeros(n)),
+               "fibonacci": geometry.fibonacci_sphere}
+
+
+def parse_cloud(node, path) -> PointCloud:
+    """Check a cloud mapping and sample it; weights come out with mean 1."""
+    return _checked(PointCloud, *_cloud_arrays(node, path), path=path)
+
+
+def _cloud_arrays(node, path):
+    """Raw (azimuth, elevation, weight) arrays of a cloud mapping.
+
+    Merge parts are scaled by their weight over their own mean weight;
+    the one normalization is left to the final ``PointCloud``.
+    """
     node = _require_mapping(node, path)
     kind = node.get("kind")
-    if kind is None:
-        raise ConfigError(f"{path}.kind: missing")
+    if not isinstance(kind, str) or kind not in _CLOUD_KEYS:
+        raise ConfigError(f"{path}.kind: unknown cloud kind {kind!r}")
+    _check_keys(node, _CLOUD_KEYS[kind] | {"kind", "hemisphere"}, path)
     hemisphere = node.get("hemisphere", False)
     if not isinstance(hemisphere, bool):
         raise ConfigError(f"{path}.hemisphere: expected true/false")
 
-    if kind in ("tdesign", "ring", "fibonacci"):
-        _check_keys(node, {"kind", "points", "hemisphere"}, path)
-        make = {"tdesign": TDesignSpec, "ring": RingSpec,
-                "fibonacci": FibonacciSpec}[kind]
-        spec = make(_checked(check_integer, node.get("points"),
-                             f"{path}.points", 1))
+    if kind in _GENERATORS:
+        points = _checked(check_integer, node.get("points"), f"{path}.points", 1)
+        az, el = _checked(_GENERATORS[kind], points, path=f"{path}.points")
+        w = np.ones(len(az))
     elif kind == "explicit":
-        _check_keys(node, {"kind", "directions", "weights", "hemisphere"}, path)
         rows = node.get("directions")
         if not isinstance(rows, list) or not rows:
             raise ConfigError(f"{path}.directions: expected a nonempty list")
         dirs = []
         for i, row in enumerate(rows):
+            where = f"{path}.directions[{i}]"
             if not isinstance(row, list) or len(row) != 2:
-                raise ConfigError(f"{path}.directions[{i}]: expected [az, el]")
-            dirs.append(Direction(
-                _number(row[0], f"{path}.directions[{i}][0]"),
-                _number(row[1], f"{path}.directions[{i}][1]"),
-            ))
-        weights = node.get("weights")
-        if weights is not None:
-            if not isinstance(weights, list) or len(weights) != len(dirs):
-                raise ConfigError(f"{path}.weights: one weight per direction")
-            weights = tuple(_number(x, f"{path}.weights[{i}]")
-                            for i, x in enumerate(weights))
-        spec = ExplicitSpec(tuple(dirs), weights)
+                raise ConfigError(f"{where}: expected [az, el]")
+            dirs.append(_checked(Direction, _number(row[0], f"{where}[0]"),
+                                 _number(row[1], f"{where}[1]"), path=where))
+        az, el = np.array([(d.azimuth, d.elevation) for d in dirs]).T
+        weights = node.get("weights", [1.0] * len(dirs))
+        if not isinstance(weights, list) or len(weights) != len(dirs):
+            raise ConfigError(f"{path}.weights: one weight per direction")
+        w = np.array([_number(x, f"{path}.weights[{i}]", 0, exclusive=True)
+                      for i, x in enumerate(weights)])
     elif kind == "layout":
-        _check_keys(node, {"kind", "layout", "hemisphere"}, path)
         layout = parse_layout(node.get("layout"), f"{path}.layout")
-        spec = ExplicitSpec(layout.directions)
-    elif kind == "merge":
-        _check_keys(node, {"kind", "parts", "hemisphere"}, path)
+        az, el, w = layout.azimuth, layout.elevation, np.ones(len(layout))
+    else:  # merge
         parts = node.get("parts")
         if not isinstance(parts, list) or not parts:
             raise ConfigError(f"{path}.parts: expected a nonempty list")
-        built = []
+        scaled = []
         for i, part in enumerate(parts):
-            part = _require_mapping(part, f"{path}.parts[{i}]")
-            _check_keys(part, {"weight", "cloud"}, f"{path}.parts[{i}]")
-            weight = _number(part.get("weight", 1.0),
-                             f"{path}.parts[{i}].weight", 0, exclusive=True)
-            sub = parse_cloud(part.get("cloud"), f"{path}.parts[{i}].cloud")
-            built.append((sub, weight))
-        spec = MergeSpec(tuple(built))
-    else:
-        raise ConfigError(f"{path}.kind: unknown cloud kind {kind!r}")
+            where = f"{path}.parts[{i}]"
+            part = _require_mapping(part, where)
+            _check_keys(part, {"weight", "cloud"}, where)
+            rel = _number(part.get("weight", 1.0), f"{where}.weight", 0,
+                          exclusive=True)
+            sub_az, sub_el, sub_w = _cloud_arrays(part.get("cloud"),
+                                                  f"{where}.cloud")
+            # Python's sum adds left to right, as the cloud's bits require
+            mean = sum(sub_w.tolist()) / len(sub_w)
+            scaled.append((sub_az, sub_el, rel * sub_w / mean))
+        az, el, w = (np.concatenate(col) for col in zip(*scaled))
     if hemisphere:
-        spec = HemisphereSpec(spec)
-    return spec
+        keep = el >= 0.0
+        if not keep.any():
+            raise ConfigError(f"{path}.hemisphere: no direction has "
+                              "elevation >= 0")
+        az, el, w = az[keep], el[keep], w[keep]
+    return az, el, w
 
 
 def _ambisonics(node, path) -> AmbisonicsSpec:
@@ -241,9 +264,8 @@ def _parse_output(node, path, pair_tol):
                 f"{path}.virtual_layout: required for ambisonics output"
             )
         if isinstance(virt, dict) and "kind" in virt:
-            layout = geometry.layout_from_cloud(geometry.sample_cloud(
-                parse_cloud(virt, f"{path}.virtual_layout")
-            ))
+            layout = geometry.layout_from_cloud(
+                parse_cloud(virt, f"{path}.virtual_layout"))
         else:
             layout = parse_layout(virt, f"{path}.virtual_layout", pair_tol)
         return spec, layout
@@ -282,12 +304,42 @@ def _parse_name(node, path) -> str:
     return node
 
 
-def parse_config(data: dict, source: str = "config") -> JobConfig:
+def _with_pairs(layout: SpeakerLayout, rows, path) -> SpeakerLayout:
+    """The layout with the label pairs ``rows`` of the section ``path``."""
+    if not isinstance(rows, list):
+        raise ConfigError(f"{path}.pairs: expected a list")
+    index = {label: i for i, label in enumerate(layout.labels)}
+    pairs = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 2:
+            raise ConfigError(f"{path}.pairs[{i}]: expected [label, label]")
+        a, b = map(str, row)
+        for label in (a, b):
+            if label not in index:
+                raise ConfigError(f"{path}.pairs[{i}]: {label} is not a "
+                                  f"speaker of the output layout "
+                                  f"{layout.labels}")
+        pairs.append((index[a], index[b]))
+    # SpeakerLayout names a bad pair as its field pairs[i]
+    return _checked(SpeakerLayout, layout.speakers, pairs, path=path)
+
+
+def parse_config(data: dict, source: str = "config",
+                 mode: Optional[str] = None) -> JobConfig:
+    """The job of a config mapping, loaded for ``mode``.
+
+    ``mode`` (the CLI passes its command) overrides the config's ``mode``
+    key; it decides which sections are required.  Every section present
+    is parsed, and its clouds are sampled.
+    """
     data = _require_mapping(data, source)
     _check_keys(data, _TOP_KEYS, source)
-    mode = data.get("mode", "generate")
+    mode = data.get("mode", "generate") if mode is None else mode
     if mode not in MODES:
         raise ConfigError(f"{source}.mode: unknown mode {mode!r}")
+    for key in _REQUIRED[mode]:
+        if key not in data:
+            raise ConfigError(f"{source}.{key}: required for mode {mode}")
     analysis = data.get("analysis", "incoherent")
     if analysis not in ANALYSIS_MODES:
         raise ConfigError(f"{source}.analysis: unknown analysis {analysis!r}")
@@ -298,42 +350,26 @@ def parse_config(data: dict, source: str = "config") -> JobConfig:
     _check_keys(symmetry, _SYM_KEYS, f"{source}.symmetry")
     pair_tol = _number(symmetry.get("tolerance_deg", 1.0),
                        f"{source}.symmetry.tolerance_deg", 0.0)
-    explicit_pairs = None
-    if "pairs" in symmetry:
-        rows = symmetry["pairs"]
-        if not isinstance(rows, list):
-            raise ConfigError(f"{source}.symmetry.pairs: expected a list")
-        pairs = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != 2:
-                raise ConfigError(
-                    f"{source}.symmetry.pairs[{i}]: expected [label, label]"
-                )
-            pairs.append((str(row[0]), str(row[1])))
-        explicit_pairs = tuple(pairs)
 
-    needs_formats = mode in ("generate", "evaluate", "compare")
-    input_spec = output_spec = output_layout = None
-    cloud_spec = eval_cloud_spec = None
-    if needs_formats:
-        if "input" not in data:
-            raise ConfigError(f"{source}.input: required for mode {mode}")
-        if "output" not in data:
-            raise ConfigError(f"{source}.output: required for mode {mode}")
+    input_spec = output_spec = output_layout = cloud = None
+    if "input" in data:
         input_spec = _parse_input(data["input"], f"{source}.input", pair_tol)
+    if "output" in data:
         output_spec, output_layout = _parse_output(
             data["output"], f"{source}.output", pair_tol
         )
-    if mode == "generate":
-        if "cloud" not in data:
-            raise ConfigError(f"{source}.cloud: required for mode generate")
-        if "coefficients" not in data:
-            raise ConfigError(
-                f"{source}.coefficients: required for mode generate"
-            )
+    if "pairs" in symmetry:
+        if output_layout is None:
+            raise ConfigError(f"{source}.symmetry.pairs: names speakers of "
+                              f"{source}.output, which is absent")
+        output_layout = _with_pairs(output_layout, symmetry["pairs"],
+                                    f"{source}.symmetry")
     if "cloud" in data:
-        cloud_spec = parse_cloud(data["cloud"], f"{source}.cloud")
-    eval_cloud_spec = parse_cloud(
+        cloud = parse_cloud(data["cloud"], f"{source}.cloud")
+    elif isinstance(input_spec, ObjectsSpec):
+        raise ConfigError(f"{source}.cloud: required for objects input, "
+                          "whose channels sit at the cloud's directions")
+    eval_cloud = parse_cloud(
         data.get("evaluation_cloud", DEFAULT_EVAL_CLOUD),
         f"{source}.evaluation_cloud",
     )
@@ -349,16 +385,15 @@ def parse_config(data: dict, source: str = "config") -> JobConfig:
         input_spec=input_spec,
         output_spec=output_spec,
         output_layout=output_layout,
-        cloud_spec=cloud_spec,
-        eval_cloud_spec=eval_cloud_spec,
+        cloud=cloud,
+        eval_cloud=eval_cloud,
         coeffs=coeffs,
         optimizer=optimizer,
-        explicit_pairs=explicit_pairs,
         init_matrix=init_matrix,
     )
 
 
-def load_config(path) -> JobConfig:
+def load_config(path, mode: Optional[str] = None) -> JobConfig:
     try:
         with open(path, "r") as handle:
             data = yaml.safe_load(handle)
@@ -368,4 +403,4 @@ def load_config(path) -> JobConfig:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if data is None:
         raise ConfigError(f"config {path} is empty")
-    return parse_config(data, source="config")
+    return parse_config(data, source="config", mode=mode)

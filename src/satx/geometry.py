@@ -6,9 +6,11 @@ positive up, in [-90, 90].  Unit vectors are (x front, y left, z up).
 
 A set of directions (a sampling cloud, a layout's speakers) is a pair of
 degree arrays, ``azimuth`` and ``elevation``; ``PointCloud`` and
-``SpeakerLayout`` both provide that pair and their ``vectors``.  A
-``Direction`` is one point: a config entry, a speaker, or the direction an
-error message names.
+``SpeakerLayout`` both provide that pair and their ``vectors``.  The cloud
+generators ``tdesign`` and ``fibonacci_sphere`` return that pair;
+``config.parse_cloud`` reads a cloud from its config mapping and samples it
+into a ``PointCloud``.  A ``Direction`` is one point: a config entry, a
+speaker, or the direction an error message names.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -131,56 +133,8 @@ class PointCloud:
         return _read_only(unit_vectors(self.azimuth, self.elevation))
 
 
-# Cloud specifications -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TDesignSpec:
-    """Embedded full-sphere design selected by point count (56 or 60)."""
-
-    points: int
-
-
-@dataclass(frozen=True)
-class RingSpec:
-    """n equally spaced points on the horizontal plane, starting at front."""
-
-    points: int
-
-
-@dataclass(frozen=True)
-class FibonacciSpec:
-    """Fibonacci spiral covering the full sphere; fallback for arbitrary n."""
-
-    points: int
-
-
-@dataclass(frozen=True)
-class ExplicitSpec:
-    directions: tuple
-    weights: tuple = None
-
-
-@dataclass(frozen=True)
-class HemisphereSpec:
-    """Restrict another cloud spec to elevation >= 0."""
-
-    base: "CloudSpec"
-
-
-@dataclass(frozen=True)
-class MergeSpec:
-    """Weighted union of sub-clouds; each part is (spec, relative_weight)."""
-
-    parts: tuple
-
-
-CloudSpec = Union[TDesignSpec, RingSpec, FibonacciSpec, ExplicitSpec,
-                  HemisphereSpec, MergeSpec]
-
-
-def _load_design(points: int):
-    """(azimuth, elevation) of an embedded design."""
+def tdesign(points: int):
+    """(azimuth, elevation) of an embedded design of 56 or 60 points."""
     if points not in _EMBEDDED_DESIGN_SIZES:
         raise GeometryError(
             f"unknown t-design size {points}; embedded sizes: "
@@ -214,53 +168,6 @@ def fibonacci_sphere(n: int):
     return np.degrees(k * golden), el
 
 
-def sample_cloud(spec: CloudSpec) -> PointCloud:
-    """Realize a cloud specification; weights come out with mean 1."""
-    return PointCloud(*_sample(spec))
-
-
-def _sample(spec: CloudSpec):
-    """(azimuth, elevation, weights) arrays of a cloud spec."""
-    if isinstance(spec, TDesignSpec):
-        az, el = _load_design(spec.points)
-        return az, el, np.ones(len(az))
-    if isinstance(spec, RingSpec):
-        if spec.points < 1:
-            raise GeometryError("ring needs at least one point")
-        az = 360.0 * np.arange(spec.points) / spec.points
-        return az, np.zeros(spec.points), np.ones(spec.points)
-    if isinstance(spec, FibonacciSpec):
-        az, el = fibonacci_sphere(spec.points)
-        return az, el, np.ones(len(az))
-    if isinstance(spec, ExplicitSpec):
-        if not spec.directions:
-            raise GeometryError("explicit cloud is empty")
-        az = np.array([d.azimuth for d in spec.directions])
-        el = np.array([d.elevation for d in spec.directions])
-        w = np.ones(len(az)) if spec.weights is None else spec.weights
-        return az, el, np.asarray(w, dtype=float)
-    if isinstance(spec, HemisphereSpec):
-        az, el, w = _sample(spec.base)
-        keep = el >= 0.0
-        if not keep.any():
-            raise GeometryError("hemisphere filter removed every direction")
-        return az[keep], el[keep], w[keep]
-    if isinstance(spec, MergeSpec):
-        if not spec.parts:
-            raise GeometryError("empty merge")
-        parts = []
-        for sub, rel in spec.parts:
-            rel = float(rel)
-            if rel <= 0:
-                raise GeometryError("merge weights must be positive")
-            az, el, w = _sample(sub)
-            # Python's sum adds left to right, as the cloud's bits require
-            mean = sum(w.tolist()) / len(w)
-            parts.append((az, el, rel * w / mean))
-        return tuple(np.concatenate(col) for col in zip(*parts))
-    raise GeometryError(f"unknown cloud spec {spec!r}")
-
-
 def mirror_indices(vecs: np.ndarray, tol_deg: float = 0.1) -> np.ndarray:
     """Index of each unit vector's left-right mirror partner, or -1 if absent.
 
@@ -289,7 +196,9 @@ class SpeakerLayout:
     """Named loudspeaker directions plus optional left-right symmetry pairs.
 
     ``azimuth``, ``elevation`` and ``vectors`` are read-only arrays over the
-    speakers, as on a ``PointCloud``.
+    speakers, as on a ``PointCloud``.  ``symmetry_pairs`` are speaker index
+    pairs, kept sorted; a bad one is rejected with the field ``pairs[i]``
+    of its position in the given sequence.
     """
 
     speakers: tuple  # of (label, Direction)
@@ -315,13 +224,20 @@ class SpeakerLayout:
             )
         pairs = tuple((int(p), int(q)) for p, q in self.symmetry_pairs)
         seen = set()
-        for p, q in pairs:
-            if p == q or not (0 <= p < len(spk)) or not (0 <= q < len(spk)):
-                raise GeometryError(f"bad symmetry pair ({p}, {q})")
+        for i, (p, q) in enumerate(pairs):
+            if not (0 <= p < len(spk) and 0 <= q < len(spk)):
+                raise GeometryError(f"({p}, {q}) are not speaker indices",
+                                    f"pairs[{i}]")
+            pair = f"({labels[p]}, {labels[q]})"
+            if p == q:
+                raise GeometryError(f"{pair} pairs a speaker with itself",
+                                    f"pairs[{i}]")
             if p in seen or q in seen:
-                raise GeometryError("speaker appears in more than one pair")
+                raise GeometryError(
+                    f"{pair}: {labels[p if p in seen else q]} is already "
+                    "in a pair", f"pairs[{i}]")
             seen.update((p, q))
-        object.__setattr__(self, "symmetry_pairs", pairs)
+        object.__setattr__(self, "symmetry_pairs", tuple(sorted(pairs)))
 
     def __len__(self) -> int:
         return len(self.speakers)

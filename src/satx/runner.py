@@ -6,6 +6,7 @@ times go to the console, never into files) and are written atomically.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import analysis, formats, geometry, matfile, optimizer
 from .analysis import METRIC_COLUMNS, DirectionMetrics
-from .config import JobConfig
+from .config import JobConfig, parse_cloud
 from .cost import TranscodingProblem
 from .errors import ConfigError, DimensionError
 from .matfile import MatrixFile, write_text_atomic
@@ -25,19 +26,19 @@ SUMMARY_METRICS = (
     "asw_deg", "angular_error_deg", "level_db",
 )
 
-_REFERENCE_VIRTUAL = (
-    geometry.MergeSpec((
-        (geometry.HemisphereSpec(geometry.TDesignSpec(60)), 1.0),
-        (geometry.RingSpec(36), 1.0),
-    ))
-)
+# the cloud of the reference decoder's virtual layout for scene inputs
+_REFERENCE_VIRTUAL = {"kind": "merge", "parts": [
+    {"weight": 1.0,
+     "cloud": {"kind": "tdesign", "points": 60, "hemisphere": True}},
+    {"weight": 1.0, "cloud": {"kind": "ring", "points": 36}},
+]}
 
 
-def _sampling_cloud(job: JobConfig) -> geometry.PointCloud:
-    if job.cloud_spec is None:
-        raise ConfigError("job has no sampling cloud")
-    return geometry.sample_cloud(job.cloud_spec)
-
+@functools.cache
+def _reference_virtual_layout() -> geometry.SpeakerLayout:
+    """The virtual layout of ``_REFERENCE_VIRTUAL``, sampled on first use."""
+    return geometry.layout_from_cloud(
+        parse_cloud(_REFERENCE_VIRTUAL, "reference virtual layout"))
 
 # the input formats whose channels have directions
 _CHANNEL_INPUTS = (formats.VbapSpec, formats.ObjectsSpec)
@@ -52,35 +53,20 @@ def input_channel_directions(job: JobConfig) -> Optional[tuple]:
     if isinstance(spec, formats.VbapSpec):
         return spec.layout.azimuth, spec.layout.elevation
     if isinstance(spec, formats.ObjectsSpec):
-        cloud = _sampling_cloud(job)
-        return cloud.azimuth, cloud.elevation
+        return job.cloud.azimuth, job.cloud.elevation
     return None
 
 
-def resolve_pairs(job: JobConfig, layout) -> tuple:
-    if job.explicit_pairs is None:
-        return layout.symmetry_pairs
-    index = {label: i for i, label in enumerate(layout.labels)}
-    pairs = []
-    for a, b in job.explicit_pairs:
-        if a not in index or b not in index:
-            raise ConfigError(f"symmetry pair ({a}, {b}) names unknown speakers")
-        pairs.append((index[a], index[b]))
-    return tuple(sorted(pairs))
-
-
 def build_problem(job: JobConfig) -> TranscodingProblem:
-    cloud = _sampling_cloud(job)
-    encoding = formats.build_encoding_matrix(job.input_spec, cloud)
-    if job.output_layout is None:
-        raise ConfigError("job has no output layout")
+    """The job's problem over its sampling cloud; pairs come with the layout."""
+    if job.cloud is None or job.output_layout is None:
+        raise ConfigError("job has no sampling cloud or no output layout")
     return TranscodingProblem(
-        encoding=encoding,
+        encoding=formats.build_encoding_matrix(job.input_spec, job.cloud),
         decoder=formats.build_decoder_to_speaker(
             job.output_spec, job.output_layout
         ),
         coeffs=job.coeffs,
-        pairs=resolve_pairs(job, job.output_layout),
     )
 
 
@@ -92,10 +78,8 @@ def reference_transcoder(job: JobConfig) -> np.ndarray:
     onto the output layout.
     """
     if isinstance(job.input_spec, formats.AmbisonicsSpec):
-        virtual = geometry.layout_from_cloud(
-            geometry.sample_cloud(_REFERENCE_VIRTUAL))
         return formats.panned_reference_decoder(
-            job.input_spec, virtual, job.output_layout
+            job.input_spec, _reference_virtual_layout(), job.output_layout
         )
     directions = input_channel_directions(job)
     if directions is None:
@@ -187,8 +171,7 @@ def run_generate(job: JobConfig, out_dir, seed: Optional[int] = None) -> Generat
 
 def evaluation_chain(job: JobConfig):
     """The encoding over the evaluation cloud, and the decoder."""
-    cloud = geometry.sample_cloud(job.eval_cloud_spec)
-    return (formats.build_encoding_matrix(job.input_spec, cloud),
+    return (formats.build_encoding_matrix(job.input_spec, job.eval_cloud),
             formats.build_decoder_to_speaker(job.output_spec,
                                              job.output_layout))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from satx.config import parse_cloud
 from satx.geometry import Direction, PointCloud, SpeakerLayout, unit_vectors
 
 
@@ -14,6 +15,11 @@ def random_direction(rng, el_range=(-89.0, 89.0)) -> Direction:
         float(rng.uniform(-180.0, 180.0)),
         float(rng.uniform(*el_range)),
     )
+
+
+def cloud_of(**node) -> PointCloud:
+    """The cloud of a config mapping, e.g. ``cloud_of(kind="ring", points=8)``."""
+    return parse_cloud(node, "cloud")
 
 
 def to_unit_vector(d: Direction) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
-from satx import geometry, presets, runner
+from satx import presets, runner
 from satx.analysis import (
     SpeakerMatrix,
     coherent_metrics,
@@ -217,7 +217,7 @@ def test_criterion_5_example3_dominance(preset_runs):
 def example4_curves(preset_runs):
     job, problem, rep, _ = preset_runs["example4"]
     layout = job.output_layout
-    cloud = geometry.sample_cloud(job.cloud_spec)
+    cloud = job.cloud
     gains = rep.final_matrix.entries.T  # one row of 5 gains per direction
     vbap = vbap_matrix(layout, cloud.azimuth, cloud.elevation)
     vbip = np.array([vbip_gains(layout, Direction(az, el))

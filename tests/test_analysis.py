@@ -25,16 +25,13 @@ from satx.formats import (
 )
 from satx.geometry import (
     Direction,
-    FibonacciSpec,
     PointCloud,
-    RingSpec,
     SpeakerLayout,
     layout_from_cloud,
     named_layout,
-    sample_cloud,
 )
 
-from conftest import direction_arrays
+from conftest import cloud_of, direction_arrays
 
 
 def single_direction_setup(speaker_azimuths, gains, source_az=0.0):
@@ -56,15 +53,15 @@ class TestSpeakerMatrix:
         np.testing.assert_array_equal(s.entries, [[1.0]])
 
     def test_identity_chain_passes_through(self):
-        cloud = sample_cloud(RingSpec(6))
+        cloud = cloud_of(kind="ring", points=6)
         layout = named_layout("5.0")
         g = build_encoding_matrix(VbapSpec(layout), cloud)
         s = speaker_matrix(g, np.eye(5), identity_decoder(layout))
         np.testing.assert_allclose(s.entries, g.entries, atol=1e-15)
 
     def test_reference_shapes(self, rng):
-        cloud = sample_cloud(FibonacciSpec(54))
-        layout = layout_from_cloud(sample_cloud(FibonacciSpec(66)))
+        cloud = cloud_of(kind="fibonacci", points=54)
+        layout = layout_from_cloud(cloud_of(kind="fibonacci", points=66))
         g = EncodingMatrix(rng.normal(size=(54, 11)), cloud,
                            tuple(f"i{k}" for k in range(11)))
         d = DecoderToSpeaker(rng.normal(size=(66, 36)), layout,
@@ -73,7 +70,7 @@ class TestSpeakerMatrix:
         assert s.entries.shape == (54, 66)
 
     def test_dimension_mismatch(self, rng):
-        cloud = sample_cloud(RingSpec(4))
+        cloud = cloud_of(kind="ring", points=4)
         layout = named_layout("5.0")
         g = EncodingMatrix(rng.normal(size=(4, 3)), cloud, ("a", "b", "c"))
         d = identity_decoder(layout)
@@ -243,7 +240,7 @@ class TestInvariances:
 
 class TestDirectionMetrics:
     def test_table_columns(self):
-        cloud = sample_cloud(RingSpec(5))
+        cloud = cloud_of(kind="ring", points=5)
         layout = named_layout("5.0")
         g = build_encoding_matrix(ObjectsSpec(), cloud)
         s = speaker_matrix(g, np.eye(5), identity_decoder(layout))

@@ -64,14 +64,9 @@ class TestPresetRegression:
         assert problem.shape == shape
 
     def test_preset_cloud_sizes(self):
-        from satx import geometry
-
-        assert len(geometry.sample_cloud(
-            presets.load_preset("example2").cloud_spec)) == 54
-        assert len(geometry.sample_cloud(
-            presets.load_preset("example3").cloud_spec)) == 59
-        assert len(geometry.sample_cloud(
-            presets.load_preset("example4").cloud_spec)) == 72
+        assert len(presets.load_preset("example2").cloud) == 54
+        assert len(presets.load_preset("example3").cloud) == 59
+        assert len(presets.load_preset("example4").cloud) == 72
 
     def test_run_generate_example3_writes_4x7(self, tmp_path):
         from satx import runner
@@ -237,6 +232,68 @@ class TestEvaluateCompareCli:
         inc = (out_inc / "tiny_metrics.dat").read_text()
         coh = (out_coh / "tiny_metrics.dat").read_text()
         assert inc != coh
+
+
+class TestSectionsAtLoad:
+    """Sections are parsed whenever present; each command requires its own."""
+
+    JOB = {
+        "mode": "apply",
+        "input": {"format": "ambisonics", "order": 1},
+        "output": {"format": "speakers", "layout": "octahedron"},
+        "evaluation_cloud": {"kind": "ring", "points": 8},
+    }
+
+    def _run(self, tmp_path, command, job, *extra):
+        config = tmp_path / "job.yaml"
+        config.write_text(yaml.safe_dump(job))
+        matrix = tmp_path / "t.smx"
+        export_matrix(matrix_file(np.full((6, 4), 0.5)), matrix)
+        argv = [command, "--config", str(config), "--out", str(tmp_path)]
+        if command != "generate":
+            argv += ["--matrix", str(matrix)]
+        return main(argv + list(extra))
+
+    def test_apply_mode_job_evaluates(self, tmp_path):
+        assert self._run(tmp_path, "evaluate", self.JOB) == 0
+        assert (tmp_path / "job_summary.dat").exists()
+
+    def test_apply_mode_job_compares_with_reference(self, tmp_path):
+        assert self._run(tmp_path, "compare", self.JOB,
+                         "--baseline", "reference") == 0
+        assert "reference" in (tmp_path / "compare_summary.dat").read_text()
+
+    @pytest.mark.parametrize("command, missing", [
+        ("evaluate", "output"),
+        ("evaluate", "input"),
+        ("compare", "output"),
+        ("generate", "input"),
+        ("generate", "cloud"),
+    ])
+    def test_missing_section_exits_2_at_load(self, tmp_path, capsys,
+                                             command, missing):
+        job = dict(self.JOB, coefficients={"energy": 1},
+                   cloud={"kind": "tdesign", "points": 56})
+        del job[missing]
+        assert self._run(tmp_path, command, job) == 2
+        assert f"config.{missing}: required for mode {command}" in (
+            capsys.readouterr().err)
+
+
+def test_readme_python_blocks_run(tmp_path):
+    """Each ``python`` block of the README runs in a fresh interpreter."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 2
+    src = str(Path(satx.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    for block in blocks:
+        code = block.split("```")[0]
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             cwd=tmp_path, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
 
 class TestApplyCli:

@@ -33,15 +33,12 @@ from satx.formats import (
 )
 from satx.geometry import (
     Direction,
-    FibonacciSpec,
-    HemisphereSpec,
     PointCloud,
     SpeakerLayout,
     named_layout,
-    sample_cloud,
 )
 
-from conftest import mirrored_cloud, paired_layout
+from conftest import cloud_of, mirrored_cloud, paired_layout
 
 ALL_ONES = CostCoefficients(**{name: 1.0 for name in TERM_NAMES})
 
@@ -249,7 +246,7 @@ class TestTermValues:
 
     def test_sparse_mirror_coverage_warns(self):
         layout = named_layout("5.0.2")
-        cloud = sample_cloud(HemisphereSpec(FibonacciSpec(1000)))
+        cloud = cloud_of(kind="fibonacci", points=1000, hemisphere=True)
         g = build_encoding_matrix(VbapSpec(named_layout("7.0.4")), cloud)
         coeffs = CostCoefficients(energy=1.0, symmetry_linear=0.1)
         match = (r"only \d+ of 500 cloud directions have a left-right "

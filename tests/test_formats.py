@@ -21,23 +21,17 @@ from satx.formats import (
 )
 from satx.geometry import (
     Direction,
-    ExplicitSpec,
-    FibonacciSpec,
-    HemisphereSpec,
-    MergeSpec,
     PointCloud,
-    RingSpec,
     SpeakerLayout,
-    TDesignSpec,
     fibonacci_sphere,
     from_unit_vector,
     layout_from_cloud,
     named_layout,
-    sample_cloud,
     triangulate_hull,
 )
 
 from conftest import (
+    cloud_of,
     direction_arrays,
     random_direction,
     random_directions,
@@ -91,7 +85,7 @@ def per_direction_gains(layout, faces, d, intensity=False):
 
 class TestSphericalHarmonics:
     def test_order_zero_is_ones(self):
-        cloud = sample_cloud(FibonacciSpec(17))
+        cloud = cloud_of(kind="fibonacci", points=17)
         enc = ambisonics_encode(cloud, 0)
         np.testing.assert_array_equal(enc.entries, np.ones((17, 1)))
 
@@ -302,25 +296,24 @@ class TestVbap:
 
 class TestEncodingMatrix:
     def test_objects_identity(self):
-        cloud = sample_cloud(RingSpec(72))
+        cloud = cloud_of(kind="ring", points=72)
         enc = build_encoding_matrix(ObjectsSpec(), cloud)
         assert enc.shape == (72, 72)
         np.testing.assert_array_equal(enc.entries, np.eye(72))
 
     def test_vbap_bed_shape(self):
-        cloud = sample_cloud(
-            MergeSpec((
-                (HemisphereSpec(TDesignSpec(56)), 6.0),
-                (RingSpec(15), 3.0),
-                (ExplicitSpec(named_layout("7.0.4").directions), 1.0),
-            ))
-        )
+        cloud = cloud_of(kind="merge", parts=[
+            {"weight": 6, "cloud": {"kind": "tdesign", "points": 56,
+                                    "hemisphere": True}},
+            {"weight": 3, "cloud": {"kind": "ring", "points": 15}},
+            {"weight": 1, "cloud": {"kind": "layout", "layout": "7.0.4"}},
+        ])
         enc = build_encoding_matrix(VbapSpec(named_layout("7.0.4")), cloud)
         assert enc.shape == (54, 11)
         np.testing.assert_allclose((enc.entries**2).sum(axis=1), 1.0, atol=1e-12)
 
     def test_ambisonics_shape(self):
-        cloud = sample_cloud(TDesignSpec(56))
+        cloud = cloud_of(kind="tdesign", points=56)
         enc = build_encoding_matrix(AmbisonicsSpec(5), cloud)
         assert enc.shape == (56, 36)
         assert enc.channel_labels[:3] == ("ACN0", "ACN1", "ACN2")
@@ -328,14 +321,14 @@ class TestEncodingMatrix:
     def test_external_matrix_input(self, tmp_path, rng):
         from satx.matfile import export_matrix, matrix_file
 
-        cloud = sample_cloud(RingSpec(6))
+        cloud = cloud_of(kind="ring", points=6)
         values = rng.normal(size=(6, 4))
         path = tmp_path / "enc.smx"
         export_matrix(matrix_file(values, kind="encoding"), path)
         enc = build_encoding_matrix(ExternalSpec(str(path)), cloud)
         np.testing.assert_array_equal(enc.entries, values)
 
-        bad_cloud = sample_cloud(RingSpec(5))
+        bad_cloud = cloud_of(kind="ring", points=5)
         with pytest.raises(DimensionError, match="rows"):
             build_encoding_matrix(ExternalSpec(str(path)), bad_cloud)
 
@@ -347,12 +340,10 @@ class TestDecoderToSpeaker:
         np.testing.assert_array_equal(dec.entries, np.eye(4))
 
     def test_pseudo_inverse_projector(self):
-        virtual = sample_cloud(
-            MergeSpec((
-                (HemisphereSpec(TDesignSpec(60)), 1.0),
-                (RingSpec(36), 1.0),
-            ))
-        )
+        virtual = cloud_of(kind="merge", parts=[
+            {"cloud": {"kind": "tdesign", "points": 60, "hemisphere": True}},
+            {"cloud": {"kind": "ring", "points": 36}},
+        ])
         layout = layout_from_cloud(virtual)
         dec = build_decoder_to_speaker(AmbisonicsSpec(5), layout)
         assert dec.shape == (66, 36)
@@ -405,12 +396,12 @@ class TestMatrixTypes:
     def test_encoding_row_count_must_match_cloud(self):
         from satx.formats import EncodingMatrix
 
-        cloud = sample_cloud(RingSpec(4))
+        cloud = cloud_of(kind="ring", points=4)
         with pytest.raises(DimensionError):
             EncodingMatrix(np.ones((3, 2)), cloud, ("a", "b"))
 
     def test_entries_immutable(self):
-        cloud = sample_cloud(RingSpec(4))
+        cloud = cloud_of(kind="ring", points=4)
         enc = build_encoding_matrix(ObjectsSpec(), cloud)
         with pytest.raises(ValueError):
             enc.entries[0, 0] = 5.0

@@ -6,28 +6,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 from satx import geometry, runner
-from satx.errors import GeometryError
+from satx.errors import ConfigError, GeometryError
 from satx.geometry import (
     Direction,
-    ExplicitSpec,
-    FibonacciSpec,
-    HemisphereSpec,
-    MergeSpec,
     PointCloud,
-    RingSpec,
     SpeakerLayout,
-    TDesignSpec,
     detect_symmetry_pairs,
     from_unit_vector,
     layout_from_cloud,
     mirror_indices,
     named_layout,
-    sample_cloud,
     triangulate_hull,
     unit_vectors,
 )
 
-from conftest import to_unit_vector
+from conftest import cloud_of, to_unit_vector
+
+
+def part(weight, **cloud):
+    """One merge part of a cloud mapping."""
+    return {"weight": weight, "cloud": cloud}
 
 
 def spherical_triangle_solid_angle(u1, u2, u3) -> float:
@@ -78,55 +76,56 @@ class TestDirection:
 
 class TestClouds:
     def test_ring_of_four(self):
-        cloud = sample_cloud(RingSpec(4))
+        cloud = cloud_of(kind="ring", points=4)
         assert cloud.azimuth.tolist() == [0, 90, 180, -90]
         assert (cloud.elevation == 0).all()
         np.testing.assert_allclose(cloud.weights, 1.0)
 
     def test_embedded_design_first_moment(self):
-        cloud = sample_cloud(TDesignSpec(56))
+        cloud = cloud_of(kind="tdesign", points=56)
         assert len(cloud) == 56
         moment = cloud.vectors.sum(axis=0)
         assert np.abs(moment).max() < 1e-9
 
     def test_hemisphere_halves_of_designs(self):
-        assert len(sample_cloud(HemisphereSpec(TDesignSpec(56)))) == 28
-        assert len(sample_cloud(HemisphereSpec(TDesignSpec(60)))) == 30
+        assert len(cloud_of(kind="tdesign", points=56, hemisphere=True)) == 28
+        assert len(cloud_of(kind="tdesign", points=60, hemisphere=True)) == 30
 
     def test_unknown_design_size(self):
+        with pytest.raises(ConfigError, match="unknown t-design"):
+            cloud_of(kind="tdesign", points=57)
         with pytest.raises(GeometryError, match="unknown t-design"):
-            sample_cloud(TDesignSpec(57))
+            geometry.tdesign(57)
 
     def test_merge_weight_ratio(self):
-        merged = sample_cloud(
-            MergeSpec((
-                (HemisphereSpec(TDesignSpec(56)), 6.0),
-                (RingSpec(15), 3.0),
-                (ExplicitSpec(named_layout("7.0.4").directions), 1.0),
-            ))
-        )
+        merged = cloud_of(kind="merge", parts=[
+            part(6, kind="tdesign", points=56, hemisphere=True),
+            part(3, kind="ring", points=15),
+            part(1, kind="layout", layout="7.0.4"),
+        ])
         assert len(merged) == 54
         w = merged.weights
         assert abs(w[0] / w[-1] - 6.0) < 1e-12
         assert abs(w[28] / w[-1] - 3.0) < 1e-12
 
     def test_empty_merge_rejected(self):
-        with pytest.raises(GeometryError):
-            sample_cloud(MergeSpec(()))
+        with pytest.raises(ConfigError, match="parts"):
+            cloud_of(kind="merge", parts=[])
 
     @pytest.mark.parametrize(
         "spec",
         [
-            TDesignSpec(56),
-            TDesignSpec(60),
-            RingSpec(15),
-            FibonacciSpec(101),
-            HemisphereSpec(FibonacciSpec(312)),
-            MergeSpec(((RingSpec(8), 2.0), (FibonacciSpec(13), 5.0))),
+            dict(kind="tdesign", points=56),
+            dict(kind="tdesign", points=60),
+            dict(kind="ring", points=15),
+            dict(kind="fibonacci", points=101),
+            dict(kind="fibonacci", points=312, hemisphere=True),
+            dict(kind="merge", parts=[part(2.0, kind="ring", points=8),
+                                      part(5.0, kind="fibonacci", points=13)]),
         ],
     )
     def test_weights_normalized_to_mean_one(self, spec):
-        cloud = sample_cloud(spec)
+        cloud = cloud_of(**spec)
         assert abs(cloud.weights.sum() - len(cloud)) < 1e-12
 
     def test_nonpositive_weights_rejected(self):
@@ -159,7 +158,7 @@ class TestClouds:
     # np.arcsin or a merge mean takes a pairwise np.sum
     PINNED = {
         "fibonacci": (
-            HemisphereSpec(FibonacciSpec(10000)), {
+            dict(kind="fibonacci", points=10000, hemisphere=True), {
                 "azimuth": "c32095937b6e5f693c5ac2f0901be829abbe6e17b1cd55ee2bfa30dd781d59ab",
                 "elevation": "ed90cceeebbff51c1891d32f34a8cf00b10f056daeb5b7c47ffbde385487dfa7",
                 "vectors": "f0a2fd632654505afc68a64e1cc24e7e1f229278dc034eebc1fafe777ecfd6aa",
@@ -171,10 +170,13 @@ class TestClouds:
                 "vectors": "014202469b34641039ba4f561e6c0ef178babde48eb942d5bd29f60b94d0c074",
             }),
         "nested_merge": (
-            MergeSpec((
-                (MergeSpec(((FibonacciSpec(100), 0.1), (RingSpec(7), 0.3))), 0.7),
-                (HemisphereSpec(TDesignSpec(56)), 0.2),
-            )), {
+            dict(kind="merge", parts=[
+                part(0.7, kind="merge", parts=[
+                    part(0.1, kind="fibonacci", points=100),
+                    part(0.3, kind="ring", points=7),
+                ]),
+                part(0.2, kind="tdesign", points=56, hemisphere=True),
+            ]), {
                 "azimuth": "55f851da3c3a2beb80d4bd0b7218fb9f448b0cf2603802a515506e4ba09837da",
                 "elevation": "031756a68885bf5ee2ac68ac8037455a47f49fac33b2eb4073908152b96bd881",
                 "weights": "8906e11a297e84d77d2d93d0df7ce0c208590b3c3bad4b48135414b507f541cb",
@@ -183,14 +185,14 @@ class TestClouds:
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_cloud_bits_pinned(self, name):
-        spec, digests = self.PINNED[name]
-        cloud = sample_cloud(spec)
+        node, digests = self.PINNED[name]
+        cloud = cloud_of(**node)
         for attr, digest in digests.items():
             data = np.ascontiguousarray(getattr(cloud, attr), dtype=np.float64)
             assert hashlib.sha256(data.tobytes()).hexdigest() == digest, attr
 
     def test_mirror_indices_on_ring(self):
-        cloud = sample_cloud(RingSpec(8))
+        cloud = cloud_of(kind="ring", points=8)
         idx = mirror_indices(cloud.vectors)
         for i, az in enumerate(cloud.azimuth):
             assert cloud.azimuth[idx[i]] == pytest.approx(
@@ -198,7 +200,7 @@ class TestClouds:
 
     def test_mirror_indices_cover_embedded_designs(self):
         for n in (56, 60):
-            cloud = sample_cloud(TDesignSpec(n))
+            cloud = cloud_of(kind="tdesign", points=n)
             assert (mirror_indices(cloud.vectors) >= 0).all()
 
     def test_mirror_indices_absent(self):
@@ -209,11 +211,13 @@ class TestClouds:
     def test_mirror_indices_chunked_equals_one_shot(self, rows, monkeypatch):
         # duplicates (first index wins a tie), median-plane points on the
         # ring, and more directions than one chunk of rows
-        spec = MergeSpec((
-            (TDesignSpec(60), 1.0), (TDesignSpec(60), 1.0), (RingSpec(8), 1.0),
-            (FibonacciSpec(700), 1.0), (HemisphereSpec(TDesignSpec(56)), 1.0),
-        ))
-        vecs = sample_cloud(spec).vectors
+        vecs = cloud_of(kind="merge", parts=[
+            part(1, kind="tdesign", points=60),
+            part(1, kind="tdesign", points=60),
+            part(1, kind="ring", points=8),
+            part(1, kind="fibonacci", points=700),
+            part(1, kind="tdesign", points=56, hemisphere=True),
+        ]).vectors
         dots = (vecs * [1.0, -1.0, 1.0]) @ vecs.T
         best = np.argmax(dots, axis=1)
         close = dots[np.arange(len(vecs)), best] >= math.cos(math.radians(0.1))
@@ -264,6 +268,24 @@ class TestSymmetryPairs:
         seen = [i for pair in layout.symmetry_pairs for i in pair]
         assert len(seen) == len(set(seen))
 
+    @pytest.mark.parametrize("pairs, field, reason", [
+        (((2, 1), (0, 0)), "pairs[1]", "(L, L) pairs a speaker with itself"),
+        (((0, 1), (2, 0)), "pairs[1]", "(C, L): L is already in a pair"),
+        (((0, 3),), "pairs[0]", "(0, 3) are not speaker indices"),
+    ])
+    def test_bad_pair_named_by_position_and_labels(self, pairs, field,
+                                                   reason):
+        speakers = (("L", Direction(30, 0)), ("R", Direction(-30, 0)),
+                    ("C", Direction(0, 0)))
+        with pytest.raises(GeometryError) as info:
+            SpeakerLayout(speakers, pairs)
+        assert (info.value.field, info.value.reason) == (field, reason)
+
+    def test_pairs_kept_sorted(self):
+        layout = named_layout("5.0")
+        assert SpeakerLayout(layout.speakers, ((3, 4), (2, 1))
+                             ).symmetry_pairs == ((2, 1), (3, 4))
+
 
 class TestHull:
     def test_octahedron(self):
@@ -299,7 +321,7 @@ class TestHull:
         assert abs(total - 4 * math.pi) < 1e-6
 
     def test_solid_angle_sum_random_full_sphere_layout(self):
-        cloud = sample_cloud(FibonacciSpec(14))
+        cloud = cloud_of(kind="fibonacci", points=14)
         layout = layout_from_cloud(cloud)
         vecs = layout.vectors
         total = sum(

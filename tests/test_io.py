@@ -19,6 +19,7 @@ from satx import (
     MatrixFileError,
     OptimizationConfig,
     SatxError,
+    runner,
 )
 from satx.audio import apply_matrix_to_audio, read_wav, write_wav_float32
 from satx.config import load_config, parse_config
@@ -304,7 +305,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cloud"):
             parse_config(cfg)
 
-    def test_inline_layout_and_explicit_pairs(self):
+    def test_inline_layout_and_label_pairs(self):
         cfg = {
             "mode": "generate",
             "input": {"format": "objects"},
@@ -318,7 +319,7 @@ class TestConfig:
         }
         job = parse_config(cfg)
         assert job.output_layout.labels == ("A", "B", "M")
-        assert job.explicit_pairs == (("A", "B"),)
+        assert job.output_layout.symmetry_pairs == ((0, 1),)
 
     def test_layout_file_reference(self, tmp_path):
         layout_path = tmp_path / "layout.yaml"
@@ -335,6 +336,79 @@ class TestConfig:
         job = parse_config(cfg)
         assert job.output_layout.labels == ("L", "R")
         assert job.output_layout.symmetry_pairs == ((0, 1),)
+
+    def test_label_pairs_replace_detection_in_sorted_order(self):
+        cfg = {
+            "mode": "evaluate",
+            "input": {"format": "ambisonics", "order": 1},
+            "output": {"format": "speakers", "layout": "5.0"},
+            "cloud": {"kind": "ring", "points": 8},
+            "symmetry": {"pairs": [["Rs", "Ls"], ["R", "L"]]},
+        }
+        job = parse_config(cfg)
+        # C L R Ls Rs: the detected pairs are ((1, 2), (3, 4))
+        assert job.output_layout.symmetry_pairs == ((2, 1), (4, 3))
+        assert runner.build_problem(job).pairs == ((2, 1), (4, 3))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("cloud", {"kind": "tdesign", "points": 57},
+         "config.cloud.points: unknown t-design size 57"),
+        ("cloud", {"kind": "explicit", "directions": [[0, 95]]},
+         "config.cloud.directions[0]: elevation 95.0 outside [-90, 90]"),
+        ("cloud", {"kind": "explicit", "directions": [[0, -10], [30, -20]],
+                   "hemisphere": True},
+         "config.cloud.hemisphere: no direction has elevation >= 0"),
+        ("cloud", {"kind": "explicit", "directions": [[0, 0]],
+                   "weights": [0]},
+         "config.cloud.weights[0]: must be > 0"),
+        ("evaluation_cloud", {"kind": "tdesign", "points": 50},
+         "config.evaluation_cloud.points: unknown t-design size 50"),
+        ("cloud", {"kind": "merge", "parts": [
+            {"cloud": {"kind": "ring", "points": 4}},
+            {"cloud": {"kind": "tdesign", "points": 57}}]},
+         "config.cloud.parts[1].cloud.points: unknown t-design size 57"),
+        ("output", {"format": "ambisonics", "order": 1, "virtual_layout": {
+            "kind": "fibonacci", "points": 8, "hemisphere": True,
+            "weights": [1]}},
+         "config.output.virtual_layout.weights: unknown key"),
+        ("symmetry", {"pairs": [["L", "L"]]},
+         "config.symmetry.pairs[0]: (L, L) pairs a speaker with itself"),
+        ("symmetry", {"pairs": [["L", "R"], ["L", "C"]]},
+         "config.symmetry.pairs[1]: (L, C): L is already in a pair"),
+        ("symmetry", {"pairs": [["L", "Q"]]},
+         "config.symmetry.pairs[0]: Q is not a speaker of the output "
+         "layout ('L', 'R', 'C')"),
+    ])
+    def test_load_error_names_its_key(self, tmp_path, capsys, key, value,
+                                      message):
+        from satx.cli import main
+
+        cfg = {
+            "input": {"format": "objects"},
+            "output": {"format": "speakers",
+                       "layout": [["L", 30, 0], ["R", -30, 0], ["C", 0, 0]]},
+            "cloud": {"kind": "ring", "points": 8},
+            "coefficients": {"energy": 1},
+            key: value,
+        }
+        path = tmp_path / "job.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        code = main(["generate", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"mode": "evaluate", "input": {"format": "objects"},
+          "output": {"format": "speakers", "layout": "5.0"}},
+         "config.cloud: required for objects input"),
+        ({"mode": "apply", "symmetry": {"pairs": [["L", "R"]]}},
+         "config.symmetry.pairs: names speakers of config.output, which is "
+         "absent"),
+    ])
+    def test_section_another_section_needs(self, cfg, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(cfg)
+        assert str(info.value).startswith(message)
 
     def test_load_config_reports_bad_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"

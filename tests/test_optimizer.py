@@ -19,12 +19,7 @@ from satx.formats import (
     remap_baseline,
     sh_matrix,
 )
-from satx.geometry import (
-    PointCloud,
-    RingSpec,
-    named_layout,
-    sample_cloud,
-)
+from satx.geometry import PointCloud, named_layout
 from satx.matfile import export_matrix, matrix_file
 from satx.optimizer import (
     OptimizationConfig,
@@ -34,6 +29,8 @@ from satx.optimizer import (
     line_search,
     optimize,
 )
+
+from conftest import cloud_of
 
 INCOHERENT_SET = CostCoefficients(
     energy=5, intensity_radial=2, intensity_transverse=1,
@@ -70,7 +67,7 @@ def bed_problem(seed=0):
     """Small 5.0-bed to 3-speaker decoding problem for fast runs."""
     src = named_layout("5.0")
     dst = named_layout("5.0_regular")
-    cloud = sample_cloud(RingSpec(24))
+    cloud = cloud_of(kind="ring", points=24)
     g = build_encoding_matrix(VbapSpec(src), cloud)
     return TranscodingProblem(g, identity_decoder(dst), INCOHERENT_SET)
 
@@ -310,12 +307,12 @@ class TestInitialize:
 
     def test_remap_for_bed_to_scene(self):
         layout = named_layout("7.0.4")
-        cloud = sample_cloud(RingSpec(12))
+        cloud = cloud_of(kind="ring", points=12)
         g = build_encoding_matrix(VbapSpec(layout), cloud)
-        from satx.geometry import layout_from_cloud, FibonacciSpec
+        from satx.geometry import layout_from_cloud
         from satx.formats import build_decoder_to_speaker
 
-        virt = sample_cloud(FibonacciSpec(40))
+        virt = cloud_of(kind="fibonacci", points=40)
         decoder = build_decoder_to_speaker(
             AmbisonicsSpec(5), layout_from_cloud(virt)
         )
@@ -349,18 +346,24 @@ class TestInitialize:
             runner.optimization_config(job)
 
     def test_objects_input_samples_the_cloud_once_per_use(self, monkeypatch):
-        # build_problem and the remap start each sample it once; deciding
-        # that objects have channel directions samples nothing
+        # the job holds the sampled cloud: the problem and the remap start
+        # read it, and no cloud is built after load; the scene reference's
+        # virtual layout is sampled once per process
         job = presets.load_preset("example4")
         assert isinstance(job.input_spec, ObjectsSpec)
-        specs = []
-        sample = runner.geometry.sample_cloud
-        monkeypatch.setattr(runner.geometry, "sample_cloud",
-                            lambda spec: specs.append(spec) or sample(spec))
-        runner.build_problem(job)
-        assert len(specs) == 1
+        scene = presets.load_preset("example1")
+        runner.reference_transcoder(scene)
+        built = []
+        post_init = PointCloud.__post_init__
+        monkeypatch.setattr(PointCloud, "__post_init__",
+                            lambda cloud: built.append(1) or post_init(cloud))
+        problem = runner.build_problem(job)
+        assert problem.encoding.cloud is job.cloud
+        assert runner.input_channel_directions(job)[0] is job.cloud.azimuth
         assert runner.optimization_config(job, 0).matrix is not None
-        assert specs == [job.cloud_spec] * 2
+        assert runner.evaluation_chain(job)[0].cloud is job.eval_cloud
+        runner.reference_transcoder(scene)
+        assert built == []
 
     def test_default_picks_remap_noise_when_possible(self):
         job = matched_objects_job(seed=3)
