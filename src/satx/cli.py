@@ -107,7 +107,7 @@ def _cmd_generate(args) -> int:
 def _cmd_evaluate(args) -> int:
     job = _load_job(args)
     t = matfile.import_matrix(args.matrix).values()
-    stats = runner.run_evaluate(job, t, args.out)
+    stats = runner.run_evaluate(job, t, args.out, source=args.matrix)
     for metric in ("level_db", "asw_deg", "angular_error_deg"):
         s = stats[metric]
         print(
@@ -122,10 +122,10 @@ def _cmd_compare(args) -> int:
     named = []
     for path in args.matrix:
         t = matfile.import_matrix(path).values()
-        named.append((_unique_name(path, named), t))
+        named.append((_unique_name(path, named), t, path))
     for kind in args.baseline:
         named.append((_unique_name(kind, named),
-                      runner.reference_transcoder(job)))
+                      runner.reference_transcoder(job), f"{kind} baseline"))
     all_stats = runner.run_compare(job, named, args.out)
     for name, stats in all_stats.items():
         s = stats["level_db"]
@@ -143,7 +143,7 @@ def _unique_name(path: str, named) -> str:
     base = os.path.splitext(os.path.basename(path))[0]
     name = base
     k = 1
-    taken = {n for n, _ in named}
+    taken = {n for n, _, _ in named}
     while name in taken:
         k += 1
         name = f"{base}_{k}"

@@ -9,8 +9,12 @@ the key path in front of the field the constructor rejects.
 Every section present is parsed, whatever the mode; the mode decides only
 which sections must be present.  A cloud is checked and sampled in one
 pass (``parse_cloud`` returns a ``PointCloud``), so the job holds sampled
-clouds and a bad cloud fails at load under its key path.  Explicit
-``symmetry.pairs`` become the output layout's symmetry pairs.
+clouds and a bad cloud fails at load under its key path.  Layout rows and
+explicit cloud rows are checked one by one under their keys
+(``config.output.layout[1]``) and then become the azimuth and elevation
+arrays of a ``SpeakerLayout`` or ``PointCloud``.  Explicit
+``symmetry.pairs`` become the output layout's symmetry pairs.  An objects
+input is evaluated at its own cloud, the directions of its channels.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .formats import (
     ObjectsSpec,
     VbapSpec,
 )
-from .geometry import Direction, PointCloud, SpeakerLayout
+from .geometry import PointCloud, SpeakerLayout
 from .optimizer import OptimizationConfig
 
 # the sections each mode reads that have no default
@@ -63,7 +67,6 @@ DEFAULT_EVAL_CLOUD = {"kind": "fibonacci", "points": 312, "hemisphere": True}
 
 @dataclass
 class JobConfig:
-    mode: str
     analysis: str
     name: str
     input_spec: object
@@ -120,6 +123,23 @@ def _number(node, path, minimum=None, exclusive=False):
     return _checked(check_number, node, path, minimum, exclusive)
 
 
+def _angle_rows(rows, path, form):
+    """(azimuth, elevation) arrays of ``form`` rows ending in [az, el].
+
+    Each row is checked under its key: ``path[i]`` for its form and its
+    elevation, ``path[i][k]`` for a bad number.
+    """
+    k = len(form) - 2
+    angles = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != len(form):
+            raise ConfigError(f"{path}[{i}]: expected [{', '.join(form)}]")
+        angles.append([_number(row[j], f"{path}[{i}][{j}]")
+                       for j in (k, k + 1)])
+    az, el = np.array(angles).T
+    return _checked(geometry.checked_angles, az, el, path)
+
+
 def parse_layout(node, path, pair_tol=1.0) -> SpeakerLayout:
     """Named layout, inline [[label, az, el], ...], or {file: path}."""
     try:
@@ -137,15 +157,9 @@ def parse_layout(node, path, pair_tol=1.0) -> SpeakerLayout:
             node = node["speakers"]
         if not isinstance(node, list) or not node:
             raise ConfigError(f"{path}: expected a layout name or speaker list")
-        speakers = []
-        for i, row in enumerate(node):
-            if not isinstance(row, list) or len(row) != 3:
-                raise ConfigError(f"{path}[{i}]: expected [label, az, el]")
-            label, az, el = row
-            speakers.append((str(label), Direction(
-                _number(az, f"{path}[{i}][1]"), _number(el, f"{path}[{i}][2]")
-            )))
-        return SpeakerLayout(tuple(speakers)).with_detected_pairs(pair_tol)
+        az, el = _angle_rows(node, path, ("label", "az", "el"))
+        labels = [str(row[0]) for row in node]
+        return SpeakerLayout(labels, az, el).with_detected_pairs(pair_tol)
     except (geometry.GeometryError, OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -154,6 +168,7 @@ def parse_layout(node, path, pair_tol=1.0) -> SpeakerLayout:
 _CLOUD_KEYS = {"tdesign": {"points"}, "ring": {"points"},
                "fibonacci": {"points"}, "explicit": {"directions", "weights"},
                "layout": {"layout"}, "merge": {"parts"}}
+_PART_KEYS = {"weight", "cloud"}  # of each merge part
 _GENERATORS = {"tdesign": geometry.tdesign,
                "ring": lambda n: (360.0 * np.arange(n) / n, np.zeros(n)),
                "fibonacci": geometry.fibonacci_sphere}
@@ -187,16 +202,9 @@ def _cloud_arrays(node, path):
         rows = node.get("directions")
         if not isinstance(rows, list) or not rows:
             raise ConfigError(f"{path}.directions: expected a nonempty list")
-        dirs = []
-        for i, row in enumerate(rows):
-            where = f"{path}.directions[{i}]"
-            if not isinstance(row, list) or len(row) != 2:
-                raise ConfigError(f"{where}: expected [az, el]")
-            dirs.append(_checked(Direction, _number(row[0], f"{where}[0]"),
-                                 _number(row[1], f"{where}[1]"), path=where))
-        az, el = np.array([(d.azimuth, d.elevation) for d in dirs]).T
-        weights = node.get("weights", [1.0] * len(dirs))
-        if not isinstance(weights, list) or len(weights) != len(dirs):
+        az, el = _angle_rows(rows, f"{path}.directions", ("az", "el"))
+        weights = node.get("weights", [1.0] * len(rows))
+        if not isinstance(weights, list) or len(weights) != len(rows):
             raise ConfigError(f"{path}.weights: one weight per direction")
         w = np.array([_number(x, f"{path}.weights[{i}]", 0, exclusive=True)
                       for i, x in enumerate(weights)])
@@ -211,7 +219,7 @@ def _cloud_arrays(node, path):
         for i, part in enumerate(parts):
             where = f"{path}.parts[{i}]"
             part = _require_mapping(part, where)
-            _check_keys(part, {"weight", "cloud"}, where)
+            _check_keys(part, _PART_KEYS, where)
             rel = _number(part.get("weight", 1.0), f"{where}.weight", 0,
                           exclusive=True)
             sub_az, sub_el, sub_w = _cloud_arrays(part.get("cloud"),
@@ -321,7 +329,8 @@ def _with_pairs(layout: SpeakerLayout, rows, path) -> SpeakerLayout:
                                   f"{layout.labels}")
         pairs.append((index[a], index[b]))
     # SpeakerLayout names a bad pair as its field pairs[i]
-    return _checked(SpeakerLayout, layout.speakers, pairs, path=path)
+    return _checked(SpeakerLayout, layout.labels, layout.azimuth,
+                    layout.elevation, pairs, path=path)
 
 
 def parse_config(data: dict, source: str = "config",
@@ -369,17 +378,22 @@ def parse_config(data: dict, source: str = "config",
     elif isinstance(input_spec, ObjectsSpec):
         raise ConfigError(f"{source}.cloud: required for objects input, "
                           "whose channels sit at the cloud's directions")
-    eval_cloud = parse_cloud(
-        data.get("evaluation_cloud", DEFAULT_EVAL_CLOUD),
-        f"{source}.evaluation_cloud",
-    )
+    # objects are evaluated at their channels, the cloud's directions
+    objects = isinstance(input_spec, ObjectsSpec)
+    path = f"{source}.evaluation_cloud"
+    eval_cloud = (cloud if objects and "evaluation_cloud" not in data else
+                  parse_cloud(data.get("evaluation_cloud", DEFAULT_EVAL_CLOUD),
+                              path))
+    if objects and not (np.array_equal(eval_cloud.azimuth, cloud.azimuth) and
+                        np.array_equal(eval_cloud.elevation, cloud.elevation)):
+        raise ConfigError(f"{path}: an objects input is evaluated at the "
+                          f"directions of {source}.cloud")
     coeffs = _parse_coeffs(data.get("coefficients", {}),
                            f"{source}.coefficients")
     optimizer, init_matrix = _parse_optimizer(data.get("optimizer", {}),
                                               f"{source}.optimizer")
 
     return JobConfig(
-        mode=mode,
         analysis=analysis,
         name=name,
         input_spec=input_spec,

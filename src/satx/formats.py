@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry
 from .errors import CoverageError, DimensionError, GeometryError, check_integer
-from .geometry import Direction, PointCloud, SpeakerLayout
+from .geometry import PointCloud, SpeakerLayout
 
 SN3D = "SN3D"
 N3D = "N3D"
@@ -106,35 +106,37 @@ def _face_gains(layout: SpeakerLayout, azimuth, elevation):
     covered = accepted.any(axis=1)
     if not covered.all():
         first = int(np.argmin(covered))
-        d = Direction(azimuth[first], elevation[first])
+        az = float(np.asarray(azimuth, dtype=float)[first])
+        el = float(np.asarray(elevation, dtype=float)[first])
         if flat[first]:
             raise CoverageError(
-                f"direction az={d.azimuth:.2f} el={d.elevation:.2f} has no "
-                "horizontal component; 2D layout cannot pan it"
+                f"direction az={az:.2f} el={el:.2f} has no horizontal "
+                "component; 2D layout cannot pan it"
             )
-        raise _uncovered(layout, d, v[first], faces, g[first])
+        raise _uncovered(layout, az, el, v[first], faces, g[first])
     pick = accepted.argmax(axis=1)
     return faces[pick], np.clip(g[np.arange(len(v)), pick], 0.0, None)
 
 
-def _uncovered(layout, d, v, faces, g) -> CoverageError:
-    """The error naming d and its nearest covered direction.
+def _uncovered(layout, az, el, v, faces, g) -> CoverageError:
+    """The error naming (az, el) and its nearest covered direction.
 
     That is the least-bad face's clipped resultant or, when all of that
-    face's gains are negative, the speaker nearest to d.
+    face's gains are negative, the speaker nearest to the direction.
     """
     best = int(np.argmax(g.min(axis=1)))
     gains = np.clip(g[best], 0.0, None)
     u = layout.vectors.copy()
     u[:, len(v):] = 0.0  # 2D layouts pan in the horizontal plane
     if gains.any():
-        near = geometry.from_unit_vector(u[faces[best]].T @ gains)
+        (near_az,), (near_el,) = geometry.from_unit_vectors(
+            u[faces[best]].T @ gains)
     else:
-        near = layout.directions[int(np.argmax(u[:, :len(v)] @ v))]
+        i = int(np.argmax(u[:, :len(v)] @ v))
+        near_az, near_el = layout.azimuth[i], layout.elevation[i]
     return CoverageError(
-        f"direction az={d.azimuth:.3f} el={d.elevation:.3f} is outside "
-        f"the panning hull; nearest covered direction is "
-        f"az={near.azimuth:.3f} el={near.elevation:.3f}"
+        f"direction az={az:.3f} el={el:.3f} is outside the panning hull; "
+        f"nearest covered direction is az={near_az:.3f} el={near_el:.3f}"
     )
 
 
@@ -144,19 +146,6 @@ def vbap_matrix(layout: SpeakerLayout, azimuth, elevation) -> np.ndarray:
     out = np.zeros((len(faces), len(layout)))
     np.put_along_axis(out, faces, gains, axis=1)
     return out / np.sqrt(out[:, None, :] @ out[:, :, None])[:, 0]
-
-
-def vbap_gains(layout: SpeakerLayout, d: Direction) -> np.ndarray:
-    """Vector-base amplitude panning gains, energy-normalized (sum g^2 = 1)."""
-    return vbap_matrix(layout, [d.azimuth], [d.elevation])[0]
-
-
-def vbip_gains(layout: SpeakerLayout, d: Direction) -> np.ndarray:
-    """Vector-base intensity panning: the energy vector aligns with d."""
-    (face,), (q,) = _face_gains(layout, [d.azimuth], [d.elevation])
-    out = np.zeros(len(layout))
-    out[face] = np.sqrt(q / q.sum())
-    return out
 
 
 # ---------------------------------------------------------------------------

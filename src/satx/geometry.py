@@ -1,16 +1,16 @@
-"""Directions, sampling clouds, loudspeaker layouts, and hull triangulation.
+"""Sets of directions: sampling clouds, loudspeaker layouts, hull faces.
 
 Conventions: azimuth in degrees, counterclockwise-positive seen from above
 (0 = front, +90 = left), normalized to (-180, 180]; elevation in degrees,
 positive up, in [-90, 90].  Unit vectors are (x front, y left, z up).
 
-A set of directions (a sampling cloud, a layout's speakers) is a pair of
-degree arrays, ``azimuth`` and ``elevation``; ``PointCloud`` and
-``SpeakerLayout`` both provide that pair and their ``vectors``.  The cloud
-generators ``tdesign`` and ``fibonacci_sphere`` return that pair;
-``config.parse_cloud`` reads a cloud from its config mapping and samples it
-into a ``PointCloud``.  A ``Direction`` is one point: a config entry, a
-speaker, or the direction an error message names.
+Every set of directions (a sampling cloud, a layout's speakers) is a pair
+of degree arrays, ``azimuth`` and ``elevation``, checked and normalized by
+``checked_angles``.  ``PointCloud`` adds weights and ``SpeakerLayout``
+labels and symmetry pairs; both provide the unit ``vectors``.  The cloud
+generators ``tdesign`` and ``fibonacci_sphere`` return the pair;
+``config.parse_cloud`` reads a cloud from its config mapping and samples
+it into a ``PointCloud``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Sequence
 
 import numpy as np
 
@@ -36,22 +35,30 @@ def _normalize_azimuth(az):
     return np.where(a <= -180.0, a + 360.0, a)
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A direction on the sphere, stored as azimuth/elevation in degrees."""
+def _unmatched(name: str, x, az) -> None:
+    if len(x) != len(az):
+        raise GeometryError(f"{len(x)} {name}s for {len(az)} azimuths; "
+                            f"index {min(len(x), len(az))} is unmatched")
 
-    azimuth: float
-    elevation: float
 
-    def __post_init__(self):
-        el = float(self.elevation)
-        if not (-90.0 <= el <= 90.0) or not math.isfinite(el):
-            raise GeometryError(f"elevation {el} outside [-90, 90]")
-        if not math.isfinite(self.azimuth):
-            raise GeometryError(f"azimuth {self.azimuth} is not finite")
-        object.__setattr__(self, "azimuth",
-                           float(_normalize_azimuth(self.azimuth)))
-        object.__setattr__(self, "elevation", el)
+def checked_angles(azimuth, elevation, what: str = "directions"):
+    """(azimuth, elevation) as float arrays, the azimuths normalized.
+
+    A non-finite angle or an elevation outside [-90, 90] is rejected with
+    the field ``what[i]`` of the first bad direction.
+    """
+    az = np.array(azimuth, dtype=float).reshape(-1)
+    el = np.array(elevation, dtype=float).reshape(-1)
+    _unmatched("elevation", el, az)
+    if not len(az):
+        raise GeometryError(f"no {what} given")
+    bad = ~np.isfinite(az) | ~(np.abs(el) <= 90.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        reason = (f"azimuth {az[i]} is not finite" if not np.isfinite(az[i])
+                  else f"elevation {el[i]} outside [-90, 90]")
+        raise GeometryError(reason, f"{what}[{i}]")
+    return _normalize_azimuth(az), el
 
 
 def unit_vectors(azimuth, elevation) -> np.ndarray:
@@ -63,15 +70,15 @@ def unit_vectors(azimuth, elevation) -> np.ndarray:
                             np.sin(el)))
 
 
-def from_unit_vector(v: Sequence[float]) -> Direction:
-    """The direction of one vector (it need not be normalized)."""
-    x, y, z = (float(c) for c in v)
-    r = math.sqrt(x * x + y * y + z * z)
-    if r == 0.0:
+def from_unit_vectors(v):
+    """(azimuth, elevation) arrays of (n, 3) vectors, not necessarily unit."""
+    v = np.asarray(v, dtype=float).reshape(-1, 3)
+    r = np.linalg.norm(v, axis=1)
+    if not r.all():
         raise GeometryError("zero vector has no direction")
-    az = math.degrees(math.atan2(y, x))
-    el = math.degrees(math.asin(max(-1.0, min(1.0, z / r))))
-    return Direction(az, el)
+    az = np.degrees(np.arctan2(v[:, 1], v[:, 0]))
+    el = np.degrees(np.arcsin(np.clip(v[:, 2] / r, -1.0, 1.0)))
+    return _normalize_azimuth(az), el
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -79,12 +86,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Directions:
+    """``len`` and unit ``vectors`` of a set's azimuth and elevation arrays."""
+
+    def __len__(self) -> int:
+        return len(self.azimuth)
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """Read-only (n, 3) unit vectors, computed on first use."""
+        return _read_only(unit_vectors(self.azimuth, self.elevation))
+
+
 # ---------------------------------------------------------------------------
 # Point clouds
 
 
 @dataclass(frozen=True)
-class PointCloud:
+class PointCloud(_Directions):
     """Sampled virtual-source directions with per-direction weights.
 
     ``azimuth``, ``elevation`` and ``weights`` are read-only arrays of one
@@ -98,39 +117,19 @@ class PointCloud:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        az = np.array(self.azimuth, dtype=float).reshape(-1)
-        el = np.array(self.elevation, dtype=float).reshape(-1)
-        if not len(az):
-            raise GeometryError("point cloud needs at least one direction")
+        az, el = checked_angles(self.azimuth, self.elevation)
         w = (np.ones(len(az)) if self.weights is None
              else np.array(self.weights, dtype=float).reshape(-1))
-        for name, x in (("elevation", el), ("weight", w)):
-            if len(x) != len(az):
-                raise GeometryError(
-                    f"{len(x)} {name}s for {len(az)} azimuths; index "
-                    f"{min(len(x), len(az))} is unmatched"
-                )
-        bad = (~np.isfinite(az) | ~(np.abs(el) <= 90.0) | ~(w > 0.0)
-               | ~np.isfinite(w))
+        _unmatched("weight", w, az)
+        bad = ~(np.isfinite(w) & (w > 0.0))
         if bad.any():
             i = int(np.argmax(bad))
-            raise GeometryError(
-                f"direction {i}: azimuth {az[i]}, elevation {el[i]}, weight "
-                f"{w[i]}; angles must be finite, elevation in [-90, 90] and "
-                "the weight positive and finite"
-            )
+            raise GeometryError(f"direction {i}: weight {w[i]} is not "
+                                "positive and finite")
         w *= len(az) / w.sum()
-        object.__setattr__(self, "azimuth", _read_only(_normalize_azimuth(az)))
+        object.__setattr__(self, "azimuth", _read_only(az))
         object.__setattr__(self, "elevation", _read_only(el))
         object.__setattr__(self, "weights", _read_only(w))
-
-    def __len__(self) -> int:
-        return len(self.azimuth)
-
-    @functools.cached_property
-    def vectors(self) -> np.ndarray:
-        """Read-only (L, 3) unit vectors, computed on first use."""
-        return _read_only(unit_vectors(self.azimuth, self.elevation))
 
 
 def tdesign(points: int):
@@ -191,30 +190,34 @@ def mirror_indices(vecs: np.ndarray, tol_deg: float = 0.1) -> np.ndarray:
 # Loudspeaker layouts
 
 
-@dataclass(frozen=True)
-class SpeakerLayout:
+@dataclass(frozen=True, eq=False)
+class SpeakerLayout(_Directions):
     """Named loudspeaker directions plus optional left-right symmetry pairs.
 
-    ``azimuth``, ``elevation`` and ``vectors`` are read-only arrays over the
-    speakers, as on a ``PointCloud``.  ``symmetry_pairs`` are speaker index
-    pairs, kept sorted; a bad one is rejected with the field ``pairs[i]``
-    of its position in the given sequence.
+    ``labels`` is a tuple of one label per speaker; ``azimuth`` and
+    ``elevation`` are read-only arrays, as on a ``PointCloud``.
+    ``symmetry_pairs`` are speaker index pairs, kept sorted; a bad one is
+    rejected with the field ``pairs[i]`` of its position in the given
+    sequence.  A layout compares and hashes by identity.
     """
 
-    speakers: tuple  # of (label, Direction)
+    labels: tuple
+    azimuth: np.ndarray
+    elevation: np.ndarray
     symmetry_pairs: tuple = field(default=())
 
     def __post_init__(self):
-        spk = tuple((str(label), d) for label, d in self.speakers)
-        if not spk:
-            raise GeometryError("layout needs at least one speaker")
-        object.__setattr__(self, "speakers", spk)
-        labels = self.labels
+        labels = tuple(str(label) for label in self.labels)
+        az, el = checked_angles(self.azimuth, self.elevation, "speakers")
+        _unmatched("label", labels, az)
         if len(set(labels)) != len(labels):
             raise GeometryError("speaker labels must be unique")
         for label in labels:
             if not label or any(c.isspace() for c in label):
                 raise GeometryError(f"bad speaker label {label!r}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "azimuth", _read_only(az))
+        object.__setattr__(self, "elevation", _read_only(el))
         dots = self.vectors @ self.vectors.T
         np.fill_diagonal(dots, -1.0)
         if dots.max() > math.cos(math.radians(0.1)):
@@ -225,7 +228,7 @@ class SpeakerLayout:
         pairs = tuple((int(p), int(q)) for p, q in self.symmetry_pairs)
         seen = set()
         for i, (p, q) in enumerate(pairs):
-            if not (0 <= p < len(spk) and 0 <= q < len(spk)):
+            if not (0 <= p < len(labels) and 0 <= q < len(labels)):
                 raise GeometryError(f"({p}, {q}) are not speaker indices",
                                     f"pairs[{i}]")
             pair = f"({labels[p]}, {labels[q]})"
@@ -239,40 +242,15 @@ class SpeakerLayout:
             seen.update((p, q))
         object.__setattr__(self, "symmetry_pairs", tuple(sorted(pairs)))
 
-    def __len__(self) -> int:
-        return len(self.speakers)
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(label for label, _ in self.speakers)
-
-    @property
-    def directions(self) -> tuple:
-        return tuple(d for _, d in self.speakers)
-
-    @functools.cached_property
-    def azimuth(self) -> np.ndarray:
-        return _read_only(np.array([d.azimuth for _, d in self.speakers]))
-
-    @functools.cached_property
-    def elevation(self) -> np.ndarray:
-        return _read_only(np.array([d.elevation for _, d in self.speakers]))
-
-    @functools.cached_property
-    def vectors(self) -> np.ndarray:
-        """Read-only (P, 3) unit vectors of the speakers."""
-        return _read_only(unit_vectors(self.azimuth, self.elevation))
-
     def with_detected_pairs(self, tol_deg: float = 1.0) -> "SpeakerLayout":
-        return SpeakerLayout(self.speakers, detect_symmetry_pairs(self, tol_deg))
+        return SpeakerLayout(self.labels, self.azimuth, self.elevation,
+                             detect_symmetry_pairs(self, tol_deg))
 
 
 def layout_from_cloud(cloud: PointCloud) -> SpeakerLayout:
     """A virtual layout of speakers V0, V1, ... at a cloud's directions."""
-    return SpeakerLayout(tuple(
-        (f"V{i}", Direction(az, el)) for i, (az, el)
-        in enumerate(zip(cloud.azimuth.tolist(), cloud.elevation.tolist()))
-    ))
+    return SpeakerLayout(tuple(f"V{i}" for i in range(len(cloud))),
+                         cloud.azimuth, cloud.elevation)
 
 
 def detect_symmetry_pairs(layout: SpeakerLayout, tol_deg: float = 1.0) -> tuple:
@@ -432,7 +410,5 @@ def named_layout(name: str, pair_tol_deg: float = 1.0) -> SpeakerLayout:
         raise GeometryError(
             f"unknown layout {name!r}; built-ins: {sorted(_NAMED_LAYOUTS)}"
         )
-    speakers = tuple(
-        (label, Direction(az, el)) for label, az, el in _NAMED_LAYOUTS[name]
-    )
-    return SpeakerLayout(speakers).with_detected_pairs(pair_tol_deg)
+    labels, az, el = zip(*_NAMED_LAYOUTS[name])
+    return SpeakerLayout(labels, az, el).with_detected_pairs(pair_tol_deg)

@@ -135,6 +135,10 @@ def transcoder_to_file(t: analysis.TranscodingMatrix, note: str = "") -> MatrixF
 def run_generate(job: JobConfig, out_dir, seed: Optional[int] = None) -> GenerateResult:
     problem = build_problem(job)
     cfg = optimization_config(job, seed)
+    if job.init_matrix is not None and cfg.matrix.shape != problem.shape:
+        raise ConfigError(
+            f"config.optimizer.matrix: {job.init_matrix} has shape "
+            f"{cfg.matrix.shape}, expected {problem.shape}")
     report = optimizer.optimize(problem, cfg)
     os.makedirs(out_dir, exist_ok=True)
     matrix_path = os.path.join(out_dir, f"{job.name}_transcoder.smx")
@@ -176,17 +180,18 @@ def evaluation_chain(job: JobConfig):
                                              job.output_layout))
 
 
-def evaluate_matrix(job: JobConfig, t: np.ndarray,
-                    chain=None) -> DirectionMetrics:
+def evaluate_matrix(job: JobConfig, t: np.ndarray, chain=None,
+                    source: str = "matrix") -> DirectionMetrics:
     """Per-direction metrics of a transcoder over the evaluation cloud.
 
     ``chain`` is ``evaluation_chain(job)``, where it is already built.
+    A shape error names ``source``, where the matrix came from.
     """
     encoding, decoder = chain if chain is not None else evaluation_chain(job)
     t = np.asarray(t, dtype=float)
     if t.shape != (decoder.entries.shape[1], encoding.entries.shape[1]):
         raise DimensionError(
-            f"matrix shape {t.shape} does not match formats "
+            f"{source} has shape {t.shape}; the formats need "
             f"({decoder.entries.shape[1]} x {encoding.entries.shape[1]})"
         )
     s = analysis.speaker_matrix(encoding, t, decoder)
@@ -241,8 +246,8 @@ unset multiplot
 
 
 def run_evaluate(job: JobConfig, t: np.ndarray, out_dir,
-                 stem: Optional[str] = None) -> dict:
-    metrics = evaluate_matrix(job, t)
+                 stem: Optional[str] = None, source: str = "matrix") -> dict:
+    metrics = evaluate_matrix(job, t, source=source)
     stats = summaries(metrics)
     os.makedirs(out_dir, exist_ok=True)
     stem = stem or job.name
@@ -264,18 +269,19 @@ def run_evaluate(job: JobConfig, t: np.ndarray, out_dir,
 def run_compare(job: JobConfig, named: Sequence, out_dir) -> dict:
     """Evaluate several named transcoders on the same cloud.
 
-    ``named`` is a sequence of (name, matrix) pairs; per-direction deltas
-    are reported against the first entry.
+    ``named`` is a sequence of (name, matrix, source) triples, where
+    ``source`` says where the matrix came from (a file path); per-direction
+    deltas are reported against the first entry.
     """
     if len(named) < 2:
         raise ConfigError("compare needs at least two matrices")
-    if len({name for name, _ in named}) < len(named):
+    if len({name for name, _, _ in named}) < len(named):
         raise ConfigError("compare needs distinct matrix names")
     os.makedirs(out_dir, exist_ok=True)
     chain = evaluation_chain(job)
     results = {}
-    for name, t in named:
-        metrics = evaluate_matrix(job, t, chain)
+    for name, t, source in named:
+        metrics = evaluate_matrix(job, t, chain, source)
         results[name] = (metrics, summaries(metrics))
         write_text_atomic(
             os.path.join(out_dir, f"{name}_metrics.dat"),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from satx.config import parse_cloud
-from satx.geometry import Direction, PointCloud, SpeakerLayout, unit_vectors
+from satx.formats import _face_gains, vbap_matrix
+from satx.geometry import PointCloud, SpeakerLayout, unit_vectors
 
 
 @pytest.fixture
@@ -10,11 +11,9 @@ def rng():
     return np.random.default_rng(2024)
 
 
-def random_direction(rng, el_range=(-89.0, 89.0)) -> Direction:
-    return Direction(
-        float(rng.uniform(-180.0, 180.0)),
-        float(rng.uniform(*el_range)),
-    )
+def random_direction(rng, el_range=(-89.0, 89.0)) -> tuple:
+    """(azimuth, elevation) of one uniform draw of each."""
+    return float(rng.uniform(-180.0, 180.0)), float(rng.uniform(*el_range))
 
 
 def cloud_of(**node) -> PointCloud:
@@ -22,19 +21,38 @@ def cloud_of(**node) -> PointCloud:
     return parse_cloud(node, "cloud")
 
 
-def to_unit_vector(d: Direction) -> np.ndarray:
-    return unit_vectors([d.azimuth], [d.elevation])[0]
+def unit_vector(az, el) -> np.ndarray:
+    return unit_vectors([az], [el])[0]
 
 
 def direction_arrays(directions) -> tuple:
-    """(azimuth, elevation) arrays of a sequence of Directions."""
-    return (np.array([d.azimuth for d in directions]),
-            np.array([d.elevation for d in directions]))
+    """(azimuth, elevation) arrays of a sequence of (az, el) pairs."""
+    az, el = np.array(directions, dtype=float).reshape(-1, 2).T
+    return az, el
 
 
 def random_directions(rng, n: int, el_range=(-89.0, 89.0)) -> tuple:
     """(azimuth, elevation) arrays of n ``random_direction`` draws."""
     return direction_arrays([random_direction(rng, el_range) for _ in range(n)])
+
+
+def layout_of(*rows, pairs=()) -> SpeakerLayout:
+    """The layout of (label, azimuth, elevation) rows."""
+    labels, az, el = zip(*rows)
+    return SpeakerLayout(labels, az, el, pairs)
+
+
+def vbap_gains(layout, az, el) -> np.ndarray:
+    """VBAP gains of one direction, energy-normalized (sum g^2 = 1)."""
+    return vbap_matrix(layout, [az], [el])[0]
+
+
+def vbip_gains(layout, az, el) -> np.ndarray:
+    """Vector-base intensity panning: the energy vector aligns with (az, el)."""
+    (face,), (q,) = _face_gains(layout, [az], [el])
+    out = np.zeros(len(layout))
+    out[face] = np.sqrt(q / q.sum())
+    return out
 
 
 def mirrored_cloud(rng, n_duos: int = 2, n_median: int = 1) -> PointCloud:
@@ -56,11 +74,6 @@ def paired_layout(rng) -> SpeakerLayout:
     """Three speakers: one mirrored pair plus one on the median plane."""
     az = float(rng.uniform(15.0, 165.0))
     el = float(rng.uniform(-60.0, 60.0))
-    return SpeakerLayout(
-        (
-            ("a", Direction(az, el)),
-            ("b", Direction(-az, el)),
-            ("c", Direction(0.0, float(rng.uniform(-60.0, 60.0)))),
-        ),
-        symmetry_pairs=((0, 1),),
-    )
+    return layout_of(("a", az, el), ("b", -az, el),
+                     ("c", 0.0, float(rng.uniform(-60.0, 60.0))),
+                     pairs=((0, 1),))

@@ -32,14 +32,12 @@ from satx.formats import (
     identity_decoder,
     remap_baseline,
     sh_matrix,
-    vbap_gains,
     vbap_matrix,
-    vbip_gains,
 )
-from satx.geometry import Direction, PointCloud, fibonacci_sphere, named_layout
+from satx.geometry import PointCloud, fibonacci_sphere, named_layout
 from satx.optimizer import OptimizationConfig, optimize
 
-from conftest import direction_arrays, mirrored_cloud, paired_layout
+from conftest import random_directions, vbap_gains, vbip_gains
 from test_cost import finite_difference, random_problem
 
 EXAMPLE1_COEFFS = CostCoefficients(
@@ -220,7 +218,7 @@ def example4_curves(preset_runs):
     cloud = job.cloud
     gains = rep.final_matrix.entries.T  # one row of 5 gains per direction
     vbap = vbap_matrix(layout, cloud.azimuth, cloud.elevation)
-    vbip = np.array([vbip_gains(layout, Direction(az, el))
+    vbip = np.array([vbip_gains(layout, az, el)
                      for az, el in zip(cloud.azimuth, cloud.elevation)])
     return job, rep, layout, cloud, gains, vbap, vbip
 
@@ -273,18 +271,15 @@ def test_criterion_7_format_properties(rng):
     layout = named_layout("octahedron")
     worst_norm = 0.0
     for _ in range(1000):
-        d = Direction(
-            float(rng.uniform(-180, 180)),
-            float(np.degrees(np.arcsin(rng.uniform(-1, 1)))),
-        )
-        g = vbap_gains(layout, d)
+        g = vbap_gains(layout, float(rng.uniform(-180, 180)),
+                       float(np.degrees(np.arcsin(rng.uniform(-1, 1)))))
         worst_norm = max(worst_norm, abs(float((g**2).sum()) - 1.0))
     assert worst_norm < 1e-12
 
     for lay_name in ("octahedron", "7.0.4"):
         lay = named_layout(lay_name)
-        for i, d in enumerate(lay.directions):
-            g = vbap_gains(lay, d)
+        for i, d in enumerate(zip(lay.azimuth, lay.elevation)):
+            g = vbap_gains(lay, *d)
             expected = np.zeros(len(lay))
             expected[i] = 1.0
             np.testing.assert_allclose(g, expected, atol=1e-9)
@@ -302,35 +297,20 @@ def test_criterion_8_metric_units_and_invariance(rng):
 
     from scipy.spatial.transform import Rotation
 
-    from satx.geometry import from_unit_vector
-    from satx.geometry import SpeakerLayout
+    from satx.geometry import SpeakerLayout, from_unit_vectors
 
     worst = 0.0
     for k in range(100):
         local = np.random.default_rng(k)
         n_dirs, n_spk = 5, 4
-        cloud = PointCloud(*direction_arrays([
-            Direction(local.uniform(-180, 180), local.uniform(-85, 85))
-            for _ in range(n_dirs)
-        ]))
-        layout = SpeakerLayout(
-            tuple(
-                (f"s{i}", Direction(local.uniform(-180, 180),
-                                    local.uniform(-85, 85)))
-                for i in range(n_spk)
-            )
-        )
+        cloud = PointCloud(*random_directions(local, n_dirs, (-85, 85)))
+        layout = SpeakerLayout([f"s{i}" for i in range(n_spk)],
+                               *random_directions(local, n_spk, (-85, 85)))
         s = SpeakerMatrix(local.normal(size=(n_dirs, n_spk)), cloud, layout)
         rot = Rotation.random(random_state=k)
-        cloud_r = PointCloud(*direction_arrays(
-            [from_unit_vector(rot.apply(v)) for v in cloud.vectors.copy()]
-        ))
-        layout_r = SpeakerLayout(
-            tuple(
-                (lab, from_unit_vector(rot.apply(v)))
-                for (lab, _), v in zip(layout.speakers, layout.vectors.copy())
-            )
-        )
+        cloud_r = PointCloud(*from_unit_vectors(rot.apply(cloud.vectors.copy())))
+        layout_r = SpeakerLayout(layout.labels,
+                                 *from_unit_vectors(rot.apply(layout.vectors.copy())))
         s_r = SpeakerMatrix(s.entries, cloud_r, layout_r)
         s_k = SpeakerMatrix(2.5 * s.entries, cloud, layout)
         for f in (coherent_metrics, incoherent_metrics):

@@ -24,21 +24,19 @@ from satx.formats import (
     identity_decoder,
 )
 from satx.geometry import (
-    Direction,
     PointCloud,
     SpeakerLayout,
     layout_from_cloud,
     named_layout,
 )
 
-from conftest import cloud_of, direction_arrays
+from conftest import cloud_of, layout_of, random_directions
 
 
 def single_direction_setup(speaker_azimuths, gains, source_az=0.0):
     """One source direction, horizontal speakers, given row of gains."""
-    layout = SpeakerLayout(
-        tuple((f"s{i}", Direction(az, 0)) for i, az in enumerate(speaker_azimuths))
-    )
+    layout = layout_of(*((f"s{i}", az, 0)
+                         for i, az in enumerate(speaker_azimuths)))
     cloud = PointCloud([source_az], [0.0])
     return SpeakerMatrix(np.array([gains], dtype=float), cloud, layout)
 
@@ -46,7 +44,7 @@ def single_direction_setup(speaker_azimuths, gains, source_az=0.0):
 class TestSpeakerMatrix:
     def test_scalar_chain(self):
         cloud = PointCloud([0.0], [0.0])
-        layout = SpeakerLayout((("s", Direction(0, 0)),))
+        layout = layout_of(("s", 0, 0))
         g = EncodingMatrix(np.array([[1.0]]), cloud, ("in",))
         d = DecoderToSpeaker(np.array([[1.0]]), layout, ("out",))
         s = speaker_matrix(g, np.array([[1.0]]), d)
@@ -168,19 +166,10 @@ class TestPerceptualMetrics:
 
 class TestInvariances:
     def random_speaker_matrix(self, rng, n_dirs=6, n_spk=4):
-        cloud = PointCloud(
-            *direction_arrays([
-                Direction(rng.uniform(-180, 180), rng.uniform(-85, 85))
-                for _ in range(n_dirs)
-            ]),
-            rng.uniform(0.5, 2, n_dirs),
-        )
-        layout = SpeakerLayout(
-            tuple(
-                (f"s{i}", Direction(rng.uniform(-180, 180), rng.uniform(-85, 85)))
-                for i in range(n_spk)
-            )
-        )
+        cloud = PointCloud(*random_directions(rng, n_dirs, (-85, 85)),
+                           rng.uniform(0.5, 2, n_dirs))
+        layout = SpeakerLayout([f"s{i}" for i in range(n_spk)],
+                               *random_directions(rng, n_spk, (-85, 85)))
         return SpeakerMatrix(rng.normal(size=(n_dirs, n_spk)), cloud, layout)
 
     def test_scale_covariance(self, rng):
@@ -213,24 +202,18 @@ class TestInvariances:
     def test_rotation_equivariance(self, rng):
         from scipy.spatial.transform import Rotation
 
-        from satx.geometry import from_unit_vector
+        from satx.geometry import from_unit_vectors
 
         for _ in range(5):
             s = self.random_speaker_matrix(rng)
             rot = Rotation.random(random_state=int(rng.integers(1 << 30)))
             cloud_r = PointCloud(
-                *direction_arrays([
-                    from_unit_vector(rot.apply(v))
-                    for v in s.cloud.vectors.copy()
-                ]),
+                *from_unit_vectors(rot.apply(s.cloud.vectors.copy())),
                 s.cloud.weights,
             )
             layout_r = SpeakerLayout(
-                tuple(
-                    (lab, from_unit_vector(rot.apply(v)))
-                    for (lab, _), v in zip(s.layout.speakers,
-                                           s.layout.vectors.copy())
-                )
+                s.layout.labels,
+                *from_unit_vectors(rot.apply(s.layout.vectors.copy())),
             )
             rotated = SpeakerMatrix(s.entries, cloud_r, layout_r)
             for f in (coherent_metrics, incoherent_metrics):

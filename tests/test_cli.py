@@ -220,7 +220,8 @@ class TestEvaluateCompareCli:
         t = np.zeros((3, 12))
         with pytest.raises(ConfigError, match="distinct"):
             runner.run_compare(load_config(str(tiny_config)),
-                               [("a", t), ("a", t)], tmp_path / "dup")
+                               [("a", t, "a.smx"), ("a", t, "b.smx")],
+                               tmp_path / "dup")
 
     def test_mode_override(self, tiny_config, generated, tmp_path):
         out_inc = tmp_path / "minc"
@@ -232,6 +233,70 @@ class TestEvaluateCompareCli:
         inc = (out_inc / "tiny_metrics.dat").read_text()
         coh = (out_coh / "tiny_metrics.dat").read_text()
         assert inc != coh
+
+
+class TestObjectsEvaluation:
+    """An objects input is evaluated at its own cloud, its channels."""
+
+    def test_default_evaluation_cloud_is_the_cloud(self, tmp_path):
+        job = {k: v for k, v in TINY_JOB.items() if k != "evaluation_cloud"}
+        config = tmp_path / "objects.yaml"
+        config.write_text(yaml.safe_dump(job))
+        assert main(["generate", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+        matrix = str(tmp_path / "tiny_transcoder.smx")
+        assert main(["evaluate", "--config", str(config), "--matrix", matrix,
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "tiny_metrics.dat").read_text().splitlines()[1:]
+        assert len(rows) == 12
+        assert main(["compare", "--config", str(config), "--matrix", matrix,
+                     "--baseline", "reference", "--out", str(tmp_path)]) == 0
+
+    def test_other_evaluation_directions_exit_2(self, tmp_path, capsys):
+        job = dict(TINY_JOB, evaluation_cloud={"kind": "ring", "points": 24})
+        config = tmp_path / "objects.yaml"
+        config.write_text(yaml.safe_dump(job))
+        matrix = tmp_path / "t.smx"
+        export_matrix(matrix_file(np.zeros((3, 12))), matrix)
+        assert main(["evaluate", "--config", str(config), "--matrix",
+                     str(matrix), "--out", str(tmp_path)]) == 2
+        assert ("error: config.evaluation_cloud: an objects input is "
+                "evaluated at the directions of config.cloud"
+                in capsys.readouterr().err)
+
+
+class TestMatrixShapeNamesItsFile:
+    """A matrix that does not fit the job's formats is named by its file."""
+
+    def _matrices(self, tmp_path):
+        good, bad = tmp_path / "good.smx", tmp_path / "bad.smx"
+        export_matrix(matrix_file(np.zeros((3, 12))), good)
+        export_matrix(matrix_file(np.zeros((11, 36))), bad)
+        return str(good), str(bad)
+
+    def test_evaluate(self, tiny_config, tmp_path, capsys):
+        _, bad = self._matrices(tmp_path)
+        assert main(["evaluate", "--config", str(tiny_config), "--matrix",
+                     bad, "--out", str(tmp_path)]) == 2
+        assert (f"error: {bad} has shape (11, 36); the formats need "
+                "(3 x 12)") in capsys.readouterr().err
+
+    def test_compare(self, tiny_config, tmp_path, capsys):
+        good, bad = self._matrices(tmp_path)
+        assert main(["compare", "--config", str(tiny_config), "--matrix",
+                     good, "--matrix", bad, "--out", str(tmp_path)]) == 2
+        assert (f"error: {bad} has shape (11, 36); the formats need "
+                "(3 x 12)") in capsys.readouterr().err
+
+    def test_given_init(self, tmp_path, capsys):
+        _, bad = self._matrices(tmp_path)
+        job = dict(TINY_JOB, optimizer={"init": "given", "matrix": bad})
+        config = tmp_path / "given.yaml"
+        config.write_text(yaml.safe_dump(job))
+        assert main(["generate", "--config", str(config),
+                     "--out", str(tmp_path)]) == 2
+        assert (f"error: config.optimizer.matrix: {bad} has shape (11, 36), "
+                "expected (3, 12)") in capsys.readouterr().err
 
 
 class TestSectionsAtLoad:

@@ -32,13 +32,11 @@ from satx.formats import (
     identity_decoder,
 )
 from satx.geometry import (
-    Direction,
     PointCloud,
-    SpeakerLayout,
     named_layout,
 )
 
-from conftest import cloud_of, mirrored_cloud, paired_layout
+from conftest import cloud_of, layout_of, mirrored_cloud, paired_layout
 
 ALL_ONES = CostCoefficients(**{name: 1.0 for name in TERM_NAMES})
 
@@ -99,9 +97,7 @@ class TestTermValues:
             assert breakdown[name] == pytest.approx(0.0, abs=1e-15), name
 
     def test_opposed_pair_hand_values(self):
-        layout = SpeakerLayout(
-            (("a", Direction(90, 0)), ("b", Direction(-90, 0)))
-        )
+        layout = layout_of(("a", 90, 0), ("b", -90, 0))
         cloud = PointCloud([0.0], [0.0])
         s = SpeakerMatrix(np.array([[0.5, 0.5]]), cloud, layout)
         b = cost_terms(s, coeffs=ALL_ONES)
@@ -113,9 +109,7 @@ class TestTermValues:
         assert b["intensity_transverse"] == pytest.approx(0.0, abs=1e-15)
 
     def test_out_of_phase_quadratic_value(self):
-        layout = SpeakerLayout(
-            (("a", Direction(30, 0)), ("b", Direction(-30, 0)))
-        )
+        layout = layout_of(("a", 30, 0), ("b", -30, 0))
         cloud = PointCloud([0.0], [0.0])
         s = SpeakerMatrix(np.array([[0.8, -0.2]]), cloud, layout)
         b = cost_terms(s, coeffs=ALL_ONES)
@@ -176,9 +170,7 @@ class TestTermValues:
         assert b["gain_cap_quadratic"] > 0
 
     def test_sparsity_zero_iff_one_nonzero_per_row(self):
-        layout = SpeakerLayout(
-            (("a", Direction(45, 0)), ("b", Direction(-45, 0)))
-        )
+        layout = layout_of(("a", 45, 0), ("b", -45, 0))
         cloud = PointCloud([10.0, -10.0], [0.0, 0.0])
         one_hot = SpeakerMatrix(np.array([[0.7, 0.0], [0.0, 1.3]]), cloud, layout)
         spread = SpeakerMatrix(np.array([[0.7, 0.1], [0.0, 1.3]]), cloud, layout)

@@ -15,16 +15,12 @@ from satx.formats import (
     build_encoding_matrix,
     remap_baseline,
     sh_matrix,
-    vbap_gains,
     vbap_matrix,
-    vbip_gains,
 )
 from satx.geometry import (
-    Direction,
     PointCloud,
-    SpeakerLayout,
     fibonacci_sphere,
-    from_unit_vector,
+    from_unit_vectors,
     layout_from_cloud,
     named_layout,
     triangulate_hull,
@@ -33,9 +29,12 @@ from satx.geometry import (
 from conftest import (
     cloud_of,
     direction_arrays,
+    layout_of,
     random_direction,
     random_directions,
-    to_unit_vector,
+    unit_vector,
+    vbap_gains,
+    vbip_gains,
 )
 
 
@@ -64,7 +63,7 @@ def per_direction_gains(layout, faces, d, intensity=False):
     >= -1e-9 wins.
     """
     k = len(faces[0])
-    v = to_unit_vector(d)[:k]
+    v = unit_vector(*d)[:k]
     if k == 2:
         v = v / np.linalg.norm(v)
     for face in faces:
@@ -95,8 +94,8 @@ class TestSphericalHarmonics:
 
     def test_order_one_sn3d_formulas(self, rng):
         for _ in range(20):
-            d = random_direction(rng)
-            az, el = math.radians(d.azimuth), math.radians(d.elevation)
+            az_deg, el_deg = random_direction(rng)
+            az, el = math.radians(az_deg), math.radians(el_deg)
             expected = [
                 1.0,
                 math.cos(el) * math.sin(az),
@@ -104,7 +103,7 @@ class TestSphericalHarmonics:
                 math.cos(el) * math.cos(az),
             ]
             np.testing.assert_allclose(
-                sh_matrix([d.azimuth], [d.elevation], 1)[0], expected,
+                sh_matrix([az_deg], [el_deg], 1)[0], expected,
                 atol=1e-14
             )
 
@@ -141,23 +140,21 @@ class TestSphericalHarmonics:
 class TestVbap:
     def test_one_hot_at_speakers(self):
         layout = named_layout("7.0.4")
-        for i, d in enumerate(layout.directions):
-            g = vbap_gains(layout, d)
+        for i, d in enumerate(zip(layout.azimuth, layout.elevation)):
+            g = vbap_gains(layout, *d)
             expected = np.zeros(len(layout))
             expected[i] = 1.0
             np.testing.assert_allclose(g, expected, atol=1e-9)
 
     def test_symmetric_pair(self):
-        layout = SpeakerLayout(
-            (("a", Direction(45, 0)), ("b", Direction(-45, 0)))
-        )
-        g = vbap_gains(layout, Direction(0, 0))
+        layout = layout_of(("a", 45, 0), ("b", -45, 0))
+        g = vbap_gains(layout, 0, 0)
         np.testing.assert_allclose(g, [math.sqrt(0.5)] * 2, atol=1e-12)
 
     def test_energy_normalized_everywhere(self, rng):
         layout = named_layout("octahedron")
         for _ in range(300):
-            g = vbap_gains(layout, random_direction(rng, (-90, 90)))
+            g = vbap_gains(layout, *random_direction(rng, (-90, 90)))
             assert abs((g**2).sum() - 1.0) < 1e-12
             assert (g >= 0).all()
             assert (g > 0).sum() <= 3
@@ -167,21 +164,21 @@ class TestVbap:
         u = layout.vectors
         for _ in range(50):
             d = random_direction(rng)
-            g = vbap_gains(layout, d)
+            g = vbap_gains(layout, *d)
             resultant = g @ u
             resultant /= np.linalg.norm(resultant)
             np.testing.assert_allclose(
-                resultant, to_unit_vector(d), atol=1e-12
+                resultant, unit_vector(*d), atol=1e-12
             )
 
     def test_edge_continuity(self):
         layout = named_layout("octahedron")
         # sweep across the +x/+y edge of the octahedron
         eps = 0.05
-        a = vbap_gains(layout, Direction(45, eps))
-        b = vbap_gains(layout, Direction(45, -eps))
+        a = vbap_gains(layout, 45, eps)
+        b = vbap_gains(layout, 45, -eps)
         assert np.abs(a - b).max() < 0.02
-        on_edge = vbap_gains(layout, Direction(45, 0))
+        on_edge = vbap_gains(layout, 45, 0)
         assert np.abs(on_edge - a).max() < 0.02
         assert (on_edge > 1e-6).sum() == 2
 
@@ -212,20 +209,21 @@ class TestVbap:
             for a, b in zip(face, face[1:] + face[:1])
         ]
         dirs = [random_direction(rng, (-90, 90)) for _ in range(300)]
-        dirs += list(layout.directions)
-        dirs += [from_unit_vector(u[a] + u[b]) for a, b in edges
-                 if np.linalg.norm(u[a] + u[b]) > 1e-9]
+        dirs += list(zip(layout.azimuth, layout.elevation))
+        mids = [u[a] + u[b] for a, b in edges
+                if np.linalg.norm(u[a] + u[b]) > 1e-9]
+        dirs += list(zip(*from_unit_vectors(mids)))
         covered = []
         for d in dirs:
             try:
                 per_direction_gains(layout, faces, d)
             except CoverageError:
                 with pytest.raises(CoverageError):
-                    vbap_gains(layout, d)
+                    vbap_gains(layout, *d)
                 continue
             covered.append(d)
             np.testing.assert_array_equal(
-                vbip_gains(layout, d),
+                vbip_gains(layout, *d),
                 per_direction_gains(layout, faces, d, intensity=True),
             )
         assert len(covered) > 150
@@ -238,21 +236,19 @@ class TestVbap:
 
     def test_batch_names_its_first_uncovered_direction(self):
         layout = named_layout("7.0.4")
-        outside1, outside2 = Direction(10, -40), Direction(-60, -70)
+        outside1, outside2 = (10, -40), (-60, -70)
         with pytest.raises(CoverageError) as single:
-            vbap_gains(layout, outside1)
+            vbap_gains(layout, *outside1)
         with pytest.raises(CoverageError) as batch:
             vbap_matrix(layout, *direction_arrays(
-                [Direction(0, 30), outside1, outside2]))
+                [(0, 30), outside1, outside2]))
         assert str(batch.value) == str(single.value)
         assert "az=10.000 el=-40.000" in str(batch.value)
 
     def test_direction_behind_a_narrow_2d_layout(self):
         # every gain of the one face is negative, so the clipped resultant
         # is the zero vector; the nearest speaker is reported instead
-        layout = SpeakerLayout(
-            (("L", Direction(30, 0)), ("R", Direction(-30, 0)))
-        )
+        layout = layout_of(("L", 30, 0), ("R", -30, 0))
         with pytest.raises(CoverageError, match=(
             r"az=170\.000 el=0\.000 is outside the panning hull; nearest "
             r"covered direction is az=30\.000 el=0\.000"
@@ -260,17 +256,15 @@ class TestVbap:
             vbap_matrix(layout, [0.0, 170.0], [0.0, 0.0])
 
     def test_layout_without_a_solvable_face(self):
-        layout = SpeakerLayout(
-            (("F", Direction(0, 0)), ("B", Direction(180, 0)))
-        )
+        layout = layout_of(("F", 0, 0), ("B", 180, 0))
         with pytest.raises(GeometryError, match="coplanar with the origin"):
-            vbap_gains(layout, Direction(0, 0))
+            vbap_gains(layout, 0, 0)
 
     def test_continuity_dense_sweep(self):
         layout = named_layout("7.0.4")
         prev = None
         for az in np.arange(-180.0, 180.0, 0.1):
-            g = vbap_gains(layout, Direction(float(az), 20.0))
+            g = vbap_gains(layout, float(az), 20.0)
             if prev is not None:
                 assert np.abs(g - prev).max() < 0.02
             prev = g
@@ -278,19 +272,19 @@ class TestVbap:
     def test_outside_hull_reports_nearest(self):
         layout = named_layout("7.0.4")
         with pytest.raises(CoverageError, match="nearest covered"):
-            vbap_gains(layout, Direction(0, -40))
+            vbap_gains(layout, 0, -40)
 
     def test_vbip_aligns_energy_vector(self, rng):
         layout = named_layout("octahedron")
         u = layout.vectors
         for _ in range(50):
             d = random_direction(rng)
-            g = vbip_gains(layout, d)
+            g = vbip_gains(layout, *d)
             assert abs((g**2).sum() - 1.0) < 1e-12
             resultant = (g**2) @ u
             resultant /= np.linalg.norm(resultant)
             np.testing.assert_allclose(
-                resultant, to_unit_vector(d), atol=1e-12
+                resultant, unit_vector(*d), atol=1e-12
             )
 
 

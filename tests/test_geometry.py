@@ -8,11 +8,10 @@ from hypothesis import given, strategies as st
 from satx import geometry, runner
 from satx.errors import ConfigError, GeometryError
 from satx.geometry import (
-    Direction,
     PointCloud,
     SpeakerLayout,
     detect_symmetry_pairs,
-    from_unit_vector,
+    from_unit_vectors,
     layout_from_cloud,
     mirror_indices,
     named_layout,
@@ -20,7 +19,7 @@ from satx.geometry import (
     unit_vectors,
 )
 
-from conftest import cloud_of, to_unit_vector
+from conftest import cloud_of, layout_of, unit_vector
 
 
 def part(weight, **cloud):
@@ -40,38 +39,45 @@ def spherical_triangle_solid_angle(u1, u2, u3) -> float:
     return 2.0 * math.atan2(triple, denom)
 
 
+def ring_layout(az, el):
+    """A layout of speakers s0, s1, ... at the given angles."""
+    return SpeakerLayout([f"s{i}" for i in range(len(az))], az, el)
+
+
 class TestDirection:
+    """Both sets of directions, clouds and layouts, check angles alike."""
+
     def test_front_left_zenith_axes(self):
         np.testing.assert_allclose(
             unit_vectors([0, 90, 0], [0, 0, 90]), np.eye(3), atol=1e-15
         )
 
     def test_azimuth_normalized_to_half_open_range(self):
-        assert Direction(270, 0).azimuth == -90
-        assert Direction(540, 0).azimuth == 180
-        assert Direction(-180, 0).azimuth == 180
-        assert Direction(180, 0).azimuth == 180
+        for make in (PointCloud, ring_layout):
+            directions = make([270, 540, -180, 180], [0, 10, 20, 30])
+            assert directions.azimuth.tolist() == [-90, 180, 180, 180]
 
     def test_elevation_range_enforced(self):
-        with pytest.raises(GeometryError):
-            Direction(0, 91)
-        with pytest.raises(GeometryError):
-            Direction(0, float("nan"))
+        for make in (PointCloud, ring_layout):
+            for el in (91.0, float("nan")):
+                with pytest.raises(GeometryError) as info:
+                    make([0, 10], [0, el])
+                assert info.value.field.endswith("[1]")
+                assert info.value.reason == f"elevation {el} outside [-90, 90]"
 
     @given(
         az=st.floats(-180, 180, exclude_min=True),
         el=st.floats(-89.9, 89.9),
     )
     def test_round_trip(self, az, el):
-        d = Direction(az, el)
-        back = from_unit_vector(to_unit_vector(d))
-        assert abs(back.azimuth - d.azimuth) < 1e-9
-        assert abs(back.elevation - d.elevation) < 1e-9
+        (back_az,), (back_el,) = from_unit_vectors(unit_vector(az, el))
+        assert abs(back_az - az) < 1e-9
+        assert abs(back_el - el) < 1e-9
 
     def test_unit_norm(self, rng):
-        for _ in range(50):
-            d = Direction(rng.uniform(-180, 180), rng.uniform(-90, 90))
-            assert abs(np.linalg.norm(to_unit_vector(d)) - 1.0) < 1e-12
+        cloud = PointCloud(rng.uniform(-180, 180, 50), rng.uniform(-90, 90, 50))
+        np.testing.assert_allclose(np.linalg.norm(cloud.vectors, axis=1), 1.0,
+                                   rtol=0, atol=1e-12)
 
 
 class TestClouds:
@@ -133,8 +139,8 @@ class TestClouds:
             PointCloud([0.0], [0.0], np.array([0.0]))
 
     @pytest.mark.parametrize("azimuth, elevation, weights, index", [
-        ([0, 10, float("nan")], [0, 0, 0], None, "direction 2"),
-        ([0, 10, 20], [0, 90.5, 0], None, "direction 1"),
+        ([0, 10, float("nan")], [0, 0, 0], None, r"directions\[2\]"),
+        ([0, 10, 20], [0, 90.5, 0], None, r"directions\[1\]"),
         ([0, 10, 20], [0, 0, 0], [1, 0, 1], "direction 1"),
         ([0, 10, 20], [0, 0], None, "index 2"),
         ([0, 10, 20], [0, 0, 0], [1, 1, 1, 1], "index 3"),
@@ -247,13 +253,14 @@ class TestSymmetryPairs:
         assert detect_symmetry_pairs(named_layout("3.0.1"), 1.0) == ()
 
     def test_single_speaker(self):
-        layout = SpeakerLayout((("C", Direction(0, 0)),))
+        layout = layout_of(("C", 0, 0))
         assert detect_symmetry_pairs(layout, 1.0) == ()
 
     def test_invariant_under_reordering(self, rng):
         base = named_layout("7.0.4")
         order = rng.permutation(len(base))
-        shuffled = SpeakerLayout(tuple(base.speakers[i] for i in order))
+        shuffled = SpeakerLayout([base.labels[i] for i in order],
+                                 base.azimuth[order], base.elevation[order])
 
         def label_pairs(layout):
             return {
@@ -275,16 +282,14 @@ class TestSymmetryPairs:
     ])
     def test_bad_pair_named_by_position_and_labels(self, pairs, field,
                                                    reason):
-        speakers = (("L", Direction(30, 0)), ("R", Direction(-30, 0)),
-                    ("C", Direction(0, 0)))
         with pytest.raises(GeometryError) as info:
-            SpeakerLayout(speakers, pairs)
+            layout_of(("L", 30, 0), ("R", -30, 0), ("C", 0, 0), pairs=pairs)
         assert (info.value.field, info.value.reason) == (field, reason)
 
     def test_pairs_kept_sorted(self):
         layout = named_layout("5.0")
-        assert SpeakerLayout(layout.speakers, ((3, 4), (2, 1))
-                             ).symmetry_pairs == ((2, 1), (3, 4))
+        assert SpeakerLayout(layout.labels, layout.azimuth, layout.elevation,
+                             ((3, 4), (2, 1))).symmetry_pairs == ((2, 1), (3, 4))
 
 
 class TestHull:
@@ -332,46 +337,28 @@ class TestHull:
 
     def test_degenerate_plane_layout_reports_fill_speakers(self):
         # four speakers in the median (y = 0) plane
-        speakers = tuple(
-            (f"s{i}", d)
-            for i, d in enumerate(
-                (
-                    Direction(0, 0),
-                    Direction(0, 50),
-                    Direction(180, 20),
-                    Direction(180, -40),
-                )
-            )
-        )
+        layout = ring_layout([0, 0, 180, 180], [0, 50, 20, -40])
         with pytest.raises(GeometryError, match="virtual fill"):
-            triangulate_hull(SpeakerLayout(speakers))
+            triangulate_hull(layout)
 
     def test_three_speakers_not_enough_for_3d(self):
-        speakers = (
-            ("a", Direction(0, 45)),
-            ("b", Direction(120, 45)),
-            ("c", Direction(-120, 45)),
-        )
+        layout = ring_layout([0, 120, -120], [45, 45, 45])
         with pytest.raises(GeometryError):
-            triangulate_hull(SpeakerLayout(speakers))
+            triangulate_hull(layout)
 
     def test_stereo_pair_2d(self):
-        layout = SpeakerLayout(
-            (("L", Direction(30, 0)), ("R", Direction(-30, 0)))
-        )
+        layout = layout_of(("L", 30, 0), ("R", -30, 0))
         assert triangulate_hull(layout) == [(0, 1)]
 
 
 class TestLayout:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(GeometryError):
-            SpeakerLayout((("L", Direction(0, 0)), ("L", Direction(10, 0))))
+            layout_of(("L", 0, 0), ("L", 10, 0))
 
     def test_coincident_speakers_rejected(self):
         with pytest.raises(GeometryError, match="closer than"):
-            SpeakerLayout(
-                (("a", Direction(0, 0)), ("b", Direction(0.05, 0)))
-            )
+            layout_of(("a", 0, 0), ("b", 0.05, 0))
 
     def test_named_layout_unknown(self):
         with pytest.raises(GeometryError, match="unknown layout"):

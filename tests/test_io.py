@@ -236,7 +236,6 @@ class TestConfig:
         from satx import AmbisonicsSpec, presets
 
         job = presets.load_preset("example1")
-        assert job.mode == "generate"
         assert job.analysis == "incoherent"
         assert isinstance(job.input_spec, AmbisonicsSpec)
         assert job.input_spec.order == 5
@@ -378,6 +377,12 @@ class TestConfig:
         ("symmetry", {"pairs": [["L", "Q"]]},
          "config.symmetry.pairs[0]: Q is not a speaker of the output "
          "layout ('L', 'R', 'C')"),
+        ("output", {"format": "speakers",
+                    "layout": [["L", 30, 0], ["R", -30, 95]]},
+         "config.output.layout[1]: elevation 95.0 outside [-90, 90]"),
+        ("output", {"format": "speakers",
+                    "layout": {"speakers": [["L", 30, 0], ["R", -30, -91]]}},
+         "config.output.layout[1]: elevation -91.0 outside [-90, 90]"),
     ])
     def test_load_error_names_its_key(self, tmp_path, capsys, key, value,
                                       message):
