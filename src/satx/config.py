@@ -159,7 +159,7 @@ def parse_layout(node, path, pair_tol=1.0) -> SpeakerLayout:
             raise ConfigError(f"{path}: expected a layout name or speaker list")
         az, el = _angle_rows(node, path, ("label", "az", "el"))
         labels = [str(row[0]) for row in node]
-        return SpeakerLayout(labels, az, el).with_detected_pairs(pair_tol)
+        return geometry.layout_with_pairs(labels, az, el, pair_tol)
     except (geometry.GeometryError, OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -24,16 +24,24 @@ per-cell arithmetic is the row-major kernel's, operation for operation,
 so the results keep their bits.  Sums over the speakers go through
 ``analysis.speaker_sum``, which reproduces numpy's row sum exactly: a
 reduction over axis 0 for fewer than eight speakers (numpy adds such a
-row left to right), and the row sum of a direction-major copy otherwise
+row left to right), and the row sum of direction-major values otherwise
 (numpy adds a longer row with eight interleaved accumulators).  The
-matrix products keep their row-major operands: a BLAS call on a
-transposed operand may round differently.
+kernel forms the values it sums in the layout the sum reads, so neither
+sum copies.  The matrix products keep their row-major operands: a BLAS
+call on a transposed operand may round differently, so with fewer than
+eight speakers the squared gains are formed in both layouts.
 
-On the optimizer's hot path a term whose coefficient is 0 is not
-computed, nor is any intermediate that only such terms use; 0 times a
-finite term adds +0.0 to the total, so skipping it keeps the total's
-bits.  ``breakdown`` and ``cost_terms`` pass ``every_term=True`` and get
-all fourteen values.
+Whatever depends on the problem alone is built once, into the plan
+(``_Plan``) that ``TranscodingProblem`` keeps beside its geometry: the
+terms to compute, the gradient prefactor arrays, the symmetry
+prefactors and cell indices cut to the mirrored directions, and the
+(coefficient, name) pairs of the weighted total.  On the optimizer's
+hot path a term whose coefficient is 0 is not computed, nor is any
+intermediate that only such terms use; 0 times a finite term adds +0.0
+to the total, so skipping it keeps the total's bits.  ``breakdown`` and
+``cost_terms`` use a plan of all fourteen terms.  Each term but the gain
+caps sums an L-array; the arrays fill the rows of one buffer, and one
+reduction sums every row as the array's own sum would.
 """
 
 from __future__ import annotations
@@ -163,7 +171,7 @@ class _ProblemGeometry:
         self.pb = np.array([q for _, q in pairs], dtype=int)
 
 
-# the terms each shared intermediate of _evaluate serves
+# the terms each shared intermediate of the kernel serves
 _COHERENT = {"pressure", "velocity_radial", "velocity_transverse",
              "in_phase_linear", "symmetry_linear", "sparsity_linear"}
 _INCOHERENT = {"energy", "intensity_radial", "intensity_transverse",
@@ -173,162 +181,234 @@ _IN_PHASE = {"in_phase_linear", "in_phase_quadratic"}
 _SYMMETRY = {"symmetry_linear", "symmetry_quadratic"}
 _GAIN_CAP = {"gain_cap_linear", "gain_cap_quadratic"}
 _SPARSITY = {"sparsity_linear", "sparsity_quadratic"}
+# terms of the squared gains: d(s*s)/ds = 2s doubles their prefactor
+_FOURFOLD = {"energy", "intensity_radial", "intensity_transverse"}
+
+
+class _Plan:
+    """The kernel's per-problem constants for one set of coefficients.
+
+    ``on`` holds the terms to compute: all of them, or those with a
+    nonzero coefficient.  ``weights`` are the (coefficient, name) pairs
+    of the weighted total, and ``row_of`` gives each of those terms but
+    the gain caps its row of the buffer that one reduction sums.
+    ``pre`` maps each active term but the gain
+    caps to its gradient prefactor ``(c * 2.0) * w``, or ``(c * 4.0) * w``
+    for the terms of s*s: the product Python forms first in
+    ``c * 2.0 * w * x``, so a gradient built on it keeps its bits.  The
+    symmetry prefactors are cut to the mirrored ``rows``, a slice when
+    every direction has its mirror; ``cells`` are the flat (P x L)
+    indices of the paired speakers at those rows and at their mirrors.
+    ``wide`` says that speaker sums read direction-major arrays, as
+    ``analysis.speaker_sum`` adds eight or more speakers.
+    """
+
+    def __init__(self, geo: _ProblemGeometry, coeffs: CostCoefficients,
+                 every_term: bool = False):
+        active = [k for k in TERM_NAMES if getattr(coeffs, k)]
+        self.geo, self.coeffs = geo, coeffs
+        self.on = frozenset(TERM_NAMES if every_term else active)
+        self.weights = tuple((getattr(coeffs, k), k) for k in TERM_NAMES
+                             if k in self.on)
+        self.row_of = {k: i for i, k in enumerate(
+            k for k in TERM_NAMES if k in self.on and k not in _GAIN_CAP)}
+        self.wide = len(geo.u) >= 8
+        n_dirs = len(geo.w)
+        self.have_pairs = geo.pa.size > 0 and geo.rows.size > 0
+        self.rows = slice(None) if geo.rows.size == n_dirs else geo.rows
+        self.cells = (geo.pa[:, None] * n_dirs + geo.rows,
+                      geo.pb[:, None] * n_dirs + geo.mu)
+        self.pre = {k: (getattr(coeffs, k) * (4.0 if k in _FOURFOLD else 2.0))
+                    * geo.w for k in active if k not in _GAIN_CAP}
+        for k in _SYMMETRY & self.pre.keys():
+            self.pre[k] = self.pre[k][self.rows]
+
+    def spread(self, x: np.ndarray) -> np.ndarray:
+        """The mirrored rows' values ``x`` as an L-array, zero elsewhere."""
+        if isinstance(self.rows, slice):
+            return x
+        out = np.zeros(len(self.geo.w))
+        out[self.rows] = x
+        return out
+
+    def scatter(self, ds: np.ndarray, scale: np.ndarray) -> None:
+        """Add ``scale`` to ds at the paired cells, subtract it at their
+        mirrors, cell by cell in order: mirrors may repeat a cell."""
+        flat = ds.reshape(-1)
+        cells_a, cells_b = self.cells
+        np.add.at(flat, cells_a, scale)
+        np.subtract.at(flat, cells_b, scale)
+
+    def total(self, terms: dict) -> float:
+        """Coefficient-weighted sum in term order."""
+        return float(sum(c * terms[k] for c, k in self.weights))
 
 
 def _evaluate(s, t, geo: _ProblemGeometry, coeffs: CostCoefficients,
               want_gradient: bool, every_term: bool = False):
+    """``_kernel`` under a plan built for this call; ``every_term``
+    computes all 14 terms, else only those with a nonzero coefficient."""
+    return _kernel(s, t, _Plan(geo, coeffs, every_term), want_gradient)
+
+
+def _kernel(s, t, plan: _Plan, want_gradient: bool):
     """Term values, and optionally (dC/dS as P x L, dC/dT_direct).
 
-    Only the terms with a nonzero coefficient are computed, together with
-    the intermediates they use; ``every_term`` computes all 14.
+    Only the terms of ``plan.on`` are computed, together with the
+    intermediates they use.
     """
+    geo, on, pre = plan.geo, plan.on, plan.pre
     s = np.ascontiguousarray(s, dtype=float)
     st = s.T.copy()  # (P, L)
-    on = set(TERM_NAMES) if every_term else {
-        k for k in TERM_NAMES if getattr(coeffs, k)}
+    # the values speaker_sum adds, in the layout it reads without a copy
+    sm = s.T if plan.wide else st
     w, u, v = geo.w, geo.u, geo.v
-    terms = {}
+    # each term is the sum of an L-array, w times its row of ``parts``
+    parts = np.empty((len(plan.row_of), len(w)))
+
+    def part(name, x):
+        np.multiply(w, x, out=parts[plan.row_of[name]])
+
     if on & _COHERENT:
-        p_raw = speaker_sum(st)
+        p_raw = speaker_sum(sm)
         pg = guard_pressure(p_raw)
         abs_pg = np.abs(pg)
         if "pressure" in on:
-            terms["pressure"] = float((w * (1.0 - p_raw) ** 2).sum())
+            part("pressure", (1.0 - p_raw) ** 2)
         if on & {"velocity_radial", "velocity_transverse"}:
             vr, vt = direction_vector(s, pg, u, v)
             vt_t = vt.T.copy()
             vt2 = speaker_sum(vt_t * vt_t)
             if "velocity_radial" in on:
-                terms["velocity_radial"] = float((w * (1.0 - vr) ** 2).sum())
+                part("velocity_radial", (1.0 - vr) ** 2)
             if "velocity_transverse" in on:
-                terms["velocity_transverse"] = float((w * vt2).sum())
+                part("velocity_transverse", vt2)
     if on & _INCOHERENT:
-        e_raw = speaker_sum(st * st)
+        sq = sm * sm
+        e_raw = speaker_sum(sq)
         eg = guard_energy(e_raw)
         if "energy" in on:
-            terms["energy"] = float((w * (1.0 - e_raw) ** 2).sum())
+            part("energy", (1.0 - e_raw) ** 2)
         if on & {"intensity_radial", "intensity_transverse"}:
-            ir, it = direction_vector(s * s, eg, u, v)
+            # direction_vector's product needs s*s direction-major
+            ir, it = direction_vector(sq.T if plan.wide else s * s, eg, u, v)
             it_t = it.T.copy()
             it2 = speaker_sum(it_t * it_t)
             if "intensity_radial" in on:
-                terms["intensity_radial"] = float((w * (1.0 - ir) ** 2).sum())
+                part("intensity_radial", (1.0 - ir) ** 2)
             if "intensity_transverse" in on:
-                terms["intensity_transverse"] = float((w * it2).sum())
+                part("intensity_transverse", it2)
     if on & _IN_PHASE:
-        s_neg = np.minimum(st, 0.0)
+        s_neg = np.minimum(sm, 0.0)
         if "in_phase_linear" in on:
             m1_neg = -speaker_sum(s_neg)
             phi_lin = m1_neg / abs_pg
-            terms["in_phase_linear"] = float((w * phi_lin**2).sum())
+            part("in_phase_linear", phi_lin**2)
         if "in_phase_quadratic" in on:
             e_neg = speaker_sum(s_neg * s_neg)
             phi_quad = e_neg / eg
-            terms["in_phase_quadratic"] = float((w * phi_quad**2).sum())
+            part("in_phase_quadratic", phi_quad**2)
 
-    have_pairs = geo.pa.size > 0 and geo.rows.size > 0
     if on & _SYMMETRY:
-        delta_lin = np.zeros(len(s))
-        delta_quad = np.zeros(len(s))
-        if have_pairs:
-            rows, mu = geo.rows, geo.mu
-            dmat = st[geo.pa][:, rows] - st[geo.pb][:, mu]  # (pairs, rows)
+        delta_lin = delta_quad = np.zeros(len(s))
+        if plan.have_pairs:
+            rows = plan.rows
+            cells_a, cells_b = plan.cells
+            dmat = st.take(cells_a) - st.take(cells_b)  # (pairs, rows)
             if "symmetry_linear" in on:
-                delta_lin[rows] = speaker_sum(np.abs(dmat)) / abs_pg[rows]
+                abs_pg_r = abs_pg[rows]
+                dl_r = speaker_sum(np.abs(dmat)) / abs_pg_r
+                delta_lin = plan.spread(dl_r)
             if "symmetry_quadratic" in on:
-                delta_quad[rows] = speaker_sum(dmat * dmat) / eg[rows]
+                eg_r = eg[rows]
+                dq_r = speaker_sum(dmat * dmat) / eg_r
+                delta_quad = plan.spread(dq_r)
         if "symmetry_linear" in on:
-            terms["symmetry_linear"] = float((w * delta_lin**2).sum())
+            part("symmetry_linear", delta_lin**2)
         if "symmetry_quadratic" in on:
-            terms["symmetry_quadratic"] = float((w * delta_quad**2).sum())
+            part("symmetry_quadratic", delta_quad**2)
 
-    if t is not None:
-        t = np.asarray(t, dtype=float)
+    if on & _SPARSITY:
+        l1 = speaker_sum(np.abs(sm))
+        l2 = np.sqrt(e_raw)
+        if "sparsity_linear" in on:
+            sp_lin = (l1 - l2) / abs_pg
+            part("sparsity_linear", sp_lin**2)
+        if "sparsity_quadratic" in on:
+            sp_quad = (l1 * l1 - e_raw) / eg
+            part("sparsity_quadratic", sp_quad**2)
+
+    # one reduction sums every row, each as its own sum would
+    terms = dict(zip(plan.row_of, np.add.reduce(parts, axis=1).tolist()))
     sig_lin = sig_quad = 0.0
     if t is not None and on & _GAIN_CAP:
         nm = t.size
-        cap_mask = t > coeffs.max_gain
+        cap_mask = t > plan.coeffs.max_gain
         sig_lin = (t * cap_mask).sum() / nm
         sig_quad = (t * t * cap_mask).sum() / nm
     if "gain_cap_linear" in on:
         terms["gain_cap_linear"] = float(sig_lin**2)
     if "gain_cap_quadratic" in on:
         terms["gain_cap_quadratic"] = float(sig_quad**2)
-
-    if on & _SPARSITY:
-        l1 = speaker_sum(np.abs(st))
-        l2 = np.sqrt(e_raw)
-        if "sparsity_linear" in on:
-            sp_lin = (l1 - l2) / abs_pg
-            terms["sparsity_linear"] = float((w * sp_lin**2).sum())
-        if "sparsity_quadratic" in on:
-            sp_quad = (l1 * l1 - e_raw) / eg
-            terms["sparsity_quadratic"] = float((w * sp_quad**2).sum())
     if not want_gradient:
         return terms, None, None
 
-    c = coeffs
-    ds = np.zeros_like(st)
-    dt = np.zeros_like(t) if t is not None else None
+    c = plan.coeffs
+    ds = np.zeros(st.shape)
+    dt = np.zeros(t.shape) if t is not None else None
     if on & _COHERENT:
         g_p = (np.abs(p_raw) > PRESSURE_GUARD).astype(float)
         sgn_pg = np.sign(pg)
     if on & _INCOHERENT:
         g_e = (e_raw > ENERGY_GUARD).astype(float)
 
-    if c.pressure:
-        ds += c.pressure * 2.0 * w * (p_raw - 1.0)
-    if c.velocity_radial:
-        a = c.velocity_radial * 2.0 * w * (vr - 1.0) / pg
+    if "pressure" in pre:
+        ds += pre["pressure"] * (p_raw - 1.0)
+    if "velocity_radial" in pre:
+        a = pre["velocity_radial"] * (vr - 1.0) / pg
         ds += a * (geo.udotv_t - vr * g_p)
-    if c.velocity_transverse:
-        b = c.velocity_transverse * 2.0 * w / pg
+    if "velocity_transverse" in pre:
+        b = pre["velocity_transverse"] / pg
         ds += b * ((vt @ u.T).T.copy() - vt2 * g_p)
-    if c.energy:
-        ds += c.energy * 4.0 * w * (e_raw - 1.0) * st
-    if c.intensity_radial:
-        a = c.intensity_radial * 4.0 * w * (ir - 1.0) / eg
+    if "energy" in pre:
+        ds += pre["energy"] * (e_raw - 1.0) * st
+    if "intensity_radial" in pre:
+        a = pre["intensity_radial"] * (ir - 1.0) / eg
         ds += a * st * (geo.udotv_t - ir * g_e)
-    if c.intensity_transverse:
-        b = c.intensity_transverse * 4.0 * w / eg
+    if "intensity_transverse" in pre:
+        b = pre["intensity_transverse"] / eg
         ds += b * st * ((it @ u.T).T.copy() - it2 * g_e)
-    if c.in_phase_linear:
-        a = c.in_phase_linear * 2.0 * w * phi_lin
+    if "in_phase_linear" in pre:
+        a = pre["in_phase_linear"] * phi_lin
         dphi = (
             -(st < 0).astype(float) / abs_pg
             - m1_neg * sgn_pg * g_p / pg**2
         )
         ds += a * dphi
-    if c.in_phase_quadratic:
-        a = c.in_phase_quadratic * 2.0 * w * phi_quad
+    if "in_phase_quadratic" in pre:
+        a = pre["in_phase_quadratic"] * phi_quad
         dphi = 2.0 * s_neg / eg - 2.0 * e_neg * g_e / eg**2 * st
         ds += a * dphi
-    if have_pairs and (c.symmetry_linear or c.symmetry_quadratic):
-        rows, mu = geo.rows, geo.mu
-        if c.symmetry_linear:
-            a = (c.symmetry_linear * 2.0 * w * delta_lin)[rows]
-            sgn_d = np.sign(dmat)
-            scale = a / abs_pg[rows] * sgn_d
-            np.add.at(ds, (geo.pa[:, None], rows[None, :]), scale)
-            np.add.at(ds, (geo.pb[:, None], mu[None, :]), -scale)
-            den = a * (-delta_lin[rows] * sgn_pg[rows] * g_p[rows] / abs_pg[rows])
-            ds[:, rows] += den
-        if c.symmetry_quadratic:
-            a = (c.symmetry_quadratic * 2.0 * w * delta_quad)[rows]
-            scale = a / eg[rows] * 2.0 * dmat
-            np.add.at(ds, (geo.pa[:, None], rows[None, :]), scale)
-            np.add.at(ds, (geo.pb[:, None], mu[None, :]), -scale)
-            den = a * (-delta_quad[rows] * 2.0 * g_e[rows] / eg[rows])
+    if plan.have_pairs:
+        if "symmetry_linear" in pre:
+            a = pre["symmetry_linear"] * dl_r
+            plan.scatter(ds, a / abs_pg_r * np.sign(dmat))
+            ds[:, rows] += a * (
+                -dl_r * sgn_pg[rows] * g_p[rows] / abs_pg_r)
+        if "symmetry_quadratic" in pre:
+            a = pre["symmetry_quadratic"] * dq_r
+            plan.scatter(ds, a / eg_r * 2.0 * dmat)
+            den = a * (-dq_r * 2.0 * g_e[rows] / eg_r)
             ds[:, rows] += den * st[:, rows]
-    if c.sparsity_linear or c.sparsity_quadratic:
+    if pre.keys() & _SPARSITY:
         sgn_s = np.sign(st)
-    if c.sparsity_linear:
-        a = c.sparsity_linear * 2.0 * w * sp_lin
+    if "sparsity_linear" in pre:
+        a = pre["sparsity_linear"] * sp_lin
         dl2 = st / np.maximum(l2, 1e-300)
         dsp = (sgn_s - dl2) / abs_pg - sp_lin * sgn_pg * g_p / abs_pg
         ds += a * dsp
-    if c.sparsity_quadratic:
-        a = c.sparsity_quadratic * 2.0 * w * sp_quad
+    if "sparsity_quadratic" in pre:
+        a = pre["sparsity_quadratic"] * sp_quad
         dsp = (2.0 * l1 * sgn_s - 2.0 * st) / eg - (
             sp_quad * 2.0 * g_e / eg
         ) * st
@@ -338,12 +418,6 @@ def _evaluate(s, t, geo: _ProblemGeometry, coeffs: CostCoefficients,
     if t is not None and c.gain_cap_quadratic:
         dt += c.gain_cap_quadratic * 2.0 * sig_quad * 2.0 * t * cap_mask / t.size
     return terms, ds, dt
-
-
-def _weighted_total(terms: dict, coeffs: CostCoefficients) -> float:
-    """Coefficient-weighted sum in term order; an absent term adds 0.0."""
-    return float(sum(getattr(coeffs, k) * terms[k]
-                     for k in TERM_NAMES if k in terms))
 
 
 def cost_terms(s: SpeakerMatrix, gains=None, pairs=None,
@@ -357,10 +431,10 @@ def cost_terms(s: SpeakerMatrix, gains=None, pairs=None,
     if pairs is None:
         pairs = s.layout.symmetry_pairs
     geo = _ProblemGeometry(s.cloud, s.layout, pairs, coeffs)
+    plan = _Plan(geo, coeffs, every_term=True)
     g = None if gains is None else np.asarray(gains, dtype=float)
-    terms, _, _ = _evaluate(s.entries, g, geo, coeffs, want_gradient=False,
-                            every_term=True)
-    return CostBreakdown(terms, _weighted_total(terms, coeffs))
+    terms, _, _ = _kernel(s.entries, g, plan, want_gradient=False)
+    return CostBreakdown(terms, plan.total(terms))
 
 
 @dataclass
@@ -384,6 +458,15 @@ class TranscodingProblem:
         d = self.decoder.entries
         self._identity_decoder = (d.shape[0] == d.shape[1]
                                   and np.array_equal(d, np.eye(len(d))))
+        self._plans = {}
+
+    def _plan(self, every_term: bool = False) -> _Plan:
+        """The kernel plan of the current coefficients, built once."""
+        plan = self._plans.get(every_term)
+        if plan is None or plan.coeffs is not self.coeffs:
+            plan = _Plan(self._geo, self.coeffs, every_term)
+            self._plans[every_term] = plan
+        return plan
 
     @property
     def n_inputs(self) -> int:
@@ -407,32 +490,31 @@ class TranscodingProblem:
             )
         return t
 
-    def speaker_gains(self, t) -> np.ndarray:
-        t = self._check(t)
+    def _gains(self, t: np.ndarray) -> np.ndarray:
         s = self.encoding.entries @ t.T
         return s if self._identity_decoder else s @ self.decoder.entries.T
 
+    def speaker_gains(self, t) -> np.ndarray:
+        return self._gains(self._check(t))
+
     def breakdown(self, t) -> CostBreakdown:
         t = self._check(t)
-        terms, _, _ = _evaluate(
-            self.speaker_gains(t), t, self._geo, self.coeffs, False,
-            every_term=True,
-        )
-        return CostBreakdown(terms, _weighted_total(terms, self.coeffs))
+        plan = self._plan(every_term=True)
+        terms, _, _ = _kernel(self._gains(t), t, plan, False)
+        return CostBreakdown(terms, plan.total(terms))
 
     def cost(self, t) -> float:
         return self.breakdown(t).total
 
     def cost_and_gradient(self, t):
         t = self._check(t)
-        s = self.speaker_gains(t)
-        terms, ds, dt = _evaluate(s, t, self._geo, self.coeffs, True)
+        plan = self._plan()
+        terms, ds, dt = _kernel(self._gains(t), t, plan, True)
         if not self._identity_decoder:
             ds = self.decoder.entries.T @ ds
         grad = ds @ self.encoding.entries
-        if dt is not None:
-            grad = grad + dt
-        return _weighted_total(terms, self.coeffs), grad
+        grad += dt
+        return plan.total(terms), grad
 
     def transcoding_matrix(self, t) -> TranscodingMatrix:
         t = self._check(t)

@@ -8,9 +8,7 @@ plus channel-remapping baseline transcoders.
 
 from __future__ import annotations
 
-import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,22 +68,6 @@ def acn_labels(order: int) -> tuple:
 # Amplitude / intensity panning
 
 
-@functools.lru_cache(maxsize=32)
-def _hull_bases(layout: SpeakerLayout):
-    """Solvable panning faces (F x k) and their stacked inverse bases (F x k x k).
-
-    k is 2 for horizontal layouts (adjacent azimuth pairs) and 3 otherwise
-    (hull triangles); faces coplanar with the origin are dropped.
-    """
-    faces = np.array(geometry.triangulate_hull(layout))
-    k = faces.shape[1]
-    bases = layout.vectors[faces, :k].transpose(0, 2, 1)  # speaker columns
-    solvable = np.abs(np.linalg.det(bases)) >= 1e-12
-    if not solvable.any():
-        raise GeometryError("every panning face is coplanar with the origin")
-    return faces[solvable], np.linalg.inv(bases[solvable])
-
-
 def _face_gains(layout: SpeakerLayout, azimuth, elevation):
     """Panning face and clipped raw gains of every direction (L x k each).
 
@@ -93,7 +75,7 @@ def _face_gains(layout: SpeakerLayout, azimuth, elevation):
     first face (lowest index) whose gains are nonnegative; the gains solve
     v = sum g * u.  Raises CoverageError for the first uncovered direction.
     """
-    faces, inverses = _hull_bases(layout)
+    faces, inverses = layout.panning_bases
     k = faces.shape[1]
     v = geometry.unit_vectors(azimuth, elevation)[:, :k]
     flat = np.zeros(len(v), dtype=bool)
@@ -290,6 +272,24 @@ def build_encoding_matrix(spec: FormatSpec, cloud: PointCloud) -> EncodingMatrix
 
 
 _PINV_CUTOFF = 1e-8
+# the null-space component from which a channel counts as lost
+_NULL_COMPONENT = 1e-6
+
+
+def lost_channels(entries: np.ndarray, labels) -> tuple:
+    """Rank of ``entries`` (rows by channels) and the channels it loses.
+
+    Singular values up to ``_PINV_CUTOFF`` times the largest count as
+    zero, as in the pseudo-inverse decoders.  A channel is lost when its
+    unit vector has a component in the null space, so that some signal
+    on it maps to nothing.  At full column rank no channel is lost.
+    """
+    rows, cols = entries.shape
+    _, sv, vt = np.linalg.svd(entries, full_matrices=rows < cols)
+    rank = int((sv > _PINV_CUTOFF * sv.max(initial=0.0)).sum())
+    weight = np.linalg.norm(vt[rank:], axis=0)
+    return rank, tuple(label for label, x in zip(labels, weight)
+                       if x > _NULL_COMPONENT)
 
 
 def build_decoder_to_speaker(spec: FormatSpec, layout: SpeakerLayout) -> DecoderToSpeaker:
@@ -304,12 +304,6 @@ def build_decoder_to_speaker(spec: FormatSpec, layout: SpeakerLayout) -> Decoder
     if isinstance(spec, AmbisonicsSpec):
         y = sh_matrix(layout.azimuth, layout.elevation, spec.order,
                       spec.normalization)
-        if len(layout) < spec.channels:
-            warnings.warn(
-                f"virtual layout has {len(layout)} speakers for "
-                f"{spec.channels} channels; decoder is rank-deficient",
-                stacklevel=2,
-            )
         d = np.linalg.pinv(y.T, rcond=_PINV_CUTOFF)
         return DecoderToSpeaker(d, layout, acn_labels(spec.order))
     if isinstance(spec, ExternalSpec):

@@ -102,14 +102,15 @@ class _Directions:
 # Point clouds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud(_Directions):
     """Sampled virtual-source directions with per-direction weights.
 
     ``azimuth``, ``elevation`` and ``weights`` are read-only arrays of one
     entry per direction; azimuths are normalized at construction.  Weights
     are rescaled so that their mean is 1 (sum equals the number of
-    directions); relative weights are what matters downstream.
+    directions); relative weights are what matters downstream.  A cloud
+    compares and hashes by identity.
     """
 
     azimuth: np.ndarray
@@ -198,7 +199,8 @@ class SpeakerLayout(_Directions):
     ``elevation`` are read-only arrays, as on a ``PointCloud``.
     ``symmetry_pairs`` are speaker index pairs, kept sorted; a bad one is
     rejected with the field ``pairs[i]`` of its position in the given
-    sequence.  A layout compares and hashes by identity.
+    sequence.  A layout compares and hashes by identity, and keeps its
+    panning faces (``panning_bases``) once computed.
     """
 
     labels: tuple
@@ -242,9 +244,34 @@ class SpeakerLayout(_Directions):
             seen.update((p, q))
         object.__setattr__(self, "symmetry_pairs", tuple(sorted(pairs)))
 
-    def with_detected_pairs(self, tol_deg: float = 1.0) -> "SpeakerLayout":
-        return SpeakerLayout(self.labels, self.azimuth, self.elevation,
-                             detect_symmetry_pairs(self, tol_deg))
+    @functools.cached_property
+    def panning_bases(self):
+        """Solvable panning faces (F x k) and their stacked inverse bases
+        (F x k x k), computed on first use.
+
+        k is 2 for horizontal layouts (adjacent azimuth pairs) and 3
+        otherwise (hull triangles); faces coplanar with the origin are
+        dropped.
+        """
+        faces = np.array(triangulate_hull(self))
+        k = faces.shape[1]
+        bases = self.vectors[faces, :k].transpose(0, 2, 1)  # speaker columns
+        solvable = np.abs(np.linalg.det(bases)) >= 1e-12
+        if not solvable.any():
+            raise GeometryError(
+                "every panning face is coplanar with the origin")
+        return (_read_only(faces[solvable]),
+                _read_only(np.linalg.inv(bases[solvable])))
+
+
+def layout_with_pairs(labels, azimuth, elevation,
+                      tol_deg: float = 1.0) -> SpeakerLayout:
+    """A layout with its symmetry pairs detected from the angles first, so
+    it is constructed and checked once; bad angles fail in the check."""
+    az = _normalize_azimuth(np.asarray(azimuth, dtype=float).reshape(-1))
+    el = np.asarray(elevation, dtype=float).reshape(-1)
+    pairs = detect_symmetry_pairs(az, el, tol_deg) if len(az) == len(el) else ()
+    return SpeakerLayout(labels, az, el, pairs)
 
 
 def layout_from_cloud(cloud: PointCloud) -> SpeakerLayout:
@@ -253,8 +280,8 @@ def layout_from_cloud(cloud: PointCloud) -> SpeakerLayout:
                          cloud.azimuth, cloud.elevation)
 
 
-def detect_symmetry_pairs(layout: SpeakerLayout, tol_deg: float = 1.0) -> tuple:
-    """Left-right mirrored speaker index pairs.
+def detect_symmetry_pairs(az, el, tol_deg: float = 1.0) -> tuple:
+    """Left-right mirrored index pairs of speakers at normalized angles.
 
     A pair (p, q) satisfies azimuth_p ~ -azimuth_q and equal elevations
     within tol; median-plane speakers stay unpaired.  Candidates are ranked
@@ -262,7 +289,6 @@ def detect_symmetry_pairs(layout: SpeakerLayout, tol_deg: float = 1.0) -> tuple:
     """
     if tol_deg < 0:
         raise GeometryError("tolerance must be >= 0")
-    az, el = layout.azimuth, layout.elevation
     off_median = np.minimum(np.abs(az), np.abs(180.0 - np.abs(az))) > tol_deg
     az_err = np.abs(_normalize_azimuth(az[:, None] + az[None, :]))
     el_err = np.abs(el[:, None] - el[None, :])
@@ -411,4 +437,4 @@ def named_layout(name: str, pair_tol_deg: float = 1.0) -> SpeakerLayout:
             f"unknown layout {name!r}; built-ins: {sorted(_NAMED_LAYOUTS)}"
         )
     labels, az, el = zip(*_NAMED_LAYOUTS[name])
-    return SpeakerLayout(labels, az, el).with_detected_pairs(pair_tol_deg)
+    return layout_with_pairs(labels, az, el, pair_tol_deg)

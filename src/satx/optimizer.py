@@ -14,6 +14,7 @@ set by ``runner.optimization_config``; ``initialize`` only adds noise.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
@@ -345,19 +346,27 @@ def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray,
     if not h.flags.f_contiguous:
         raise ValueError("the inverse Hessian must be Fortran-ordered")
     hg_new = dsymv(1.0, h, g_new)
-    ys = float(y @ s)
-    if not ys > 1e-12 * np.linalg.norm(y) * np.linalg.norm(s):
+    ys = float(y.dot(s))
+    yy = float(y.dot(y))
+    # np.linalg.norm of a vector is sqrt(x.dot(x)), so these are its bits
+    if not ys > 1e-12 * math.sqrt(yy) * math.sqrt(float(s.dot(s))):
         return hg_new, False
     hy = hg_new - hg
     if first:
-        scale = ys / float(y @ y)
+        scale = ys / yy
         h *= scale
         hg_new *= scale
         hy *= scale
     rho = 1.0 / ys
-    w = (0.5 * rho * (rho * float(y @ hy) + 1.0)) * s - rho * hy
+    # w = (rho (rho y.Hy + 1) / 2) s - rho Hy, formed in the product arrays
+    w = np.multiply(s, 0.5 * rho * (rho * float(y.dot(hy)) + 1.0))
+    w -= np.multiply(hy, rho, out=hy)
     dsyr2(1.0, s, w, a=h, overwrite_a=True)
-    hg_new += float(w @ g_new) * s + float(s @ g_new) * w
+    # H g_new += s (w.g_new) + w (s.g_new)
+    wg, sg = float(w.dot(g_new)), float(s.dot(g_new))
+    step = np.multiply(s, wg)
+    step += np.multiply(w, sg, out=w)
+    hg_new += step
     return hg_new, True
 
 

@@ -7,6 +7,8 @@ frozen under regression tests.
 
 from __future__ import annotations
 
+import copy
+
 import yaml
 
 from .config import JobConfig, parse_config
@@ -128,7 +130,7 @@ def preset_dict(name: str) -> dict:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         )
-    return yaml.safe_load(yaml.safe_dump(_PRESETS[name]))  # deep copy
+    return copy.deepcopy(_PRESETS[name])
 
 
 def preset_yaml(name: str) -> str:

@@ -57,17 +57,50 @@ def input_channel_directions(job: JobConfig) -> Optional[tuple]:
     return None
 
 
+def _checked_decoder(job: JobConfig):
+    """The decoder of the job's output format over its output layout.
+
+    A decoder that cannot reach an output channel is bad input.  Speaker
+    outputs decode through the identity, which reaches every channel.
+    """
+    decoder = formats.build_decoder_to_speaker(job.output_spec,
+                                               job.output_layout)
+    if job.output_spec is not None:
+        rank, lost = formats.lost_channels(decoder.entries,
+                                           decoder.channel_labels)
+        if lost:
+            key = ("config.output.virtual_layout"
+                   if isinstance(job.output_spec, formats.AmbisonicsSpec)
+                   else "config.output")
+            raise ConfigError(
+                f"{key}: the decoder has rank {rank} for "
+                f"{len(decoder.channel_labels)} output channels and cannot "
+                f"reach {', '.join(lost)}")
+    return decoder
+
+
 def build_problem(job: JobConfig) -> TranscodingProblem:
-    """The job's problem over its sampling cloud; pairs come with the layout."""
+    """The job's problem over its sampling cloud; pairs come with the layout.
+
+    A channel the problem cannot see is bad input: the decoder must reach
+    every output channel (``_checked_decoder``), and the cloud must excite
+    every input channel.  An objects input encodes through the identity,
+    which every cloud excites.
+    """
     if job.cloud is None or job.output_layout is None:
         raise ConfigError("job has no sampling cloud or no output layout")
-    return TranscodingProblem(
-        encoding=formats.build_encoding_matrix(job.input_spec, job.cloud),
-        decoder=formats.build_decoder_to_speaker(
-            job.output_spec, job.output_layout
-        ),
-        coeffs=job.coeffs,
-    )
+    encoding = formats.build_encoding_matrix(job.input_spec, job.cloud)
+    decoder = _checked_decoder(job)
+    if not isinstance(job.input_spec, formats.ObjectsSpec):
+        rank, lost = formats.lost_channels(encoding.entries,
+                                           encoding.channel_labels)
+        if lost:
+            raise ConfigError(
+                f"config.cloud: the encoding has rank {rank} for "
+                f"{len(encoding.channel_labels)} input channels; the cloud "
+                f"never excites {', '.join(lost)}")
+    return TranscodingProblem(encoding=encoding, decoder=decoder,
+                              coeffs=job.coeffs)
 
 
 def reference_transcoder(job: JobConfig) -> np.ndarray:
@@ -176,8 +209,7 @@ def run_generate(job: JobConfig, out_dir, seed: Optional[int] = None) -> Generat
 def evaluation_chain(job: JobConfig):
     """The encoding over the evaluation cloud, and the decoder."""
     return (formats.build_encoding_matrix(job.input_spec, job.eval_cloud),
-            formats.build_decoder_to_speaker(job.output_spec,
-                                             job.output_layout))
+            _checked_decoder(job))
 
 
 def evaluate_matrix(job: JobConfig, t: np.ndarray, chain=None,

@@ -145,6 +145,56 @@ class TestGenerateCli:
         assert "direction az=170.000 el=0.000" in capsys.readouterr().err
 
 
+class TestLostChannelsExit2:
+    """A decoder or an encoding that loses a channel is bad input."""
+
+    def _generate(self, tmp_path, job):
+        path = tmp_path / "lost.yaml"
+        path.write_text(yaml.safe_dump(job))
+        return main(["generate", "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("command", ["generate", "evaluate"])
+    def test_decoder_that_cannot_reach_a_channel(self, tmp_path, capsys,
+                                                 command):
+        # a first-order decoder over a horizontal ring has a zero Z column
+        job = {
+            "input": {"format": "vbap", "layout": "5.0"},
+            "output": {"format": "ambisonics", "order": 1,
+                       "virtual_layout": {"kind": "ring", "points": 8}},
+            "cloud": {"kind": "ring", "points": 36},
+            "coefficients": {"pressure": 1},
+        }
+        if command == "generate":
+            assert self._generate(tmp_path, job) == 2
+        else:
+            path = tmp_path / "lost.yaml"
+            path.write_text(yaml.safe_dump(job))
+            matrix = tmp_path / "t.smx"
+            export_matrix(matrix_file(np.ones((4, 5))), matrix)
+            assert main(["evaluate", "--config", str(path), "--matrix",
+                         str(matrix), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert ("error: config.output.virtual_layout: the decoder has rank 3 "
+                "for 4 output channels and cannot reach ACN2") in err
+        assert not (tmp_path / "out").exists()
+
+    def test_cloud_that_never_excites_a_channel(self, tmp_path, capsys):
+        # a horizontal ring never excites the Z channel of the scene
+        job = {
+            "input": {"format": "ambisonics", "order": 1},
+            "output": {"format": "speakers", "layout": "5.0"},
+            "cloud": {"kind": "ring", "points": 36},
+            "coefficients": {"energy": 1},
+            "optimizer": {"init": "random"},
+        }
+        assert self._generate(tmp_path, job) == 2
+        err = capsys.readouterr().err
+        assert ("error: config.cloud: the encoding has rank 3 for 4 input "
+                "channels; the cloud never excites ACN2") in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestEvaluateCompareCli:
     @pytest.fixture
     def generated(self, tiny_config, tmp_path):

@@ -19,7 +19,6 @@ from satx.cost import (
     CostCoefficients,
     TranscodingProblem,
     _evaluate,
-    _weighted_total,
     cost_terms,
 )
 from satx.errors import ConfigError
@@ -83,7 +82,7 @@ def finite_difference(problem, t):
 
 def one_hot_matched_problem(coeffs):
     """Objects on the speaker directions, identity decoder."""
-    layout = named_layout("octahedron").with_detected_pairs()
+    layout = named_layout("octahedron")
     cloud = PointCloud(layout.azimuth, layout.elevation)
     g = build_encoding_matrix(ObjectsSpec(), cloud)
     return TranscodingProblem(g, identity_decoder(layout), coeffs)
@@ -507,6 +506,12 @@ def _bits(x):
     return np.ascontiguousarray(x).tobytes()
 
 
+def _weighted_total(terms, coeffs):
+    """Coefficient-weighted sum in term order; an absent term adds 0.0."""
+    return float(sum(getattr(coeffs, k) * terms[k]
+                     for k in TERM_NAMES if k in terms))
+
+
 @pytest.fixture(scope="module")
 def oracle_problems():
     with warnings.catch_warnings():
@@ -583,3 +588,36 @@ def test_identity_decoder_skips_its_products_exactly(name, oracle_problems):
         value, grad = problem.cost_and_gradient(t)
         assert value == _weighted_total(terms, problem.coeffs)
         assert (grad == d.T @ ds @ e + dt).all()
+
+
+def test_repeated_mirror_cells_match_reference_bitwise():
+    # 30 and 30.05 degrees share their mirror partner at -30, so the
+    # symmetry scatter sees a repeated cell; 60 degrees up has no partner
+    layout = named_layout("5.0")
+    cloud = PointCloud([30, 30.05, -30, 0, 110, -110, 60],
+                       [0, 0, 0, 0, 0, 0, 10])
+    problem = TranscodingProblem(build_encoding_matrix(ObjectsSpec(), cloud),
+                                 identity_decoder(layout), ALL_ONES)
+    mirrors = problem._geo.mu.tolist()
+    assert len(set(mirrors)) < len(mirrors)
+    rng = np.random.default_rng(11)
+    for t in (np.zeros(problem.shape), rng.normal(size=problem.shape)):
+        s = problem.speaker_gains(t)
+        ref_terms, ref_ds, ref_dt = _reference_evaluate(
+            s, t, problem._geo, ALL_ONES, True)
+        terms, ds, dt = _evaluate(s, t, problem._geo, ALL_ONES, True)
+        assert terms == ref_terms
+        assert _bits(ds) == _bits(ref_ds.T)
+        assert _bits(dt) == _bits(ref_dt)
+
+
+def test_plan_built_once_and_follows_the_coefficients():
+    problem, t = random_problem(3)
+    plan = problem._plan()
+    problem.cost_and_gradient(t)
+    assert problem._plan() is plan
+    problem.coeffs = CostCoefficients(energy=2.0)
+    assert problem._plan() is not plan
+    fresh = TranscodingProblem(problem.encoding, problem.decoder,
+                               problem.coeffs)
+    assert problem.cost_and_gradient(t)[0] == fresh.cost_and_gradient(t)[0]

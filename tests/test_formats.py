@@ -13,6 +13,7 @@ from satx.formats import (
     ambisonics_encode,
     build_decoder_to_speaker,
     build_encoding_matrix,
+    lost_channels,
     remap_baseline,
     sh_matrix,
     vbap_matrix,
@@ -185,9 +186,7 @@ class TestVbap:
     def test_edge_shared_by_adjacent_triangles(self):
         # solving either face adjacent to an edge direction must agree
         layout = named_layout("octahedron")
-        from satx.formats import _hull_bases
-
-        faces, inverses = _hull_bases(layout)
+        faces, inverses = layout.panning_bases
         v = np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0])
         solutions = []
         for face, inverse in zip(faces, inverses):
@@ -352,11 +351,22 @@ class TestDecoderToSpeaker:
         y = sh_matrix(layout.azimuth, layout.elevation, 1)
         np.testing.assert_allclose(dec.entries, np.linalg.inv(y.T), atol=1e-9)
 
-    def test_small_layout_warns_rank_deficient(self):
+    def test_small_layout_decoder_loses_channels(self):
+        # three speakers cannot reach nine channels; the problem build
+        # rejects such a decoder (tests/test_cli.py)
         layout = layout_from_cloud(PointCloud([0, 120, -120], [0, 0, 30]))
-        with pytest.warns(UserWarning, match="rank-deficient"):
-            dec = build_decoder_to_speaker(AmbisonicsSpec(2), layout)
+        dec = build_decoder_to_speaker(AmbisonicsSpec(2), layout)
         assert dec.shape == (3, 9)
+        rank, lost = lost_channels(dec.entries, dec.channel_labels)
+        assert rank == 3
+        assert len(lost) >= 6
+
+    def test_lost_channels_names_the_null_space(self):
+        ring = layout_from_cloud(PointCloud(np.arange(8) * 45.0, np.zeros(8)))
+        dec = build_decoder_to_speaker(AmbisonicsSpec(1), ring)
+        assert lost_channels(dec.entries, dec.channel_labels) == (3, ("ACN2",))
+        assert lost_channels(np.eye(3), "abc") == (3, ())
+        assert lost_channels(np.zeros((2, 2)), "ab") == (0, ("a", "b"))
 
 
 class TestRemapBaseline:

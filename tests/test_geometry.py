@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -234,6 +236,13 @@ class TestClouds:
         assert got[60] == got[0] < 60 and (got >= 0).sum() > 100
 
 
+def test_cloud_compares_and_hashes_by_identity():
+    a = PointCloud([0, 10], [0, 0])
+    b = PointCloud([0, 10], [0, 0])
+    assert a == a and a != b  # comparing the arrays would raise
+    assert {a: 1, b: 2}[b] == 2  # hashing them would raise
+
+
 class TestSymmetryPairs:
     def test_seven_oh_four_pairs(self):
         layout = named_layout("7.0.4")
@@ -250,11 +259,14 @@ class TestSymmetryPairs:
         }
 
     def test_irregular_layout_has_no_pairs(self):
-        assert detect_symmetry_pairs(named_layout("3.0.1"), 1.0) == ()
+        layout = named_layout("3.0.1")
+        assert detect_symmetry_pairs(layout.azimuth, layout.elevation,
+                                     1.0) == ()
 
     def test_single_speaker(self):
         layout = layout_of(("C", 0, 0))
-        assert detect_symmetry_pairs(layout, 1.0) == ()
+        assert detect_symmetry_pairs(layout.azimuth, layout.elevation,
+                                     1.0) == ()
 
     def test_invariant_under_reordering(self, rng):
         base = named_layout("7.0.4")
@@ -265,7 +277,8 @@ class TestSymmetryPairs:
         def label_pairs(layout):
             return {
                 frozenset((layout.labels[p], layout.labels[q]))
-                for p, q in detect_symmetry_pairs(layout, 1.0)
+                for p, q in detect_symmetry_pairs(layout.azimuth,
+                                                  layout.elevation, 1.0)
             }
 
         assert label_pairs(base) == label_pairs(shuffled)
@@ -359,6 +372,61 @@ class TestLayout:
     def test_coincident_speakers_rejected(self):
         with pytest.raises(GeometryError, match="closer than"):
             layout_of(("a", 0, 0), ("b", 0.05, 0))
+
+    def test_named_layout_constructs_once(self, monkeypatch):
+        # the pairs are detected from the angles, then the layout is built
+        calls = []
+        post_init = SpeakerLayout.__post_init__
+
+        def counting(layout):
+            calls.append(layout)
+            post_init(layout)
+
+        checks = []
+        checked_angles = geometry.checked_angles
+
+        def counting_check(*args):
+            checks.append(args)
+            return checked_angles(*args)
+
+        monkeypatch.setattr(SpeakerLayout, "__post_init__", counting)
+        monkeypatch.setattr(geometry, "checked_angles", counting_check)
+        layout = named_layout("7.0.4")
+        assert len(calls) == 1 and len(checks) == 1
+        assert len(layout.symmetry_pairs) == 5
+
+    def test_layout_with_pairs_rejects_bad_angles_by_field(self):
+        with pytest.raises(GeometryError, match=r"speakers\[1\] elevation"):
+            geometry.layout_with_pairs(["L", "R"], [30, -30], [0, 95])
+        with pytest.raises(GeometryError, match="1 elevations for 2"):
+            geometry.layout_with_pairs(["L", "R"], [30, -30], [0])
+
+    def test_panning_bases_computed_once_per_layout(self, monkeypatch):
+        from satx.formats import vbap_matrix
+
+        calls = []
+        triangulate = geometry.triangulate_hull
+
+        def counting(layout):
+            calls.append(layout)
+            return triangulate(layout)
+
+        monkeypatch.setattr(geometry, "triangulate_hull", counting)
+        layout = named_layout("7.0.4")
+        first = vbap_matrix(layout, [0.0, 30.0], [0.0, 20.0])
+        second = vbap_matrix(layout, [0.0, 30.0], [0.0, 20.0])
+        np.testing.assert_array_equal(first, second)
+        assert calls == [layout]
+
+    def test_dropped_layout_is_freed(self):
+        from satx.formats import vbap_matrix
+
+        layout = named_layout("7.0.4")
+        vbap_matrix(layout, [0.0], [0.0])
+        ref = weakref.ref(layout)
+        del layout
+        gc.collect()
+        assert ref() is None
 
     def test_named_layout_unknown(self):
         with pytest.raises(GeometryError, match="unknown layout"):

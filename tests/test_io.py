@@ -341,7 +341,8 @@ class TestConfig:
             "mode": "evaluate",
             "input": {"format": "ambisonics", "order": 1},
             "output": {"format": "speakers", "layout": "5.0"},
-            "cloud": {"kind": "ring", "points": 8},
+            # a ring never excites ACN2, which build_problem rejects
+            "cloud": {"kind": "tdesign", "points": 56},
             "symmetry": {"pairs": [["Rs", "Ls"], ["R", "L"]]},
         }
         job = parse_config(cfg)

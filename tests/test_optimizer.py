@@ -1,4 +1,5 @@
 import hashlib
+import math
 import warnings
 from dataclasses import replace
 
@@ -188,6 +189,34 @@ class TestBfgsUpdate:
             error = np.linalg.norm(hg - expected) / np.linalg.norm(expected)
             assert error <= 1e-12, step
             g = g_new
+
+    @pytest.mark.parametrize("scale_s, scale_y", [(0, 0), (-20, 7), (30, -9)])
+    def test_curvature_guard_kink(self, scale_s, scale_y):
+        # y.s at the threshold 1e-12 |y| |s| and one ulp either side: the
+        # guard decides as the np.linalg.norm form does.  s = 2^a e0 and
+        # y = 2^b (t e0 + e1), so y.s = 2^(a+b) t and |y| |s| = 2^(a+b)
+        # exactly while t^2 vanishes beside 1.
+        n = self.N
+        kink = 1e-12
+        for t in (np.nextafter(kink, 0.0), kink, np.nextafter(kink, 1.0)):
+            s = np.zeros(n)
+            s[0] = 2.0 ** scale_s
+            y = np.zeros(n)
+            y[:2] = t * 2.0 ** scale_y, 2.0 ** scale_y
+            g_new = np.ones(n)
+            reference = y @ s > 1e-12 * np.linalg.norm(y) * np.linalg.norm(s)
+            _, updated = bfgs_update(identity_hessian(n), s, y, g_new,
+                                     g_new - y, True)
+            assert updated == reference == (t > kink), t
+
+    def test_curvature_threshold_equals_norm_form(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 7, 396):
+            for _ in range(200):
+                y, s = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(
+                    -150, 150, size=(2, 1))
+                ours = 1e-12 * math.sqrt(y @ y) * math.sqrt(s @ s)
+                assert ours == 1e-12 * np.linalg.norm(y) * np.linalg.norm(s)
 
     def test_c_ordered_hessian_rejected(self):
         # BLAS would update a copy and the carried product would be wrong
