@@ -116,55 +116,43 @@ def guard_energy(e: np.ndarray) -> np.ndarray:
     return np.maximum(e, ENERGY_GUARD)
 
 
-def speaker_sum(xt: np.ndarray) -> np.ndarray:
-    """Per-direction sum over the rows of a speaker-major (P x L) array.
+def direction_vector(xt: np.ndarray, g: np.ndarray, u: np.ndarray,
+                     v_t: np.ndarray):
+    """Radial and transverse parts of a per-direction vector, speaker-major.
 
-    The rows are speakers, or the three components of a vector.  Returns
-    bit for bit what ``.sum(axis=1)`` gives on the same values stored
-    direction-major (L x P, C order).  numpy adds a row of fewer than
-    eight values left to right, which a reduction over axis 0 of the
-    speaker-major array repeats at a tenth of the cost; a longer row it
-    adds with eight interleaved accumulators, which only the row sum of a
-    direction-major copy reproduces.  Either memory order of ``xt`` works.
+    ``xt`` holds per-speaker weights as a (P x L) array, speakers by
+    directions: the gains s for the coherent velocity vector, their
+    squares s*s for the incoherent energy vector.  ``g`` is the guarded
+    magnitude, the speaker sum of ``xt`` (pressure or energy) kept away
+    from zero.  ``u`` are the (P x 3) speaker unit vectors and ``v_t``
+    the direction unit vectors as the rows of a (3 x L) array.  Returns
+    the radial part r = vec . v (an L-array) and the transverse part
+    vec - r v (3 x L) of vec = (Uᵀ xt) / g.  The cost kernel and the
+    analysis both call it, so these physics exist once.
     """
-    if len(xt) < 8:
-        return np.add.reduce(xt, axis=0)
-    return np.ascontiguousarray(xt.T).sum(axis=1)
-
-
-def direction_vector(x: np.ndarray, g: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Radial and transverse parts of a per-direction vector.
-
-    ``x`` holds per-speaker weights (L x P, C order): the gains s for the
-    coherent velocity vector, their squares s*s for the incoherent energy
-    vector.  ``g`` is the guarded magnitude, the speaker sum of ``x``
-    (pressure or energy) kept away from zero.  ``u`` are the speaker and
-    ``v`` the direction unit vectors.  Returns the radial part r = vec . v
-    and the transverse part vec - r v of vec = (x @ u) / g.
-    """
-    vec = (x @ u) / g[:, None]
-    radial = np.einsum("lk,lk->l", vec, v)
-    return radial, vec - radial[:, None] * v
+    vec = (u.T @ xt) / g
+    radial = np.add.reduce(vec * v_t, axis=0)
+    return radial, vec - radial * v_t
 
 
 def coherent_metrics(s: SpeakerMatrix):
     """Pressure and radial/transverse velocity per direction."""
-    pressure = speaker_sum(s.entries.T)
+    xt = s.entries.T
+    pressure = np.add.reduce(xt, axis=0)
     radial, perp = direction_vector(
-        s.entries, guard_pressure(pressure), s.layout.vectors,
-        s.cloud.vectors,
+        xt, guard_pressure(pressure), s.layout.vectors, s.cloud.vectors.T,
     )
-    return pressure, radial, np.linalg.norm(perp, axis=1)
+    return pressure, radial, np.linalg.norm(perp, axis=0)
 
 
 def incoherent_metrics(s: SpeakerMatrix):
     """Energy and radial/transverse energy-vector components per direction."""
-    x = s.entries**2
-    energy = speaker_sum(x.T)
+    xt = s.entries.T**2
+    energy = np.add.reduce(xt, axis=0)
     radial, perp = direction_vector(
-        x, guard_energy(energy), s.layout.vectors, s.cloud.vectors,
+        xt, guard_energy(energy), s.layout.vectors, s.cloud.vectors.T,
     )
-    return energy, radial, np.linalg.norm(perp, axis=1)
+    return energy, radial, np.linalg.norm(perp, axis=0)
 
 
 def perceptual_metrics(radial, transverse, magnitude, mode: str):

@@ -15,21 +15,26 @@ Denominator guards keep every term finite at silent directions; step and
 absolute-value kinks use the conventions sign(0) = 0 and step' = 0, so
 gradients are piecewise smooth.
 
-The kernel works speaker-major.  The speaker gains arrive as an (L, P)
-C-ordered array, L directions by P speakers, and P is small (4 to 66 in
-the presets).  So every elementwise product, the gradient dC/dS among
-them, runs on the (P, L) transpose: a per-direction factor is then a row
-vector broadcast along the long last axis, not L short inner loops.  The
-per-cell arithmetic is the row-major kernel's, operation for operation,
-so the results keep their bits.  Sums over the speakers go through
-``analysis.speaker_sum``, which reproduces numpy's row sum exactly: a
-reduction over axis 0 for fewer than eight speakers (numpy adds such a
-row left to right), and the row sum of direction-major values otherwise
-(numpy adds a longer row with eight interleaved accumulators).  The
-kernel forms the values it sums in the layout the sum reads, so neither
-sum copies.  The matrix products keep their row-major operands: a BLAS
-call on a transposed operand may round differently, so with fewer than
-eight speakers the squared gains are formed in both layouts.
+The kernel works speaker-major.  ``TranscodingProblem`` forms the speaker
+gains as a (P, L) C-ordered array, P speakers by L directions:
+Sᵀ = (D T) Eᵀ from a C-ordered copy of Eᵀ, or T Eᵀ for an identity
+decoder.  P is small (4 to 66 in the presets), so every sum over the
+speakers is a reduction over axis 0 and every per-direction quantity is
+an L-vector broadcast along the long last axis.  The per-direction
+vectors come from ``analysis.direction_vector``, the helper the analysis
+calls too.  The gradient is folded: each term adds into a few
+per-direction factors, and
+
+    dC/dS = a + S∘(b + U Wi) + U Wv + n∘[S<0] + q∘min(S, 0) + g∘sign(S)
+
+plus the symmetry terms' scatter at the paired cells.  Here a, b, n, q
+and g are L-vectors, Wv and Wi are the 3 × L factors of the velocity and
+energy vectors, and U is the P × 3 matrix of speaker unit vectors.  With
+U bordered by a column of ones, two products of inner size 4 give
+U Wv + a and U Wi + b.  The sums run in another order than the row-major
+kernel that ``tests/test_cost.py`` keeps as an oracle, and the gradient
+is factored, so the two agree within a bound derived from the float64
+rounding of the summands, not bit for bit.
 
 Whatever depends on the problem alone is built once, into the plan
 (``_Plan``) that ``TranscodingProblem`` keeps beside its geometry: the
@@ -38,10 +43,11 @@ prefactors and cell indices cut to the mirrored directions, and the
 (coefficient, name) pairs of the weighted total.  On the optimizer's
 hot path a term whose coefficient is 0 is not computed, nor is any
 intermediate that only such terms use; 0 times a finite term adds +0.0
-to the total, so skipping it keeps the total's bits.  ``breakdown`` and
-``cost_terms`` use a plan of all fourteen terms.  Each term but the gain
-caps sums an L-array; the arrays fill the rows of one buffer, and one
-reduction sums every row as the array's own sum would.
+to the total, and every term is computed the same way whichever others
+are on, so the hot total keeps the bits of ``breakdown``, which uses a
+plan of all fourteen terms.  Each term but the gain caps sums an
+L-array; the arrays fill the rows of one buffer, and one reduction sums
+every row as the array's own sum would.
 """
 
 from __future__ import annotations
@@ -56,12 +62,10 @@ from . import geometry
 from .analysis import (
     ENERGY_GUARD,
     PRESSURE_GUARD,
-    SpeakerMatrix,
     TranscodingMatrix,
     direction_vector,
     guard_energy,
     guard_pressure,
-    speaker_sum,
 )
 from .errors import DimensionError, check_number
 from .formats import DecoderToSpeaker, EncodingMatrix
@@ -153,10 +157,11 @@ class _ProblemGeometry:
                 "pairs; the symmetry terms are zero",
                 stacklevel=stacklevel,
             )
-        self.v = cloud.vectors  # (L, 3)
+        self.v_t = np.ascontiguousarray(cloud.vectors.T)  # (3, L)
         self.u = layout.vectors  # (P, 3)
+        # U bordered by ones: [U | 1] @ [W; x] is U W plus the row x
+        self.u1 = np.hstack((self.u, np.ones((len(self.u), 1))))
         self.w = cloud.weights / len(cloud)  # premultiplied 1/L
-        self.udotv_t = (self.v @ self.u.T).T.copy()  # (P, L)
         mirror = geometry.mirror_indices(cloud.vectors)
         self.rows = np.nonzero(mirror >= 0)[0]
         self.mu = mirror[self.rows]
@@ -177,6 +182,8 @@ _COHERENT = {"pressure", "velocity_radial", "velocity_transverse",
 _INCOHERENT = {"energy", "intensity_radial", "intensity_transverse",
                "in_phase_quadratic", "symmetry_quadratic",
                "sparsity_linear", "sparsity_quadratic"}
+_VELOCITY = {"velocity_radial", "velocity_transverse"}
+_INTENSITY = {"intensity_radial", "intensity_transverse"}
 _IN_PHASE = {"in_phase_linear", "in_phase_quadratic"}
 _SYMMETRY = {"symmetry_linear", "symmetry_quadratic"}
 _GAIN_CAP = {"gain_cap_linear", "gain_cap_quadratic"}
@@ -192,15 +199,12 @@ class _Plan:
     nonzero coefficient.  ``weights`` are the (coefficient, name) pairs
     of the weighted total, and ``row_of`` gives each of those terms but
     the gain caps its row of the buffer that one reduction sums.
-    ``pre`` maps each active term but the gain
-    caps to its gradient prefactor ``(c * 2.0) * w``, or ``(c * 4.0) * w``
-    for the terms of s*s: the product Python forms first in
-    ``c * 2.0 * w * x``, so a gradient built on it keeps its bits.  The
-    symmetry prefactors are cut to the mirrored ``rows``, a slice when
-    every direction has its mirror; ``cells`` are the flat (P x L)
-    indices of the paired speakers at those rows and at their mirrors.
-    ``wide`` says that speaker sums read direction-major arrays, as
-    ``analysis.speaker_sum`` adds eight or more speakers.
+    ``pre`` maps each active term but the gain caps to its gradient
+    prefactor ``(c * 2.0) * w``, or ``(c * 4.0) * w`` for the terms of
+    s*s.  The symmetry prefactors are cut to the mirrored ``rows``, a
+    slice when every direction has its mirror; ``cells`` are the flat
+    (P x L) indices of the paired speakers at those rows and at their
+    mirrors.
     """
 
     def __init__(self, geo: _ProblemGeometry, coeffs: CostCoefficients,
@@ -212,7 +216,6 @@ class _Plan:
                              if k in self.on)
         self.row_of = {k: i for i, k in enumerate(
             k for k in TERM_NAMES if k in self.on and k not in _GAIN_CAP)}
-        self.wide = len(geo.u) >= 8
         n_dirs = len(geo.w)
         self.have_pairs = geo.pa.size > 0 and geo.rows.size > 0
         self.rows = slice(None) if geo.rows.size == n_dirs else geo.rows
@@ -244,25 +247,15 @@ class _Plan:
         return float(sum(c * terms[k] for c, k in self.weights))
 
 
-def _evaluate(s, t, geo: _ProblemGeometry, coeffs: CostCoefficients,
-              want_gradient: bool, every_term: bool = False):
-    """``_kernel`` under a plan built for this call; ``every_term``
-    computes all 14 terms, else only those with a nonzero coefficient."""
-    return _kernel(s, t, _Plan(geo, coeffs, every_term), want_gradient)
-
-
-def _kernel(s, t, plan: _Plan, want_gradient: bool):
+def _kernel(st, t, plan: _Plan, want_gradient: bool):
     """Term values, and optionally (dC/dS as P x L, dC/dT_direct).
 
-    Only the terms of ``plan.on`` are computed, together with the
+    ``st`` holds the speaker gains speaker-major (P x L, C order).  Only
+    the terms of ``plan.on`` are computed, together with the
     intermediates they use.
     """
     geo, on, pre = plan.geo, plan.on, plan.pre
-    s = np.ascontiguousarray(s, dtype=float)
-    st = s.T.copy()  # (P, L)
-    # the values speaker_sum adds, in the layout it reads without a copy
-    sm = s.T if plan.wide else st
-    w, u, v = geo.w, geo.u, geo.v
+    w, u, v_t = geo.w, geo.u, geo.v_t
     # each term is the sum of an L-array, w times its row of ``parts``
     parts = np.empty((len(plan.row_of), len(w)))
 
@@ -270,58 +263,55 @@ def _kernel(s, t, plan: _Plan, want_gradient: bool):
         np.multiply(w, x, out=parts[plan.row_of[name]])
 
     if on & _COHERENT:
-        p_raw = speaker_sum(sm)
+        p_raw = np.add.reduce(st, axis=0)
         pg = guard_pressure(p_raw)
         abs_pg = np.abs(pg)
         if "pressure" in on:
             part("pressure", (1.0 - p_raw) ** 2)
-        if on & {"velocity_radial", "velocity_transverse"}:
-            vr, vt = direction_vector(s, pg, u, v)
-            vt_t = vt.T.copy()
-            vt2 = speaker_sum(vt_t * vt_t)
+        if on & _VELOCITY:
+            vr, vt = direction_vector(st, pg, u, v_t)
+            vt2 = np.add.reduce(vt * vt, axis=0)
             if "velocity_radial" in on:
                 part("velocity_radial", (1.0 - vr) ** 2)
             if "velocity_transverse" in on:
                 part("velocity_transverse", vt2)
     if on & _INCOHERENT:
-        sq = sm * sm
-        e_raw = speaker_sum(sq)
+        sq = st * st
+        e_raw = np.add.reduce(sq, axis=0)
         eg = guard_energy(e_raw)
         if "energy" in on:
             part("energy", (1.0 - e_raw) ** 2)
-        if on & {"intensity_radial", "intensity_transverse"}:
-            # direction_vector's product needs s*s direction-major
-            ir, it = direction_vector(sq.T if plan.wide else s * s, eg, u, v)
-            it_t = it.T.copy()
-            it2 = speaker_sum(it_t * it_t)
+        if on & _INTENSITY:
+            ir, it = direction_vector(sq, eg, u, v_t)
+            it2 = np.add.reduce(it * it, axis=0)
             if "intensity_radial" in on:
                 part("intensity_radial", (1.0 - ir) ** 2)
             if "intensity_transverse" in on:
                 part("intensity_transverse", it2)
     if on & _IN_PHASE:
-        s_neg = np.minimum(sm, 0.0)
+        s_neg = np.minimum(st, 0.0)
         if "in_phase_linear" in on:
-            m1_neg = -speaker_sum(s_neg)
+            m1_neg = -np.add.reduce(s_neg, axis=0)
             phi_lin = m1_neg / abs_pg
             part("in_phase_linear", phi_lin**2)
         if "in_phase_quadratic" in on:
-            e_neg = speaker_sum(s_neg * s_neg)
+            e_neg = np.add.reduce(s_neg * s_neg, axis=0)
             phi_quad = e_neg / eg
             part("in_phase_quadratic", phi_quad**2)
 
     if on & _SYMMETRY:
-        delta_lin = delta_quad = np.zeros(len(s))
+        delta_lin = delta_quad = np.zeros(len(w))
         if plan.have_pairs:
             rows = plan.rows
             cells_a, cells_b = plan.cells
             dmat = st.take(cells_a) - st.take(cells_b)  # (pairs, rows)
             if "symmetry_linear" in on:
                 abs_pg_r = abs_pg[rows]
-                dl_r = speaker_sum(np.abs(dmat)) / abs_pg_r
+                dl_r = np.add.reduce(np.abs(dmat), axis=0) / abs_pg_r
                 delta_lin = plan.spread(dl_r)
             if "symmetry_quadratic" in on:
                 eg_r = eg[rows]
-                dq_r = speaker_sum(dmat * dmat) / eg_r
+                dq_r = np.add.reduce(dmat * dmat, axis=0) / eg_r
                 delta_quad = plan.spread(dq_r)
         if "symmetry_linear" in on:
             part("symmetry_linear", delta_lin**2)
@@ -329,7 +319,7 @@ def _kernel(s, t, plan: _Plan, want_gradient: bool):
             part("symmetry_quadratic", delta_quad**2)
 
     if on & _SPARSITY:
-        l1 = speaker_sum(np.abs(sm))
+        l1 = np.add.reduce(np.abs(st), axis=0)
         l2 = np.sqrt(e_raw)
         if "sparsity_linear" in on:
             sp_lin = (l1 - l2) / abs_pg
@@ -354,65 +344,79 @@ def _kernel(s, t, plan: _Plan, want_gradient: bool):
         return terms, None, None
 
     c = plan.coeffs
-    ds = np.zeros(st.shape)
     dt = np.zeros(t.shape) if t is not None else None
+    # the per-direction factors: rows Wv, a (the first four), Wi, b
+    f = np.zeros((8, len(w)))
+    wv, a, wi, b = f[:3], f[3], f[4:7], f[7]
+    n = q = g = scale = None
     if on & _COHERENT:
-        g_p = (np.abs(p_raw) > PRESSURE_GUARD).astype(float)
+        g_p = np.abs(p_raw) > PRESSURE_GUARD
         sgn_pg = np.sign(pg)
     if on & _INCOHERENT:
-        g_e = (e_raw > ENERGY_GUARD).astype(float)
+        g_e = e_raw > ENERGY_GUARD
 
     if "pressure" in pre:
-        ds += pre["pressure"] * (p_raw - 1.0)
+        a += pre["pressure"] * (p_raw - 1.0)
     if "velocity_radial" in pre:
-        a = pre["velocity_radial"] * (vr - 1.0) / pg
-        ds += a * (geo.udotv_t - vr * g_p)
+        k = pre["velocity_radial"] * (vr - 1.0) / pg
+        wv += k * v_t
+        a -= k * vr * g_p
     if "velocity_transverse" in pre:
-        b = pre["velocity_transverse"] / pg
-        ds += b * ((vt @ u.T).T.copy() - vt2 * g_p)
+        k = pre["velocity_transverse"] / pg
+        wv += k * vt
+        a -= k * vt2 * g_p
     if "energy" in pre:
-        ds += pre["energy"] * (e_raw - 1.0) * st
+        b += pre["energy"] * (e_raw - 1.0)
     if "intensity_radial" in pre:
-        a = pre["intensity_radial"] * (ir - 1.0) / eg
-        ds += a * st * (geo.udotv_t - ir * g_e)
+        k = pre["intensity_radial"] * (ir - 1.0) / eg
+        wi += k * v_t
+        b -= k * ir * g_e
     if "intensity_transverse" in pre:
-        b = pre["intensity_transverse"] / eg
-        ds += b * st * ((it @ u.T).T.copy() - it2 * g_e)
+        k = pre["intensity_transverse"] / eg
+        wi += k * it
+        b -= k * it2 * g_e
     if "in_phase_linear" in pre:
-        a = pre["in_phase_linear"] * phi_lin
-        dphi = (
-            -(st < 0).astype(float) / abs_pg
-            - m1_neg * sgn_pg * g_p / pg**2
-        )
-        ds += a * dphi
+        k = pre["in_phase_linear"] * phi_lin
+        n = -k / abs_pg
+        a -= k * m1_neg * sgn_pg * g_p / pg**2
     if "in_phase_quadratic" in pre:
-        a = pre["in_phase_quadratic"] * phi_quad
-        dphi = 2.0 * s_neg / eg - 2.0 * e_neg * g_e / eg**2 * st
-        ds += a * dphi
-    if plan.have_pairs:
-        if "symmetry_linear" in pre:
-            a = pre["symmetry_linear"] * dl_r
-            plan.scatter(ds, a / abs_pg_r * np.sign(dmat))
-            ds[:, rows] += a * (
-                -dl_r * sgn_pg[rows] * g_p[rows] / abs_pg_r)
-        if "symmetry_quadratic" in pre:
-            a = pre["symmetry_quadratic"] * dq_r
-            plan.scatter(ds, a / eg_r * 2.0 * dmat)
-            den = a * (-dq_r * 2.0 * g_e[rows] / eg_r)
-            ds[:, rows] += den * st[:, rows]
-    if pre.keys() & _SPARSITY:
-        sgn_s = np.sign(st)
+        k = pre["in_phase_quadratic"] * phi_quad
+        q = 2.0 * k / eg
+        b -= q * e_neg * g_e / eg
+    if plan.have_pairs and "symmetry_linear" in pre:
+        k = pre["symmetry_linear"] * dl_r / abs_pg_r
+        scale = k * np.sign(dmat)
+        a[rows] -= k * dl_r * sgn_pg[rows] * g_p[rows]
+    if plan.have_pairs and "symmetry_quadratic" in pre:
+        k = pre["symmetry_quadratic"] * dq_r * 2.0 / eg_r
+        scale = k * dmat if scale is None else scale + k * dmat
+        b[rows] -= k * dq_r * g_e[rows]
     if "sparsity_linear" in pre:
-        a = pre["sparsity_linear"] * sp_lin
-        dl2 = st / np.maximum(l2, 1e-300)
-        dsp = (sgn_s - dl2) / abs_pg - sp_lin * sgn_pg * g_p / abs_pg
-        ds += a * dsp
+        g = pre["sparsity_linear"] * sp_lin / abs_pg
+        b -= g / np.maximum(l2, 1e-300)
+        a -= g * sp_lin * sgn_pg * g_p
     if "sparsity_quadratic" in pre:
-        a = pre["sparsity_quadratic"] * sp_quad
-        dsp = (2.0 * l1 * sgn_s - 2.0 * st) / eg - (
-            sp_quad * 2.0 * g_e / eg
-        ) * st
-        ds += a * dsp
+        k = pre["sparsity_quadratic"] * sp_quad * 2.0 / eg
+        g = k * l1 if g is None else g + k * l1
+        b -= k * (1.0 + sp_quad * g_e)
+
+    # the coherent terms add into Wv and a, the incoherent ones into Wi and b
+    if pre.keys() & _COHERENT:
+        ds = geo.u1 @ f[:4]
+    else:
+        ds = np.zeros(st.shape)
+    if pre.keys() & _INCOHERENT:
+        sb = geo.u1 @ f[4:]
+        sb *= st
+        ds += sb
+    if n is not None:
+        ds += n * (st < 0.0)
+    if q is not None:
+        ds += q * s_neg
+    if g is not None:
+        ds += g * np.sign(st)
+    if scale is not None:
+        plan.scatter(ds, scale)
     if t is not None and c.gain_cap_linear:
         dt += c.gain_cap_linear * 2.0 * sig_lin * cap_mask / t.size
     if t is not None and c.gain_cap_quadratic:
@@ -420,26 +424,17 @@ def _kernel(s, t, plan: _Plan, want_gradient: bool):
     return terms, ds, dt
 
 
-def cost_terms(s: SpeakerMatrix, gains=None, pairs=None,
-               coeffs: CostCoefficients = None) -> CostBreakdown:
-    """Evaluate every cost term for a speaker matrix.
-
-    ``gains`` is the matrix whose entries the gain-cap terms inspect (the
-    transcoder, which equals the decoding matrix in plain decoding).
-    """
-    coeffs = coeffs if coeffs is not None else CostCoefficients()
-    if pairs is None:
-        pairs = s.layout.symmetry_pairs
-    geo = _ProblemGeometry(s.cloud, s.layout, pairs, coeffs)
-    plan = _Plan(geo, coeffs, every_term=True)
-    g = None if gains is None else np.asarray(gains, dtype=float)
-    terms, _, _ = _kernel(s.entries, g, plan, want_gradient=False)
-    return CostBreakdown(terms, plan.total(terms))
+# a built problem's geometry, plans and Eᵀ are derived from these
+_BUILT_FROM = ("encoding", "decoder", "pairs")
 
 
 @dataclass
 class TranscodingProblem:
-    """Everything the optimizer needs: formats, cloud, layout, prefactors."""
+    """Everything the optimizer needs: formats, cloud, layout, prefactors.
+
+    ``coeffs`` may be reassigned, and the kernel plan follows it;
+    ``encoding``, ``decoder`` and ``pairs`` are fixed once built.
+    """
 
     encoding: EncodingMatrix
     decoder: DecoderToSpeaker
@@ -458,7 +453,15 @@ class TranscodingProblem:
         d = self.decoder.entries
         self._identity_decoder = (d.shape[0] == d.shape[1]
                                   and np.array_equal(d, np.eye(len(d))))
+        self._et = np.ascontiguousarray(self.encoding.entries.T)  # (M, L)
         self._plans = {}
+
+    def __setattr__(self, name, value):
+        if name in _BUILT_FROM and "_geo" in self.__dict__:
+            raise AttributeError(
+                f"cannot reassign {name} of a built TranscodingProblem: "
+                "its geometry is derived from it; build a new problem")
+        super().__setattr__(name, value)
 
     def _plan(self, every_term: bool = False) -> _Plan:
         """The kernel plan of the current coefficients, built once."""
@@ -490,17 +493,19 @@ class TranscodingProblem:
             )
         return t
 
-    def _gains(self, t: np.ndarray) -> np.ndarray:
-        s = self.encoding.entries @ t.T
-        return s if self._identity_decoder else s @ self.decoder.entries.T
+    def _gains_t(self, t: np.ndarray) -> np.ndarray:
+        """The speaker gains speaker-major, Sᵀ = (D T) Eᵀ (P x L)."""
+        dt = t if self._identity_decoder else self.decoder.entries @ t
+        return dt @ self._et
 
     def speaker_gains(self, t) -> np.ndarray:
-        return self._gains(self._check(t))
+        """The speaker gains direction-major (L x P), a view of Sᵀ."""
+        return self._gains_t(self._check(t)).T
 
     def breakdown(self, t) -> CostBreakdown:
         t = self._check(t)
         plan = self._plan(every_term=True)
-        terms, _, _ = _kernel(self._gains(t), t, plan, False)
+        terms, _, _ = _kernel(self._gains_t(t), t, plan, False)
         return CostBreakdown(terms, plan.total(terms))
 
     def cost(self, t) -> float:
@@ -509,7 +514,7 @@ class TranscodingProblem:
     def cost_and_gradient(self, t):
         t = self._check(t)
         plan = self._plan()
-        terms, ds, dt = _kernel(self._gains(t), t, plan, True)
+        terms, ds, dt = _kernel(self._gains_t(t), t, plan, True)
         if not self._identity_decoder:
             ds = self.decoder.entries.T @ ds
         grad = ds @ self.encoding.entries
@@ -521,4 +526,3 @@ class TranscodingProblem:
         return TranscodingMatrix(
             t, self.encoding.channel_labels, self.decoder.channel_labels
         )
-
