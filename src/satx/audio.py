@@ -5,7 +5,11 @@ Reads RIFF or RF64 WAV (plain or WAVE_FORMAT_EXTENSIBLE ``fmt ``) with
 ``apply_matrix_to_audio`` streams: it parses the input header, writes the
 output header, then reads, mixes (float64 accumulation) and appends one
 block of frames at a time, so memory does not grow with the file length.
-No dithering; samples beyond full scale are counted, not clipped.
+Every block is read, decoded, mixed and converted to float32 in buffers
+allocated once per file. PCM is mixed as unscaled integers against the
+matrix times the power-of-two full-scale factor, which gives the same
+bits as scaling the samples first. No dithering; samples beyond full
+scale are counted, not clipped.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AudioError
+from .errors import AudioError, check_integer
 from .matfile import atomic_output
 
 BLOCK_FRAMES = 16384
@@ -159,30 +163,57 @@ def _open_wav(path):
         raise
 
 
-def _read_block(handle, wav: _WavData, frames: int) -> np.ndarray:
-    """The next ``frames`` frames as float64 in [-1, 1), frames x channels."""
-    # 24-bit samples land one byte into the buffer, so the 4-byte word at
-    # every 3-byte step holds a sample in its top three bytes
-    pad = int(wav.width == 3)
-    raw = np.empty(frames * wav.channels * wav.width + pad, dtype=np.uint8)
-    if handle.readinto(raw[pad:]) != raw.size - pad:
+def _scale(wav: _WavData) -> float:
+    """Factor from decoded samples to [-1, 1): 2**-(bits - 1) for PCM."""
+    if wav.dtype.kind == "i":
+        return 2.0 ** (1 - 8 * wav.dtype.itemsize)
+    return 1.0
+
+
+class _Buffers:
+    """Decode buffers for blocks of up to ``frames`` frames, reused by
+    every block: the raw bytes, the masked words of 24-bit samples and the
+    float64 samples."""
+
+    def __init__(self, wav: _WavData, frames: int):
+        # 24-bit samples land one byte into ``raw``, so the 4-byte word at
+        # every 3-byte step holds a sample in its top three bytes
+        self.pad = int(wav.width == 3)
+        self.raw = np.empty(frames * wav.channels * wav.width + self.pad,
+                            dtype=np.uint8)
+        self.words = (np.empty((frames, wav.channels), dtype=np.int32)
+                      if self.pad else None)
+        self.samples = np.empty((frames, wav.channels))
+
+
+def _read_block(handle, wav: _WavData, frames: int,
+                buffers: _Buffers) -> np.ndarray:
+    """The next ``frames`` frames, frames x channels, as float64 views of
+    ``buffers``; PCM stays unscaled (times ``_scale(wav)`` is in [-1, 1))."""
+    pad, size = buffers.pad, frames * wav.channels * wav.width
+    raw = buffers.raw[:size + pad]
+    if handle.readinto(raw[pad:]) != size:
         raise AudioError(f"audio file {handle.name} ended while reading")
     if pad:
-        samples = np.ndarray((frames, wav.channels), wav.dtype, raw,
-                             strides=(3 * wav.channels, 3)) & -256
+        packed = np.ndarray((frames, wav.channels), wav.dtype, raw,
+                            strides=(3 * wav.channels, 3))
+        decoded = np.bitwise_and(packed, -256, out=buffers.words[:frames])
     else:
-        samples = raw.view(wav.dtype).reshape(frames, wav.channels)
-    out = samples.astype(np.float64)
-    if wav.dtype.kind == "i":
-        out /= float(2 ** (8 * wav.dtype.itemsize - 1))
-    return out
+        decoded = raw.view(wav.dtype).reshape(frames, wav.channels)
+    samples = buffers.samples[:frames]
+    np.copyto(samples, decoded)
+    return samples
 
 
 def read_wav(path):
     """Load a WAV file as float64 in [-1, 1); returns (rate, frames x channels)."""
     handle, wav = _open_wav(path)
     with handle:
-        return wav.rate, _read_block(handle, wav, wav.frames)
+        samples = _read_block(handle, wav, wav.frames,
+                              _Buffers(wav, wav.frames))
+    # a power of two, so the product is the quotient by 2**(bits - 1)
+    samples *= _scale(wav)
+    return wav.rate, samples
 
 
 def _float32_header(rate: int, channels: int, frames: int) -> bytes:
@@ -234,9 +265,12 @@ def apply_matrix_to_audio(matrix, in_path, out_path,
     The output appears at ``out_path`` only when every block is written;
     bad or truncated input fails before anything is written.
     """
+    block_frames = check_integer(block_frames, "block_frames", minimum=1)
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise AudioError("transcoding matrix must be 2-D")
+    if not np.isfinite(matrix).all():
+        raise AudioError("transcoding matrix has non-finite entries")
     n_out, n_in = matrix.shape
     handle, wav = _open_wav(in_path)
     with handle:
@@ -246,15 +280,30 @@ def apply_matrix_to_audio(matrix, in_path, out_path,
                 f"{n_in}"
             )
         header = _float32_header(wav.rate, n_out, wav.frames)
+        # PCM is mixed unscaled: the full-scale factor is a power of two,
+        # so folding it into the matrix leaves every product and sum bit
+        # for bit the same. That stops being exact for a nonzero entry
+        # below 2**(bits-1) times the smallest normal float (|m| < 2**-991
+        # for 32-bit PCM), whose folded value is subnormal and can lose
+        # low bits.
+        mt = (matrix * _scale(wav)).T
+        frames = min(block_frames, wav.frames)
+        buffers = _Buffers(wav, frames)
+        mixed = np.empty((frames, n_out))
+        mixed32 = np.empty((frames, n_out), dtype="<f4")
         clipped = 0
         with atomic_output(out_path, "wb") as out:
             out.write(header)
             for start in range(0, wav.frames, block_frames):
-                block = _read_block(
-                    handle, wav, min(block_frames, wav.frames - start))
-                mixed = block @ matrix.T
-                clipped += int((np.abs(mixed) > 1.0).sum())
-                out.write(mixed.astype("<f4"))
+                n = min(block_frames, wav.frames - start)
+                block = np.matmul(_read_block(handle, wav, n, buffers), mt,
+                                  out=mixed[:n])
+                # written so that NaN also takes the counting branch
+                if n_out and not (block.min() >= -1.0 and block.max() <= 1.0):
+                    clipped += int(np.count_nonzero(np.abs(block) > 1.0))
+                block32 = mixed32[:n]
+                np.copyto(block32, block)
+                out.write(block32)
     return ApplyResult(
         frames=wav.frames,
         in_channels=n_in,

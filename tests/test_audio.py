@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
-from satx import AudioError, audio
+from satx import AudioError, SatxError, audio
 from satx.audio import apply_matrix_to_audio, read_wav, write_wav_float32
 from satx.cli import main
 from satx.matfile import export_matrix, matrix_file
@@ -148,6 +148,80 @@ class TestReaderAgainstScipy:
             got.ravel(), np.array(ints, dtype=np.float64) / 2.0**23)
 
 
+def _written(path, frames, channels):
+    """Samples of a float32 WAV, frames x channels even with no frames."""
+    _, data = wavfile.read(path)
+    assert data.dtype == np.float32
+    return data.reshape(frames, channels)
+
+
+def _pcm_file(path, kind, samples):
+    """Write integer or float ``samples`` as a ``kind`` WAV file."""
+    if kind == "pcm24":
+        path.write_bytes(riff(fmt_chunk(1, samples.shape[1], 8000, 3, 24),
+                              chunk(b"data", pcm24_bytes(samples))))
+    else:
+        wavfile.write(path, 8000, samples)
+
+
+class TestMix:
+    # Dyadic matrix entries keep every product and sum exact, so the
+    # reference below is the same bits whatever order BLAS sums in.
+    _FULL_SCALE = {"pcm16": 2.0**15, "pcm24": 2.0**23, "pcm32": 2.0**31,
+                   "float32": 1.0}
+
+    @staticmethod
+    def _samples(rng, kind, frames):
+        if kind == "float32":
+            return rng.uniform(-1, 1, (frames, 3)).astype(np.float32)
+        low, dtype = {"pcm16": (-2**15, np.int16),
+                      "pcm24": (-2**23, np.int32),
+                      "pcm32": (-2**31, np.int32)}[kind]
+        edges = np.array([[low, -low - 1, 0]], dtype=dtype)
+        return np.concatenate(
+            [edges, rng.integers(low, -low, (frames, 3), dtype)])[:frames]
+
+    @pytest.mark.parametrize("kind", ["pcm16", "pcm24", "pcm32", "float32"])
+    def test_bit_exact_for_every_block_size(self, tmp_path, rng, kind):
+        matrix = rng.integers(-96, 97, (2, 3)) / 64.0
+        for frames in (0, 40):
+            samples = self._samples(rng, kind, frames)
+            path = tmp_path / f"{kind}_{frames}.wav"
+            _pcm_file(path, kind, samples)
+            x = samples.astype(np.float64) / self._FULL_SCALE[kind]
+            want = x @ matrix.T
+            for block in sorted({1, 7, frames, frames + 1} - {0}):
+                out = tmp_path / "out.wav"
+                result = apply_matrix_to_audio(matrix, path, out,
+                                               block_frames=block)
+                np.testing.assert_array_equal(
+                    _written(out, frames, 2), want.astype(np.float32))
+                assert result.frames == frames
+                assert result.clipped_samples == np.count_nonzero(
+                    np.abs(want) > 1.0)
+
+    @pytest.mark.parametrize("kind", ["pcm16", "float32"])
+    def test_clip_count_at_full_scale(self, tmp_path, kind):
+        # the float64 mix is exactly +-1 in the first two channels and one
+        # ulp beyond in the last two, which float32 rounds back to +-1
+        half = {"pcm16": np.array([[2**14, -2**14]], np.int16),
+                "float32": np.array([[0.5, -0.5]], np.float32)}[kind]
+        above = np.nextafter(2.0, 3.0)
+        matrix = np.array([[2.0, 0], [0, 2.0], [above, 0], [0, above]])
+        path, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        wavfile.write(path, 8000, np.repeat(half, 5, axis=0))
+        result = apply_matrix_to_audio(matrix, path, out, block_frames=2)
+        assert result.clipped_samples == 2 * 5
+        np.testing.assert_array_equal(
+            _written(out, 5, 4), np.tile([1, -1, 1, -1], (5, 1)))
+
+    def test_nan_sample_does_not_hide_clipping(self, tmp_path):
+        path, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        wavfile.write(path, 8000, np.array([[np.nan], [0.75]], np.float32))
+        result = apply_matrix_to_audio([[2.0]], path, out)
+        assert result.clipped_samples == 1
+
+
 class TestBadInput:
     @pytest.mark.parametrize("dtype,shown", [
         (np.uint8, "uint8"), (np.float64, "float64"), (np.int64, "int64"),
@@ -206,11 +280,11 @@ class TestBadInput:
         out.write_bytes(b"previous")
         calls = []
 
-        def failing(handle, wav, frames):
+        def failing(handle, wav, frames, buffers):
             calls.append(frames)
             if len(calls) == 2:
                 raise AudioError("read failed")
-            return read_block(handle, wav, frames)
+            return read_block(handle, wav, frames, buffers)
 
         read_block = audio._read_block
         monkeypatch.setattr(audio, "_read_block", failing)
@@ -218,6 +292,25 @@ class TestBadInput:
             apply_matrix_to_audio(np.eye(2), path, out, block_frames=100)
         assert out.read_bytes() == b"previous"
         assert sorted(os.listdir(tmp_path)) == ["in.wav", "out.wav"]
+
+    @pytest.mark.parametrize("block_frames", [-5, 0, 2.5, True, "7"])
+    def test_block_frames_checked_before_opening(self, tmp_path,
+                                                 block_frames):
+        out = tmp_path / "out.wav"
+        with pytest.raises(SatxError, match="^block_frames (expected an "
+                                            "integer|must be >= 1)$"):
+            apply_matrix_to_audio(np.eye(2), tmp_path / "missing.wav", out,
+                                  block_frames=block_frames)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix(self, tmp_path, pcm16, value):
+        path = tmp_path / "in.wav"
+        wavfile.write(path, 8000, pcm16)
+        out = tmp_path / "out.wav"
+        with pytest.raises(AudioError, match="non-finite"):
+            apply_matrix_to_audio([[1.0, value]], path, out)
+        assert not out.exists()
 
     def test_output_mode_follows_umask(self, tmp_path, pcm16):
         path = tmp_path / "in.wav"

@@ -9,7 +9,9 @@ Runs, through ``satx.cli.main`` from this checkout's ``src``:
   kind: ``remap``, ``random``, ``reference``, and ``given`` starting
   from example3's own seed-0 ``.smx``;
 - ``generate`` and ``compare --baseline reference`` of the benchmark's
-  ``dense_cloud`` job at seed 0 (its YAML comes from ``bench/synth.py``).
+  ``dense_cloud`` job at seed 0 (its YAML comes from ``bench/synth.py``);
+- ``apply`` of the benchmark's seed-0 11x36 matrix to 1 s 16-bit and
+  24-bit 36-channel WAVs, all three written by ``bench/synth.py``.
 
 Each job writes into its own directory under OUT_DIR; then one
 ``sha256  path`` line per file is printed, paths relative to OUT_DIR.
@@ -83,6 +85,15 @@ def run_set():
     run(["compare", "--config", config, "--matrix",
          os.path.join("dense_cloud", "dense_cloud_transcoder.smx"),
          "--baseline", "reference", "--out", "dense_cloud"])
+    os.makedirs("apply", exist_ok=True)
+    matrix = os.path.join("apply", "apply.smx")
+    with open(matrix, "w") as handle:
+        handle.write(synth.format_matrix_text(synth.apply_matrix(0)))
+    for bits in synth.APPLY_BITS:
+        wav = os.path.join("apply", f"pcm{bits}.wav")
+        synth.write_pcm_wav(wav, 0, bits, synth.RATE)
+        run(["apply", "--matrix", matrix, "--in", wav, "--outfile",
+             os.path.join("apply", f"out_pcm{bits}.wav")])
 
 
 def digests(out_dir):
