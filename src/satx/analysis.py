@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, check_matrix
 from .geometry import PointCloud, SpeakerLayout
 
 COHERENT = "coherent"
@@ -30,56 +30,22 @@ METRIC_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class TranscodingMatrix:
-    """Linear map from M input-format channels to N output channels."""
-
-    entries: np.ndarray
-    input_labels: tuple = ()
-    output_labels: tuple = ()
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2:
-            raise DimensionError("transcoding matrix must be 2-D")
-        if not np.all(np.isfinite(entries)):
-            raise DimensionError("transcoding matrix entries must be finite")
-        n, m = entries.shape
-        in_labels = tuple(self.input_labels) or tuple(f"in{i}" for i in range(m))
-        out_labels = tuple(self.output_labels) or tuple(f"out{i}" for i in range(n))
-        if len(in_labels) != m or len(out_labels) != n:
-            raise DimensionError("label counts must match the matrix shape")
-        entries = entries.copy()
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "input_labels", in_labels)
-        object.__setattr__(self, "output_labels", out_labels)
-
-    @property
-    def shape(self):
-        return self.entries.shape
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpeakerMatrix:
-    """Loudspeaker gains for each sampled direction (L x P)."""
+    """Loudspeaker gains for each sampled direction (L x P).
+
+    ``entries`` is a read-only copy; the matrix compares and hashes by
+    identity.
+    """
 
     entries: np.ndarray
     cloud: PointCloud
     layout: SpeakerLayout
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (len(self.cloud), len(self.layout)):
-            raise DimensionError(
-                f"speaker matrix shape {entries.shape} does not match "
-                f"{len(self.cloud)} directions x {len(self.layout)} speakers"
-            )
-        if not np.all(np.isfinite(entries)):
-            raise DimensionError("speaker matrix entries must be finite")
-        entries = entries.copy()
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", check_matrix(
+            self.entries, (len(self.cloud), len(self.layout)),
+            "speaker matrix (directions x speakers)"))
 
 
 def speaker_matrix(g, t, d_spk) -> SpeakerMatrix:
@@ -89,7 +55,7 @@ def speaker_matrix(g, t, d_spk) -> SpeakerMatrix:
     cloud direction l.
     """
     gm = g.entries
-    tm = t.entries if isinstance(t, TranscodingMatrix) else np.asarray(t, float)
+    tm = np.asarray(t, dtype=float)
     dm = d_spk.entries
     if gm.shape[1] != tm.shape[1]:
         raise DimensionError(

@@ -36,11 +36,11 @@ kernel that ``tests/test_cost.py`` keeps as an oracle, and the gradient
 is factored, so the two agree within a bound derived from the float64
 rounding of the summands, not bit for bit.
 
-Whatever depends on the problem alone is built once, into the plan
-(``_Plan``) that ``TranscodingProblem`` keeps beside its geometry: the
-terms to compute, the gradient prefactor arrays, the symmetry
-prefactors and cell indices cut to the mirrored directions, and the
-(coefficient, name) pairs of the weighted total.  On the optimizer's
+Whatever depends on the problem alone is built once, when the
+``TranscodingProblem`` is constructed, into its geometry and two plans
+(``_Plan``): the terms to compute, the gradient prefactor arrays, the
+symmetry prefactors and cell indices cut to the mirrored directions, and
+the (coefficient, name) pairs of the weighted total.  On the optimizer's
 hot path a term whose coefficient is 0 is not computed, nor is any
 intermediate that only such terms use; 0 times a finite term adds +0.0
 to the total, and every term is computed the same way whichever others
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -62,7 +61,6 @@ from . import geometry
 from .analysis import (
     ENERGY_GUARD,
     PRESSURE_GUARD,
-    TranscodingMatrix,
     direction_vector,
     guard_energy,
     guard_pressure,
@@ -145,17 +143,18 @@ class CostBreakdown:
 
 
 class _ProblemGeometry:
-    """Static per-(cloud, layout) arrays shared by cost and gradient;
-    the symmetry warnings name the caller ``stacklevel`` frames up."""
+    """Static per-(cloud, layout) arrays shared by cost and gradient; the
+    symmetry pairs are the layout's.  The symmetry warnings name the
+    caller of the ``TranscodingProblem`` constructor."""
 
-    def __init__(self, cloud, layout, pairs, coeffs: CostCoefficients,
-                 stacklevel: int = 3):
+    def __init__(self, cloud, layout, coeffs: CostCoefficients):
+        pairs = layout.symmetry_pairs
         symmetry = coeffs.symmetry_linear or coeffs.symmetry_quadratic
         if symmetry and not pairs:
             warnings.warn(
                 "symmetry coefficients set but the layout has no symmetry "
                 "pairs; the symmetry terms are zero",
-                stacklevel=stacklevel,
+                stacklevel=4,  # past __post_init__ and the problem's __init__
             )
         self.v_t = np.ascontiguousarray(cloud.vectors.T)  # (3, L)
         self.u = layout.vectors  # (P, 3)
@@ -170,7 +169,7 @@ class _ProblemGeometry:
                 f"symmetry coefficients set but only {len(self.rows)} of "
                 f"{len(cloud)} cloud directions have a left-right mirror "
                 "partner; the symmetry terms see only those",
-                stacklevel=stacklevel,
+                stacklevel=4,
             )
         self.pa = np.array([p for p, _ in pairs], dtype=int)
         self.pb = np.array([q for _, q in pairs], dtype=int)
@@ -424,65 +423,39 @@ def _kernel(st, t, plan: _Plan, want_gradient: bool):
     return terms, ds, dt
 
 
-# a built problem's geometry, plans and Eᵀ are derived from these
-_BUILT_FROM = ("encoding", "decoder", "pairs")
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TranscodingProblem:
     """Everything the optimizer needs: formats, cloud, layout, prefactors.
 
-    ``coeffs`` may be reassigned, and the kernel plan follows it;
-    ``encoding``, ``decoder`` and ``pairs`` are fixed once built.
+    A problem is fixed once built.  Its geometry (with the decoder
+    layout's symmetry pairs), Eᵀ and kernel plans are derived from the
+    three fields at construction, and assigning any attribute raises
+    ``dataclasses.FrozenInstanceError``.  For other coefficients, build
+    ``dataclasses.replace(problem, coeffs=...)``.  ``shape`` is that of
+    the transcoding matrix being optimized, (N, M).
     """
 
     encoding: EncodingMatrix
     decoder: DecoderToSpeaker
     coeffs: CostCoefficients
-    pairs: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.pairs is None:
-            self.pairs = self.decoder.layout.symmetry_pairs
-        # warnings name the caller of the dataclass-generated __init__
-        self._geo = _ProblemGeometry(
-            self.encoding.cloud, self.decoder.layout, self.pairs, self.coeffs,
-            stacklevel=4,
-        )
-        # speaker outputs decode through the identity: skip both products
+        geo = _ProblemGeometry(self.encoding.cloud, self.decoder.layout,
+                               self.coeffs)
         d = self.decoder.entries
-        self._identity_decoder = (d.shape[0] == d.shape[1]
-                                  and np.array_equal(d, np.eye(len(d))))
-        self._et = np.ascontiguousarray(self.encoding.entries.T)  # (M, L)
-        self._plans = {}
-
-    def __setattr__(self, name, value):
-        if name in _BUILT_FROM and "_geo" in self.__dict__:
-            raise AttributeError(
-                f"cannot reassign {name} of a built TranscodingProblem: "
-                "its geometry is derived from it; build a new problem")
-        super().__setattr__(name, value)
-
-    def _plan(self, every_term: bool = False) -> _Plan:
-        """The kernel plan of the current coefficients, built once."""
-        plan = self._plans.get(every_term)
-        if plan is None or plan.coeffs is not self.coeffs:
-            plan = _Plan(self._geo, self.coeffs, every_term)
-            self._plans[every_term] = plan
-        return plan
-
-    @property
-    def n_inputs(self) -> int:
-        return self.encoding.entries.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.decoder.entries.shape[1]
-
-    @property
-    def shape(self):
-        """Shape of the transcoding matrix being optimized."""
-        return (self.n_outputs, self.n_inputs)
+        derived = {
+            "shape": (d.shape[1], self.encoding.entries.shape[1]),
+            "_geo": geo,
+            # speaker outputs decode through the identity: skip both products
+            "_identity_decoder": (d.shape[0] == d.shape[1]
+                                  and np.array_equal(d, np.eye(len(d)))),
+            "_et": np.ascontiguousarray(self.encoding.entries.T),  # (M, L)
+            # the optimizer's terms, and all fourteen for ``breakdown``
+            "_hot": _Plan(geo, self.coeffs),
+            "_every": _Plan(geo, self.coeffs, every_term=True),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def _check(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -504,25 +477,17 @@ class TranscodingProblem:
 
     def breakdown(self, t) -> CostBreakdown:
         t = self._check(t)
-        plan = self._plan(every_term=True)
-        terms, _, _ = _kernel(self._gains_t(t), t, plan, False)
-        return CostBreakdown(terms, plan.total(terms))
+        terms, _, _ = _kernel(self._gains_t(t), t, self._every, False)
+        return CostBreakdown(terms, self._every.total(terms))
 
     def cost(self, t) -> float:
         return self.breakdown(t).total
 
     def cost_and_gradient(self, t):
         t = self._check(t)
-        plan = self._plan()
-        terms, ds, dt = _kernel(self._gains_t(t), t, plan, True)
+        terms, ds, dt = _kernel(self._gains_t(t), t, self._hot, True)
         if not self._identity_decoder:
             ds = self.decoder.entries.T @ ds
         grad = ds @ self.encoding.entries
         grad += dt
-        return plan.total(terms), grad
-
-    def transcoding_matrix(self, t) -> TranscodingMatrix:
-        t = self._check(t)
-        return TranscodingMatrix(
-            t, self.encoding.channel_labels, self.decoder.channel_labels
-        )
+        return self._hot.total(terms), grad

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import numbers
 
+import numpy as np
+
 
 class SatxError(Exception):
     """Base class for all package errors; ``field`` names a rejected setting."""
@@ -62,3 +64,17 @@ def check_integer(value, field, minimum=None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(f"must be >= {minimum}", field)
     return int(value)
+
+
+def check_matrix(values, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as a read-only float64 copy, a finite matrix of ``shape``;
+    a mismatch or a non-finite entry is a ``DimensionError`` naming ``what``.
+    """
+    entries = np.array(values, dtype=float)
+    if entries.shape != shape:
+        raise DimensionError(f"{what} has shape {entries.shape}, expected "
+                             f"{shape}")
+    if not np.isfinite(entries).all():
+        raise DimensionError(f"{what} entries must be finite")
+    entries.flags.writeable = False
+    return entries

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
-from .errors import CoverageError, DimensionError, GeometryError, check_integer
+from .errors import (CoverageError, DimensionError, GeometryError,
+                     check_integer, check_matrix)
 from .geometry import PointCloud, SpeakerLayout
 
 SN3D = "SN3D"
@@ -181,58 +182,48 @@ FormatSpec = object  # any of the four spec classes above
 # Encoding and decoding matrices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodingMatrix:
-    """How sampled virtual sources are encoded into the input format (L x M)."""
+    """How sampled virtual sources are encoded into the input format (L x M).
+
+    ``entries`` is a read-only copy; the matrix compares and hashes by
+    identity.
+    """
 
     entries: np.ndarray
     cloud: PointCloud
     channel_labels: tuple
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != len(self.cloud):
-            raise DimensionError(
-                f"encoding matrix shape {entries.shape} does not match "
-                f"cloud of {len(self.cloud)} directions"
-            )
-        if entries.shape[1] != len(self.channel_labels):
-            raise DimensionError("one label per input channel required")
-        if not np.all(np.isfinite(entries)):
-            raise DimensionError("encoding matrix entries must be finite")
-        entries = entries.copy()
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "channel_labels", tuple(self.channel_labels))
+        labels = tuple(self.channel_labels)
+        object.__setattr__(self, "entries", check_matrix(
+            self.entries, (len(self.cloud), len(labels)),
+            "encoding matrix (directions x input channels)"))
+        object.__setattr__(self, "channel_labels", labels)
 
     @property
     def shape(self):
         return self.entries.shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoderToSpeaker:
-    """How output-format channels feed the loudspeaker layout (P x N)."""
+    """How output-format channels feed the loudspeaker layout (P x N).
+
+    ``entries`` is a read-only copy; the matrix compares and hashes by
+    identity.
+    """
 
     entries: np.ndarray
     layout: SpeakerLayout
     channel_labels: tuple
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != len(self.layout):
-            raise DimensionError(
-                f"decoder-to-speaker shape {entries.shape} does not match "
-                f"layout of {len(self.layout)} speakers"
-            )
-        if entries.shape[1] != len(self.channel_labels):
-            raise DimensionError("one label per output channel required")
-        if not np.all(np.isfinite(entries)):
-            raise DimensionError("decoder entries must be finite")
-        entries = entries.copy()
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "channel_labels", tuple(self.channel_labels))
+        labels = tuple(self.channel_labels)
+        object.__setattr__(self, "entries", check_matrix(
+            self.entries, (len(self.layout), len(labels)),
+            "decoder (speakers x output channels)"))
+        object.__setattr__(self, "channel_labels", labels)
 
     @property
     def shape(self):

@@ -70,9 +70,12 @@ class MatrixFile:
 
 def matrix_file(values, kind: str = "transcoding", row_labels=None,
                 col_labels=None, note: str = "") -> MatrixFile:
+    """A finite 2-D matrix as a ``MatrixFile``, ready to export."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise MatrixFileError("matrix must be 2-D")
+    if not np.isfinite(values).all():
+        raise MatrixFileError("matrix entries must be finite")
     rows, cols = values.shape
     return MatrixFile(
         kind=kind,

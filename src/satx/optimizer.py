@@ -10,6 +10,8 @@ sequential and fully deterministic for a fixed configuration; a failed
 line search returns the best iterate seen with ``converged=False``
 instead of aborting.  The start matrix is ``OptimizationConfig.matrix``,
 set by ``runner.optimization_config``; ``initialize`` only adds noise.
+Each run returns its own ``OptimizationReport``, and ``optimize`` keeps
+the lowest-cost restart's.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .analysis import TranscodingMatrix
 from .cost import CostBreakdown, TranscodingProblem
 from .errors import ConfigError, DimensionError, check_integer, check_number
 
@@ -83,13 +84,15 @@ class OptimizationConfig:
 class OptimizationReport:
     """Result of ``optimize``; the run fields describe the winning restart.
 
+    ``final_matrix`` is its read-only (N, M) transcoder: rows are the
+    problem's decoder channels, columns its encoding channels.
     ``evaluations`` counts cost-and-gradient calls of the iterations,
     ``line_search_fallbacks`` strong-Wolfe searches that fell back to
     Armijo backtracking, and ``hessian_resets`` restarts from steepest
     descent.
     """
 
-    final_matrix: TranscodingMatrix
+    final_matrix: np.ndarray
     initial_breakdown: CostBreakdown
     final_breakdown: CostBreakdown
     iterations: int
@@ -370,20 +373,9 @@ def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray,
     return hg_new, True
 
 
-class _Run(NamedTuple):
-    matrix: np.ndarray
-    cost: float
-    gradient_norm: float
-    iterations: int
-    converged: bool
-    message: str
-    progress: list
-    evaluations: int
-    line_search_fallbacks: int
-    hessian_resets: int
-
-
-def _run_bfgs(problem, config, t0):
+def _run_bfgs(problem, config, t0) -> OptimizationReport:
+    """One BFGS run from ``t0``; ``optimize`` sets its wall time."""
+    initial = problem.breakdown(t0)
     obj = _CachedObjective(problem)
     x = np.asarray(t0, dtype=float).ravel().copy()
     n = x.size
@@ -439,8 +431,26 @@ def _run_bfgs(problem, config, t0):
     gnorm = float(np.abs(g).max())
     if config.log_every:
         progress.append(f"{iteration} {f:.17g} {gnorm:.6e}")
-    return _Run(x.reshape(problem.shape), f, gnorm, iteration, converged,
-                message, progress, obj.evaluations, fallbacks, resets)
+    if f > initial.total:  # line search never accepts ascent
+        matrix, final = np.array(t0, dtype=float), initial
+    else:
+        matrix = x.reshape(problem.shape)
+        final = problem.breakdown(matrix)
+    matrix.flags.writeable = False
+    return OptimizationReport(
+        final_matrix=matrix,
+        initial_breakdown=initial,
+        final_breakdown=final,
+        iterations=iteration,
+        converged=converged,
+        gradient_norm_final=gnorm,
+        wall_time_seconds=0.0,
+        evaluations=obj.evaluations,
+        line_search_fallbacks=fallbacks,
+        hessian_resets=resets,
+        message=message,
+        progress_lines=tuple(progress),
+    )
 
 
 def optimize(problem: TranscodingProblem,
@@ -460,25 +470,7 @@ def optimize(problem: TranscodingProblem,
     best = None
     for restart in range(config.restarts):
         seeded = replace(config, seed=config.seed + restart, restarts=1)
-        t0 = initialize(seeded, problem.shape)
-        initial = problem.breakdown(t0)
-        run = _run_bfgs(problem, seeded, t0)
-        if run.cost > initial.total:  # line search never accepts ascent
-            run = run._replace(matrix=t0, cost=initial.total)
-        if best is None or run.cost < best[0].cost:
-            best = (run, initial)
-    run, initial = best
-    return OptimizationReport(
-        final_matrix=problem.transcoding_matrix(run.matrix),
-        initial_breakdown=initial,
-        final_breakdown=problem.breakdown(run.matrix),
-        iterations=run.iterations,
-        converged=run.converged,
-        gradient_norm_final=run.gradient_norm,
-        wall_time_seconds=time.perf_counter() - start,
-        message=run.message,
-        progress_lines=tuple(run.progress),
-        evaluations=run.evaluations,
-        line_search_fallbacks=run.line_search_fallbacks,
-        hessian_resets=run.hessian_resets,
-    )
+        report = _run_bfgs(problem, seeded, initialize(seeded, problem.shape))
+        if best is None or report.final_cost < best.final_cost:
+            best = report
+    return replace(best, wall_time_seconds=time.perf_counter() - start)

@@ -2,6 +2,8 @@
 
 All report files are deterministic byte streams for fixed inputs (wall
 times go to the console, never into files) and are written atomically.
+A generated transcoder is written with the problem's decoder channels
+as row labels and its encoding channels as column labels.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .analysis import METRIC_COLUMNS, DirectionMetrics
 from .config import JobConfig, parse_cloud
 from .cost import TranscodingProblem
 from .errors import ConfigError, DimensionError
-from .matfile import MatrixFile, write_text_atomic
+from .matfile import write_text_atomic
 
 SUMMARY_METRICS = (
     "pressure", "velocity_radial", "velocity_transverse",
@@ -104,24 +106,35 @@ def build_problem(job: JobConfig) -> TranscodingProblem:
 
 
 def reference_transcoder(job: JobConfig) -> np.ndarray:
-    """Built-in comparison transcoder.
+    """Built-in comparison transcoder (N x M).
 
     Channel-format inputs use the direct per-channel remap; scene-format
     inputs decode to a dense virtual layout and pan every virtual speaker
-    onto the output layout.
+    onto the output layout.  Where those give speaker feeds but the output
+    is not speakers (any output of a scene input, an external output of a
+    channel input), the decoder's pseudo-inverse maps the feeds to output
+    channels.
     """
     if isinstance(job.input_spec, formats.AmbisonicsSpec):
-        return formats.panned_reference_decoder(
+        feeds = formats.panned_reference_decoder(
             job.input_spec, _reference_virtual_layout(), job.output_layout
         )
-    directions = input_channel_directions(job)
-    if directions is None:
-        raise ConfigError(
-            "no reference transcoder is defined for this input format"
-        )
-    return formats.remap_baseline(
-        *directions, job.output_spec, job.output_layout
-    )
+        if job.output_spec is None:
+            return feeds
+    else:
+        directions = input_channel_directions(job)
+        if directions is None:
+            raise ConfigError(
+                "no reference transcoder is defined for this input format"
+            )
+        if not isinstance(job.output_spec, formats.ExternalSpec):
+            return formats.remap_baseline(
+                *directions, job.output_spec, job.output_layout
+            )
+        feeds = formats.remap_baseline(*directions, None, job.output_layout)
+    decoder = formats.build_decoder_to_speaker(job.output_spec,
+                                               job.output_layout)
+    return np.linalg.pinv(decoder.entries, rcond=formats._PINV_CUTOFF) @ feeds
 
 
 def optimization_config(job: JobConfig,
@@ -155,16 +168,6 @@ class GenerateResult:
     log_path: str
 
 
-def transcoder_to_file(t: analysis.TranscodingMatrix, note: str = "") -> MatrixFile:
-    return matfile.matrix_file(
-        t.entries,
-        kind="transcoding",
-        row_labels=t.output_labels,
-        col_labels=t.input_labels,
-        note=note,
-    )
-
-
 def run_generate(job: JobConfig, out_dir, seed: Optional[int] = None) -> GenerateResult:
     problem = build_problem(job)
     cfg = optimization_config(job, seed)
@@ -176,7 +179,10 @@ def run_generate(job: JobConfig, out_dir, seed: Optional[int] = None) -> Generat
     os.makedirs(out_dir, exist_ok=True)
     matrix_path = os.path.join(out_dir, f"{job.name}_transcoder.smx")
     matfile.export_matrix(
-        transcoder_to_file(report.final_matrix, note=f"job {job.name}"),
+        matfile.matrix_file(report.final_matrix,
+                            row_labels=problem.decoder.channel_labels,
+                            col_labels=problem.encoding.channel_labels,
+                            note=f"job {job.name}"),
         matrix_path,
     )
     log_lines = [

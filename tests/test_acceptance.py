@@ -141,7 +141,7 @@ def test_criterion_2_trivial_recovery():
         ),
     )
     elapsed = time.perf_counter() - start
-    t = rep.final_matrix.entries
+    t = rep.final_matrix
     off = np.abs(t - np.eye(len(layout))).max()
     assert rep.final_cost < 1e-6
     assert off < 1e-3
@@ -156,7 +156,7 @@ def test_criterion_2_trivial_recovery():
 def test_criterion_3_example1_reproduction(preset_runs):
     job, problem, rep, reference = preset_runs["example1"]
     assert rep.converged
-    optimized = summaries_for(job, rep.final_matrix.entries)
+    optimized = summaries_for(job, rep.final_matrix)
     ref = summaries_for(job, reference)
     med_level = optimized["level_db"]["median"]
     med_err = optimized["angular_error_deg"]["median"]
@@ -175,7 +175,7 @@ def test_criterion_3_example1_reproduction(preset_runs):
 
 def test_criterion_4_example2_build_up_correction(preset_runs):
     job, problem, rep, reference = preset_runs["example2"]
-    optimized = summaries_for(job, rep.final_matrix.entries)
+    optimized = summaries_for(job, rep.final_matrix)
     base = summaries_for(job, reference)
     assert abs(optimized["level_db"]["median"]) < abs(base["level_db"]["median"])
     assert abs(base["angular_error_deg"]["median"]) < 1e-6
@@ -191,7 +191,7 @@ def test_criterion_4_example2_build_up_correction(preset_runs):
 
 def test_criterion_5_example3_dominance(preset_runs):
     job, problem, rep, reference = preset_runs["example3"]
-    optimized = summaries_for(job, rep.final_matrix.entries)
+    optimized = summaries_for(job, rep.final_matrix)
     base = summaries_for(job, reference)
     assert abs(optimized["level_db"]["median"]) < abs(base["level_db"]["median"])
     assert optimized["asw_deg"]["median"] < base["asw_deg"]["median"]
@@ -216,7 +216,7 @@ def example4_curves(preset_runs):
     job, problem, rep, _ = preset_runs["example4"]
     layout = job.output_layout
     cloud = job.cloud
-    gains = rep.final_matrix.entries.T  # one row of 5 gains per direction
+    gains = rep.final_matrix.T  # one row of 5 gains per direction
     vbap = vbap_matrix(layout, cloud.azimuth, cloud.elevation)
     vbip = np.array([vbip_gains(layout, az, el)
                      for az, el in zip(cloud.azimuth, cloud.elevation)])

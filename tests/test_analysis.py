@@ -6,7 +6,6 @@ from satx.analysis import (
     INCOHERENT,
     METRIC_COLUMNS,
     SpeakerMatrix,
-    TranscodingMatrix,
     coherent_metrics,
     direction_metrics,
     incoherent_metrics,
@@ -74,6 +73,16 @@ class TestSpeakerMatrix:
         d = identity_decoder(layout)
         with pytest.raises(DimensionError):
             speaker_matrix(g, np.eye(4), d)
+
+    def test_matrices_compare_and_hash_by_identity(self):
+        cloud = cloud_of(kind="ring", points=2)
+        layout = layout_of(("a", 30, 0), ("b", -30, 0))
+        for make in (lambda: EncodingMatrix(np.eye(2), cloud, ("a", "b")),
+                     lambda: DecoderToSpeaker(np.eye(2), layout, ("a", "b")),
+                     lambda: SpeakerMatrix(np.eye(2), cloud, layout)):
+            a, b = make(), make()
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
 
 
 class TestCoherentMetrics:
@@ -232,11 +241,6 @@ class TestDirectionMetrics:
         assert table.shape == (5, len(METRIC_COLUMNS))
         assert METRIC_COLUMNS[0] == "azimuth"
         assert METRIC_COLUMNS[-1] == "level_db"
-
-    def test_transcoding_matrix_labels(self):
-        t = TranscodingMatrix(np.ones((2, 3)))
-        assert t.input_labels == ("in0", "in1", "in2")
-        assert t.output_labels == ("out0", "out1")
 
 
 class TestSummarize:

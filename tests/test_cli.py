@@ -12,6 +12,7 @@ from scipy.io import wavfile
 import satx
 from satx import presets
 from satx.cli import main
+from satx.config import parse_config
 from satx.errors import ConfigError
 from satx.matfile import export_matrix, import_matrix, matrix_file
 
@@ -393,6 +394,71 @@ class TestSectionsAtLoad:
         assert self._run(tmp_path, command, job) == 2
         assert f"config.{missing}: required for mode {command}" in (
             capsys.readouterr().err)
+
+
+class TestReferenceFitsTheOutput:
+    """The reference transcoder has the problem's shape on every output."""
+
+    COEFFS = {"energy": 1, "intensity_radial": 1}
+
+    def _external_bed_job(self, tmp_path, decoder, layout="5.0"):
+        path = tmp_path / "decoder.smx"
+        export_matrix(matrix_file(decoder, kind="decoder_to_speaker"), path)
+        return {"name": "ext", "input": {"format": "vbap", "layout": "5.0"},
+                "output": {"format": "external", "matrix": str(path),
+                           "layout": layout},
+                "cloud": {"kind": "ring", "points": 36},
+                "coefficients": self.COEFFS}
+
+    def _run(self, tmp_path, job, shape, init=None):
+        if init is not None:
+            job = dict(job, optimizer={"init": init})
+        config = tmp_path / "job.yaml"
+        config.write_text(yaml.safe_dump(job))
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(config),
+                     "--out", str(out)]) == 0
+        matrix = out / f"{job['name']}_transcoder.smx"
+        assert import_matrix(matrix).values().shape == shape
+        assert main(["compare", "--config", str(config), "--matrix",
+                     str(matrix), "--baseline", "reference",
+                     "--out", str(tmp_path / "cmp")]) == 0
+
+    def test_bed_to_external_output(self, tmp_path):
+        # 5 speakers fed by 3 channels; the default init starts from the
+        # reference
+        decoder = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0.5, 0],
+                   [0, 0.5, 0.5]]
+        self._run(tmp_path, self._external_bed_job(tmp_path, decoder), (3, 5))
+
+    def test_scene_to_ambisonics_output(self, tmp_path):
+        job = {"name": "amb", "input": {"format": "ambisonics", "order": 1},
+               "output": {"format": "ambisonics", "order": 1,
+                          "virtual_layout": {"kind": "tdesign",
+                                             "points": 56}},
+               "cloud": {"kind": "tdesign", "points": 56},
+               "coefficients": self.COEFFS}
+        self._run(tmp_path, job, (4, 4), init="reference")
+
+    @pytest.mark.parametrize("source", [
+        {"format": "vbap", "layout": "5.0"},
+        {"format": "ambisonics", "order": 2},
+    ])
+    def test_identity_external_decoder_gives_the_speakers_reference(
+            self, tmp_path, source):
+        from satx import runner
+
+        speakers = {"input": source,
+                    "output": {"format": "speakers", "layout": "7.0.4"},
+                    "cloud": {"kind": "tdesign", "points": 56},
+                    "coefficients": self.COEFFS}
+        external = dict(
+            self._external_bed_job(tmp_path, np.eye(11), "7.0.4"),
+            input=source, cloud=speakers["cloud"])
+        want = runner.reference_transcoder(parse_config(speakers))
+        got = runner.reference_transcoder(parse_config(external))
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_readme_python_blocks_run(tmp_path):

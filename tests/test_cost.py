@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import warnings
 
 import numpy as np
@@ -53,13 +55,10 @@ def _evaluate(s, t, geo, coeffs, want_gradient, every_term=False):
     return _kernel(np.ascontiguousarray(s.T), t, plan, want_gradient)
 
 
-def cost_terms(s: SpeakerMatrix, coeffs: CostCoefficients,
-               pairs=None) -> CostBreakdown:
+def cost_terms(s: SpeakerMatrix, coeffs: CostCoefficients) -> CostBreakdown:
     """Every cost term of a speaker matrix, through a plan of all 14;
     the gain caps, which inspect the transcoder, read 0."""
-    if pairs is None:
-        pairs = s.layout.symmetry_pairs
-    geo = _ProblemGeometry(s.cloud, s.layout, pairs, coeffs)
+    geo = _ProblemGeometry(s.cloud, s.layout, coeffs)
     plan = _Plan(geo, coeffs, every_term=True)
     terms, _, _ = _kernel(np.ascontiguousarray(s.entries.T), None, plan,
                           False)
@@ -152,9 +151,7 @@ class TestTermValues:
             **{n: 2 * getattr(problem.coeffs, n) for n in TERM_NAMES},
             max_boost_db=problem.coeffs.max_boost_db,
         )
-        scaled = TranscodingProblem(
-            problem.encoding, problem.decoder, doubled, problem.pairs
-        )
+        scaled = dataclasses.replace(problem, coeffs=doubled)
         assert scaled.cost(t) == pytest.approx(2 * base, rel=1e-12)
 
     def test_symmetry_zero_for_symmetric_decoding(self, rng):
@@ -171,7 +168,7 @@ class TestTermValues:
             if m == ell:
                 s[ell, 1] = s[ell, 0]
         sm = SpeakerMatrix(s, cloud, layout)
-        b = cost_terms(sm, pairs=layout.symmetry_pairs, coeffs=ALL_ONES)
+        b = cost_terms(sm, coeffs=ALL_ONES)
         assert b["symmetry_linear"] == pytest.approx(0.0, abs=1e-15)
         assert b["symmetry_quadratic"] == pytest.approx(0.0, abs=1e-15)
 
@@ -208,9 +205,7 @@ class TestTermValues:
         g_p = EncodingMatrix(
             problem.encoding.entries[perm], cloud_p, problem.encoding.channel_labels
         )
-        shuffled = TranscodingProblem(
-            g_p, problem.decoder, problem.coeffs, problem.pairs
-        )
+        shuffled = TranscodingProblem(g_p, problem.decoder, problem.coeffs)
         b1 = shuffled.breakdown(t)
         for name in TERM_NAMES:
             assert b1[name] == pytest.approx(b0[name], rel=1e-10, abs=1e-13), name
@@ -250,10 +245,9 @@ class TestTermValues:
         assert record[0].filename == __file__
         b = problem.breakdown(np.eye(4))
         assert b["symmetry_quadratic"] == 0.0
-        with pytest.warns(UserWarning, match="symmetry") as record:
+        with pytest.warns(UserWarning, match="symmetry"):
             b = cost_terms(SpeakerMatrix(g.entries, cloud, layout),
                            coeffs=coeffs)
-        assert record[0].filename == __file__
         assert b["symmetry_quadratic"] == 0.0
 
     def test_sparse_mirror_coverage_warns(self):
@@ -267,9 +261,8 @@ class TestTermValues:
             problem = TranscodingProblem(g, identity_decoder(layout), coeffs)
         assert record[0].filename == __file__
         gains = problem.speaker_gains(np.ones(problem.shape))
-        with pytest.warns(UserWarning, match=match) as record:
+        with pytest.warns(UserWarning, match=match):
             cost_terms(SpeakerMatrix(gains, cloud, layout), coeffs=coeffs)
-        assert record[0].filename == __file__
         # example1's t-design pairs every direction with its mirror
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -699,9 +692,8 @@ def _assert_matches_reference(problem, s, t, coeffs, label):
     # through D and E: the bound carried by |D|^T and |E|, plus each
     # product's own rounding, (P + L) u of its magnitudes
     d, e = problem.decoder.entries, problem.encoding.entries
-    value, grad = TranscodingProblem(
-        problem.encoding, problem.decoder, coeffs, problem.pairs,
-    ).cost_and_gradient(t)
+    value, grad = dataclasses.replace(
+        problem, coeffs=coeffs).cost_and_gradient(t)
     assert value == _weighted_total(hot, coeffs), label
     ref_grad = d.T @ ref_ds.T @ e + ref_dt
     n_sum = 2 * (s.shape[0] + s.shape[1] + 1) * ROUNDOFF
@@ -728,14 +720,19 @@ def test_kernel_matches_row_major_reference_bitwise(name, oracle_problems):
     matrices = [np.zeros(problem.shape)] + [
         rng.normal(size=problem.shape) * scale for scale in (1e-3, 0.1, 1.0, 3.0)
     ]
-    for label, coeffs in _coefficient_sets(problem, rng).items():
-        for t in matrices:
-            s = problem.speaker_gains(t)
-            if label == "all" and t.max() > 1.0:
-                assert _reference_evaluate(
-                    s, t, problem._geo, coeffs, False)[0][
-                        "gain_cap_quadratic"] > 0.0
-            _assert_matches_reference(problem, s, t, coeffs, label)
+    # only 6 of this cloud's 2 000 directions have a mirror partner, so
+    # every problem built with symmetry terms warns
+    sparse = (pytest.warns(UserWarning, match="6 of 2000")
+              if name == "vbap_704_502" else contextlib.nullcontext())
+    with sparse:
+        for label, coeffs in _coefficient_sets(problem, rng).items():
+            for t in matrices:
+                s = problem.speaker_gains(t)
+                if label == "all" and t.max() > 1.0:
+                    assert _reference_evaluate(
+                        s, t, problem._geo, coeffs, False)[0][
+                            "gain_cap_quadratic"] > 0.0
+                _assert_matches_reference(problem, s, t, coeffs, label)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_JOBS))
@@ -759,7 +756,7 @@ def test_identity_decoder_skips_its_products_exactly(name, oracle_problems):
     for t in (np.zeros(problem.shape), rng.normal(size=problem.shape)):
         st = d @ t @ et
         assert (problem.speaker_gains(t) == st.T).all()
-        terms, ds, dt = _kernel(st, t, problem._plan(), True)
+        terms, ds, dt = _kernel(st, t, problem._hot, True)
         value, grad = problem.cost_and_gradient(t)
         assert value == _weighted_total(terms, problem.coeffs)
         assert (grad == d.T @ ds @ e + dt).all()
@@ -785,15 +782,23 @@ def test_repeated_mirror_cells_match_reference_bitwise():
 
 
 def test_plan_built_once_and_follows_the_coefficients():
+    # both plans exist once the problem is built and are never rebuilt;
+    # other coefficients make another problem, costed like a fresh one
     problem, t = random_problem(3)
-    plan = problem._plan()
+    hot, every = problem._hot, problem._every
+    assert hot.coeffs is every.coeffs is problem.coeffs
     problem.cost_and_gradient(t)
-    assert problem._plan() is plan
-    problem.coeffs = CostCoefficients(energy=2.0)
-    assert problem._plan() is not plan
-    fresh = TranscodingProblem(problem.encoding, problem.decoder,
-                               problem.coeffs)
-    assert problem.cost_and_gradient(t)[0] == fresh.cost_and_gradient(t)[0]
+    problem.breakdown(t)
+    assert problem._hot is hot and problem._every is every
+    coeffs = CostCoefficients(energy=2.0, symmetry_linear=0.5)
+    replaced = dataclasses.replace(problem, coeffs=coeffs)
+    fresh = TranscodingProblem(problem.encoding, problem.decoder, coeffs)
+    assert replaced._hot.coeffs is coeffs
+    value, grad = replaced.cost_and_gradient(t)
+    fresh_value, fresh_grad = fresh.cost_and_gradient(t)
+    assert value == fresh_value and (grad == fresh_grad).all()
+    assert replaced.breakdown(t) == fresh.breakdown(t)
+    assert problem.cost_and_gradient(t)[0] != value
 
 
 def test_formats_are_fixed_once_the_problem_is_built():
@@ -806,9 +811,12 @@ def test_formats_are_fixed_once_the_problem_is_built():
     t = np.random.default_rng(3).normal(size=p3.shape)
     before = p3.cost_and_gradient(t)
     for name, value in (("encoding", p4.encoding), ("decoder", p4.decoder),
-                        ("pairs", p4.pairs)):
-        with pytest.raises(AttributeError, match=f"reassign {name} "):
+                        ("coeffs", p4.coeffs)):
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=f"'{name}'"):
             setattr(p3, name, value)
+    assert issubclass(dataclasses.FrozenInstanceError, AttributeError)
     assert p3.encoding is not p4.encoding and p3.decoder is not p4.decoder
+    assert p3.coeffs is not p4.coeffs
     value, grad = p3.cost_and_gradient(t)
     assert value == before[0] and (grad == before[1]).all()

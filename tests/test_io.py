@@ -19,6 +19,7 @@ from satx import (
     MatrixFileError,
     OptimizationConfig,
     SatxError,
+    presets,
     runner,
 )
 from satx.audio import apply_matrix_to_audio, read_wav, write_wav_float32
@@ -106,6 +107,23 @@ class TestMatrixFile:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_non_finite_values_rejected(self):
+        # an exported NaN or infinity could not be imported again
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(MatrixFileError, match="must be finite"):
+                matrix_file([[bad, 1.0]])
+
+    def test_generate_exports_the_problems_channel_labels(self, tmp_path):
+        job = presets.load_preset("example2")  # 7.0.4 bed to ambisonics
+        job.optimizer = dataclasses.replace(job.optimizer, max_iterations=2)
+        problem = runner.build_problem(job)
+        result = runner.run_generate(job, tmp_path)
+        exported = import_matrix(result.matrix_path)
+        assert exported.row_labels == problem.decoder.channel_labels
+        assert exported.col_labels == problem.encoding.channel_labels
+        assert exported.row_labels[:2] == ("ACN0", "ACN1")
+        assert exported.col_labels[:2] == ("C", "L")
 
     def test_default_labels(self):
         text = "satx-matrix 1\nkind transcoding\nrows 2\ncols 1\n1\n2\n"
@@ -348,7 +366,10 @@ class TestConfig:
         job = parse_config(cfg)
         # C L R Ls Rs: the detected pairs are ((1, 2), (3, 4))
         assert job.output_layout.symmetry_pairs == ((2, 1), (4, 3))
-        assert runner.build_problem(job).pairs == ((2, 1), (4, 3))
+        problem = runner.build_problem(job)
+        assert problem.decoder.layout.symmetry_pairs == ((2, 1), (4, 3))
+        assert problem._geo.pa.tolist() == [2, 4]
+        assert problem._geo.pb.tolist() == [1, 3]
 
     @pytest.mark.parametrize("key, value, message", [
         ("cloud", {"kind": "tdesign", "points": 57},

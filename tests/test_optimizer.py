@@ -495,7 +495,7 @@ class TestOptimize:
         a = optimize(problem, cfg)
         b = optimize(problem, cfg)
         np.testing.assert_array_equal(
-            a.final_matrix.entries, b.final_matrix.entries
+            a.final_matrix, b.final_matrix
         )
         assert a.iterations == b.iterations
 
@@ -554,17 +554,12 @@ class TestOptimize:
             g.cloud,
             tuple(g.channel_labels[i] for i in perm),
         )
-        problem_p = TranscodingProblem(
-            g_p,
-            problem.decoder,
-            problem.coeffs,
-            problem.pairs,
-        )
+        problem_p = TranscodingProblem(g_p, problem.decoder, problem.coeffs)
         cfg = OptimizationConfig(init="remap", max_iterations=200,
                                  matrix=bed_remap())
-        t = optimize(problem, cfg).final_matrix.entries
+        t = optimize(problem, cfg).final_matrix
         cfg_p = replace(cfg, matrix=bed_remap()[:, perm])
-        t_p = optimize(problem_p, cfg_p).final_matrix.entries
+        t_p = optimize(problem_p, cfg_p).final_matrix
         np.testing.assert_allclose(t_p, t[:, perm], atol=1e-6)
 
     def test_restarts_pick_lowest(self):
@@ -584,11 +579,10 @@ class TestOptimize:
     def test_transverse_weight_monotonicity(self):
         achieved = []
         for c_it in (0.25, 1.0, 4.0, 16.0):
-            problem = bed_problem()
-            problem.coeffs = CostCoefficients(
+            problem = replace(bed_problem(), coeffs=CostCoefficients(
                 energy=5, intensity_radial=2, intensity_transverse=c_it,
                 in_phase_quadratic=10, symmetry_quadratic=2,
-            )
+            ))
             report = optimize(problem,
                               OptimizationConfig(seed=9, matrix=bed_remap()))
             achieved.append(report.final_breakdown["intensity_transverse"])
