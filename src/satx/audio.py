@@ -3,19 +3,25 @@
 Reads RIFF or RF64 WAV (plain or WAVE_FORMAT_EXTENSIBLE ``fmt ``) with
 16/24/32-bit PCM or 32-bit IEEE float samples and writes 32-bit float WAV.
 ``apply_matrix_to_audio`` streams: it parses the input header, writes the
-output header, then reads, mixes (float64 accumulation) and appends one
+output header, then reads, mixes (float64 accumulation) and writes one
 block of frames at a time, so memory does not grow with the file length.
-Every block is read, decoded, mixed and converted to float32 in buffers
-allocated once per file. PCM is mixed as unscaled integers against the
-matrix times the power-of-two full-scale factor, which gives the same
-bits as scaling the samples first. No dithering; samples beyond full
-scale are counted, not clipped.
+When there are at least two blocks and the process may use more than one
+CPU, the blocks are split between two workers: the calling thread takes
+blocks 0, 2, 4, ... and one helper thread blocks 1, 3, 5, ...  Each
+worker reads and writes its blocks at their own file offsets
+(``os.preadv`` and ``os.pwrite``) through its own buffers, allocated once
+per file, and every block goes through the same numpy calls, so the
+output bytes do not depend on the split. PCM is mixed as unscaled
+integers against the matrix times the power-of-two full-scale factor,
+which gives the same bits as scaling the samples first. No dithering;
+samples beyond full scale are counted, not clipped.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +42,14 @@ _U32_MAX = 0xFFFFFFFF
 
 @dataclass(frozen=True)
 class _WavData:
-    """Layout of the samples of a parsed WAV file, positioned at its data."""
+    """Layout of the samples of a parsed WAV file."""
 
     rate: int
     channels: int
     frames: int
     dtype: np.dtype  # decoded sample type: int16, int32 or float32
     width: int  # bytes per stored sample; 3 for packed 24-bit PCM
+    offset: int  # file offset of the first sample
 
 
 def _take(handle, n, fail):
@@ -95,7 +102,7 @@ def _parse_fmt(handle, size, end, fail):
 
 
 def _parse_header(handle, path) -> _WavData:
-    """Read the chunks up to ``data``, leaving ``handle`` at its samples."""
+    """Read the chunks up to ``data``."""
     def fail(reason):
         return AudioError(f"unsupported WAV file {path}: {reason}")
 
@@ -144,11 +151,12 @@ def _parse_header(handle, path) -> _WavData:
             f"truncated WAV file {path}: the data chunk declares {size} "
             f"bytes but only {present} follow"
         )
-    return _WavData(rate, channels, size // (channels * width), dtype, width)
+    return _WavData(rate, channels, size // (channels * width), dtype, width,
+                    handle.tell())
 
 
 def _open_wav(path):
-    """Open ``path`` and parse its header: (handle at the data, layout)."""
+    """Open ``path`` and parse its header: (handle, layout)."""
     try:
         handle = open(path, "rb")
     except FileNotFoundError:
@@ -171,11 +179,12 @@ def _scale(wav: _WavData) -> float:
 
 
 class _Buffers:
-    """Decode buffers for blocks of up to ``frames`` frames, reused by
-    every block: the raw bytes, the masked words of 24-bit samples and the
-    float64 samples."""
+    """One worker's buffers for blocks of up to ``frames`` frames, reused
+    by each of its blocks: the raw bytes, the masked words of 24-bit
+    samples, the float64 samples, and their float64 and float32 mix into
+    ``outputs`` channels."""
 
-    def __init__(self, wav: _WavData, frames: int):
+    def __init__(self, wav: _WavData, frames: int, outputs: int = 0):
         # 24-bit samples land one byte into ``raw``, so the 4-byte word at
         # every 3-byte step holds a sample in its top three bytes
         self.pad = int(wav.width == 3)
@@ -184,16 +193,28 @@ class _Buffers:
         self.words = (np.empty((frames, wav.channels), dtype=np.int32)
                       if self.pad else None)
         self.samples = np.empty((frames, wav.channels))
+        self.mixed = np.empty((frames, outputs))
+        self.mixed32 = np.empty((frames, outputs), dtype="<f4")
 
 
-def _read_block(handle, wav: _WavData, frames: int,
+def _read_block(handle, wav: _WavData, start: int, frames: int,
                 buffers: _Buffers) -> np.ndarray:
-    """The next ``frames`` frames, frames x channels, as float64 views of
-    ``buffers``; PCM stays unscaled (times ``_scale(wav)`` is in [-1, 1))."""
+    """Frames ``start`` to ``start + frames``, frames x channels, as
+    float64 views of ``buffers``; PCM stays unscaled (times
+    ``_scale(wav)`` is in [-1, 1)).  The read is positioned, so it leaves
+    the file position of ``handle`` alone."""
     pad, size = buffers.pad, frames * wav.channels * wav.width
     raw = buffers.raw[:size + pad]
-    if handle.readinto(raw[pad:]) != size:
-        raise AudioError(f"audio file {handle.name} ended while reading")
+    offset, done = wav.offset + start * wav.channels * wav.width, 0
+    while done < size:
+        try:
+            n = os.preadv(handle.fileno(), [raw[pad + done:]], offset + done)
+        except OSError as exc:
+            raise AudioError(f"cannot read audio file {handle.name}: "
+                             f"{exc.strerror}") from None
+        if not n:
+            raise AudioError(f"audio file {handle.name} ended while reading")
+        done += n
     if pad:
         packed = np.ndarray((frames, wav.channels), wav.dtype, raw,
                             strides=(3 * wav.channels, 3))
@@ -205,11 +226,18 @@ def _read_block(handle, wav: _WavData, frames: int,
     return samples
 
 
+def _write_at(fd: int, data: np.ndarray, offset: int) -> None:
+    """Write the bytes of the contiguous ``data`` at ``offset`` of ``fd``."""
+    raw, done = data.reshape(-1).view(np.uint8), 0
+    while done < raw.size:
+        done += os.pwrite(fd, raw[done:], offset + done)
+
+
 def read_wav(path):
     """Load a WAV file as float64 in [-1, 1); returns (rate, frames x channels)."""
     handle, wav = _open_wav(path)
     with handle:
-        samples = _read_block(handle, wav, wav.frames,
+        samples = _read_block(handle, wav, 0, wav.frames,
                               _Buffers(wav, wav.frames))
     # a power of two, so the product is the quotient by 2**(bits - 1)
     samples *= _scale(wav)
@@ -258,9 +286,17 @@ class ApplyResult:
     sample_rate: int
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def apply_matrix_to_audio(matrix, in_path, out_path,
                           block_frames: int = BLOCK_FRAMES) -> ApplyResult:
-    """out[t, n] = sum_m matrix[n, m] * in[t, m], streamed block by block.
+    """out[t, n] = sum_m matrix[n, m] * in[t, m], streamed block by block,
+    on two workers when there are at least two blocks and two usable CPUs.
 
     The output appears at ``out_path`` only when every block is written;
     bad or truncated input fails before anything is written.
@@ -287,27 +323,61 @@ def apply_matrix_to_audio(matrix, in_path, out_path,
         # for 32-bit PCM), whose folded value is subnormal and can lose
         # low bits.
         mt = (matrix * _scale(wav)).T
-        frames = min(block_frames, wav.frames)
-        buffers = _Buffers(wav, frames)
-        mixed = np.empty((frames, n_out))
-        mixed32 = np.empty((frames, n_out), dtype="<f4")
-        clipped = 0
+        starts = range(0, wav.frames, block_frames)
+        workers = 2 if len(starts) > 1 and _cpu_count() > 1 else 1
+        # allocated here, not by the helper thread: glibc would keep what
+        # the helper frees in that thread's own arena after the command
+        buffers = [_Buffers(wav, min(block_frames, wav.frames), n_out)
+                   for _ in range(workers)]
+        clipped = [0] * workers
+        errors = []
+        failed = threading.Event()
         with atomic_output(out_path, "wb") as out:
             out.write(header)
-            for start in range(0, wav.frames, block_frames):
-                n = min(block_frames, wav.frames - start)
-                block = np.matmul(_read_block(handle, wav, n, buffers), mt,
-                                  out=mixed[:n])
-                # written so that NaN also takes the counting branch
-                if n_out and not (block.min() >= -1.0 and block.max() <= 1.0):
-                    clipped += int(np.count_nonzero(np.abs(block) > 1.0))
-                block32 = mixed32[:n]
-                np.copyto(block32, block)
-                out.write(block32)
+            out.flush()
+
+            def work(worker):
+                """Read, mix and write every ``workers``-th block from
+                block ``worker`` on; on an error, keep it and stop the
+                other worker at its next block."""
+                own = buffers[worker]
+                try:
+                    for start in starts[worker::workers]:
+                        if failed.is_set():
+                            return
+                        n = min(block_frames, wav.frames - start)
+                        block = np.matmul(
+                            _read_block(handle, wav, start, n, own), mt,
+                            out=own.mixed[:n])
+                        # written so that NaN also takes the counting branch
+                        if n_out and not (block.min() >= -1.0
+                                          and block.max() <= 1.0):
+                            clipped[worker] += int(
+                                np.count_nonzero(np.abs(block) > 1.0))
+                        block32 = own.mixed32[:n]
+                        np.copyto(block32, block)
+                        _write_at(out.fileno(), block32,
+                                  len(header) + start * 4 * n_out)
+                except BaseException as exc:
+                    errors.append(exc)
+                    failed.set()
+
+            helper = None
+            if workers > 1:
+                helper = threading.Thread(target=work, args=(1,),
+                                          name="satx-apply")
+                helper.start()
+            try:
+                work(0)
+            finally:
+                if helper is not None:
+                    helper.join()
+            if errors:
+                raise errors[0]
     return ApplyResult(
         frames=wav.frames,
         in_channels=n_in,
         out_channels=n_out,
-        clipped_samples=clipped,
+        clipped_samples=sum(clipped),
         sample_rate=wav.rate,
     )

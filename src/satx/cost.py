@@ -52,6 +52,7 @@ every row as the array's own sum would.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -142,10 +143,22 @@ class CostBreakdown:
         return "\n".join(lines) + "\n"
 
 
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` with which a warning from the calling function
+    names the first frame outside satx and ``dataclasses``: a problem built
+    directly, or through ``dataclasses.replace``, warns at its builder (a
+    problem's generated ``__init__`` runs in ``satx.cost``'s globals)."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get(
+            "__name__", "").partition(".")[0] in ("satx", "dataclasses"):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 class _ProblemGeometry:
     """Static per-(cloud, layout) arrays shared by cost and gradient; the
     symmetry pairs are the layout's.  The symmetry warnings name the
-    caller of the ``TranscodingProblem`` constructor."""
+    first caller outside satx."""
 
     def __init__(self, cloud, layout, coeffs: CostCoefficients):
         pairs = layout.symmetry_pairs
@@ -154,7 +167,7 @@ class _ProblemGeometry:
             warnings.warn(
                 "symmetry coefficients set but the layout has no symmetry "
                 "pairs; the symmetry terms are zero",
-                stacklevel=4,  # past __post_init__ and the problem's __init__
+                stacklevel=_caller_stacklevel(),
             )
         self.v_t = np.ascontiguousarray(cloud.vectors.T)  # (3, L)
         self.u = layout.vectors  # (P, 3)
@@ -169,7 +182,7 @@ class _ProblemGeometry:
                 f"symmetry coefficients set but only {len(self.rows)} of "
                 f"{len(cloud)} cloud directions have a left-right mirror "
                 "partner; the symmetry terms see only those",
-                stacklevel=4,
+                stacklevel=_caller_stacklevel(),
             )
         self.pa = np.array([p for p, _ in pairs], dtype=int)
         self.pb = np.array([q for _, q in pairs], dtype=int)

@@ -17,7 +17,8 @@ class SatxError(Exception):
 
 
 class ConfigError(SatxError):
-    """Invalid configuration, schema violation, or inconsistent job setup."""
+    """Invalid configuration, schema violation, inconsistent job setup, or
+    an output file that cannot be written."""
 
 
 class GeometryError(SatxError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MatrixFileError
+from .errors import ConfigError, MatrixFileError
 
 MAGIC = "satx-matrix 1"
 KINDS = ("encoding", "transcoding", "decoder_to_speaker")
@@ -112,18 +112,24 @@ def atomic_output(path, mode: str = "w"):
 
     The file is created like ``open(path, mode)`` would create it (the
     process umask applies), so a crash never leaves a partial ``path``.
+    An ``OSError`` from creating, writing or renaming the file becomes a
+    ``ConfigError`` naming ``path``.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     tmp = os.path.join(directory, f".satx-tmp-{uuid.uuid4().hex}")
-    handle = open(tmp, mode.replace("w", "x"))
     try:
-        with handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        handle = open(tmp, mode.replace("w", "x"))
+        try:
+            with handle:
+                yield handle
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
-from satx import AudioError, SatxError, audio
+from satx import AudioError, ConfigError, SatxError, audio
 from satx.audio import apply_matrix_to_audio, read_wav, write_wav_float32
 from satx.cli import main
 from satx.matfile import export_matrix, matrix_file
@@ -278,20 +279,53 @@ class TestBadInput:
         wavfile.write(path, 8000, pcm16)
         out = tmp_path / "out.wav"
         out.write_bytes(b"previous")
-        calls = []
+        caller, threads = threading.get_ident(), threading.active_count()
 
-        def failing(handle, wav, frames, buffers):
-            calls.append(frames)
-            if len(calls) == 2:
+        def failing(handle, wav, start, frames, buffers):
+            if start == 50 * failing_block:
+                failed_on.append(threading.get_ident())
                 raise AudioError("read failed")
-            return read_block(handle, wav, frames, buffers)
+            return read_block(handle, wav, start, frames, buffers)
 
         read_block = audio._read_block
         monkeypatch.setattr(audio, "_read_block", failing)
-        with pytest.raises(AudioError, match="read failed"):
-            apply_matrix_to_audio(np.eye(2), path, out, block_frames=100)
-        assert out.read_bytes() == b"previous"
-        assert sorted(os.listdir(tmp_path)) == ["in.wav", "out.wav"]
+        monkeypatch.setattr(audio, "_cpu_count", lambda: 2)
+        # 6 blocks of 50 frames: the calling thread mixes the even ones and
+        # the helper thread the odd ones
+        for failing_block, on_caller in ((2, True), (3, False)):
+            failed_on = []
+            with pytest.raises(AudioError, match="^read failed$"):
+                apply_matrix_to_audio(np.eye(2), path, out, block_frames=50)
+            assert len(failed_on) == 1
+            assert (failed_on[0] == caller) == on_caller
+            assert out.read_bytes() == b"previous"
+            assert sorted(os.listdir(tmp_path)) == ["in.wav", "out.wav"]
+            assert threading.active_count() == threads
+
+    def test_short_read_names_the_input(self, tmp_path, pcm16):
+        path = tmp_path / "in.wav"
+        wavfile.write(path, 8000, pcm16)
+        handle, wav = audio._open_wav(path)
+        with handle:
+            os.truncate(path, wav.offset + 10)
+            with pytest.raises(AudioError, match=f"audio file .*{path.name} "
+                                                 "ended while reading"):
+                audio._read_block(handle, wav, 0, wav.frames,
+                                  audio._Buffers(wav, wav.frames))
+
+    def test_unwritable_output_names_it(self, tmp_path, pcm16, capsys):
+        path = tmp_path / "in.wav"
+        wavfile.write(path, 8000, pcm16)
+        out = tmp_path / "missing" / "out.wav"
+        with pytest.raises(ConfigError, match=f"^cannot write {out}: No such "
+                                              "file or directory$"):
+            apply_matrix_to_audio(np.eye(2), path, out)
+        export_matrix(matrix_file(np.eye(2)), tmp_path / "id.smx")
+        assert main(["apply", "--matrix", str(tmp_path / "id.smx"),
+                     "--in", str(path), "--outfile", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")
+        assert sorted(os.listdir(tmp_path)) == ["id.smx", "in.wav"]
 
     @pytest.mark.parametrize("block_frames", [-5, 0, 2.5, True, "7"])
     def test_block_frames_checked_before_opening(self, tmp_path,
@@ -395,3 +429,97 @@ class TestStreaming:
             tracemalloc.stop()
         assert abs(peaks[20] - peaks[2]) < block * channels * 8
         assert peaks[2] < 2 * rate * channels * 8 / 4
+
+
+class TestWorkers:
+    @staticmethod
+    def _apply(monkeypatch, cpus, path, out, matrix):
+        """Apply on ``cpus`` CPUs, then undo every monkeypatch; returns
+        the result and the blocks read off the calling thread."""
+        caller, threads = threading.get_ident(), threading.active_count()
+        off_caller = []
+
+        def spy(handle, wav, start, frames, buffers):
+            if threading.get_ident() != caller:
+                off_caller.append(start)
+            return read_block(handle, wav, start, frames, buffers)
+
+        read_block = audio._read_block
+        monkeypatch.setattr(audio, "_read_block", spy)
+        monkeypatch.setattr(audio, "_cpu_count", lambda: cpus)
+        result = apply_matrix_to_audio(matrix, path, out, block_frames=7)
+        monkeypatch.undo()
+        assert threading.active_count() == threads
+        return result, sorted(off_caller)
+
+    def test_one_and_two_workers_write_the_same_bytes(self, tmp_path, rng,
+                                                      monkeypatch):
+        # 5 blocks of 7 frames, the last one short; full-scale samples in
+        # blocks 0 and 4 (calling thread) and 1 (helper) clip
+        samples = rng.integers(-2**13, 2**13, (33, 3), np.int16)
+        samples[[2, 9, 30], 0] = [-2**15, 2**15 - 1, -2**15]
+        matrix = np.array([[1.5, 0.25, -0.5], [0.5, 0.5, 0.5]])
+        path = tmp_path / "in.wav"
+        wavfile.write(path, 8000, samples)
+        want = (samples / 2.0**15) @ matrix.T
+        outs = {}
+        for cpus in (1, 2):
+            outs[cpus] = tmp_path / f"out{cpus}.wav"
+            result, off_caller = self._apply(monkeypatch, cpus, path,
+                                             outs[cpus], matrix)
+            assert off_caller == ([] if cpus == 1 else [7, 21])
+            assert result.clipped_samples == np.count_nonzero(
+                np.abs(want) > 1.0) == 3
+            np.testing.assert_array_equal(_written(outs[cpus], 33, 2),
+                                          want.astype(np.float32))
+        assert outs[1].read_bytes() == outs[2].read_bytes()
+
+    def test_a_failure_stops_the_other_worker(self, tmp_path, pcm16,
+                                              monkeypatch):
+        # the helper fails on its first block (1) once the calling thread
+        # has read block 0; the calling thread waits on block 2 until the
+        # helper has ended, then stops before block 4
+        path, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        wavfile.write(path, 8000, pcm16[:33])
+        starts, helper = [], []
+        started, failing = threading.Event(), threading.Event()
+
+        def spy(handle, wav, start, frames, buffers):
+            starts.append(start)
+            if start == 0:
+                started.set()
+            if start == 7:
+                assert started.wait(10)
+                helper.append(threading.current_thread())
+                failing.set()
+                raise AudioError("read failed")
+            if start == 14:
+                assert failing.wait(10)
+                helper[0].join(10)
+                assert not helper[0].is_alive()
+            return read_block(handle, wav, start, frames, buffers)
+
+        read_block = audio._read_block
+        monkeypatch.setattr(audio, "_read_block", spy)
+        monkeypatch.setattr(audio, "_cpu_count", lambda: 2)
+        with pytest.raises(AudioError, match="^read failed$"):
+            apply_matrix_to_audio(np.eye(2), path, out, block_frames=7)
+        assert sorted(starts) == [0, 7, 14]
+        assert os.listdir(tmp_path) == ["in.wav"]
+
+    def test_partial_reads_and_writes_resume(self, tmp_path, rng,
+                                             monkeypatch):
+        samples = rng.integers(-2**15, 2**15, (33, 3), np.int16)
+        matrix = rng.integers(-64, 65, (2, 3)) / 64.0
+        path, whole = tmp_path / "in.wav", tmp_path / "whole.wav"
+        wavfile.write(path, 8000, samples)
+        self._apply(monkeypatch, 2, path, whole, matrix)
+        # at most 5 bytes a call
+        preadv, pwrite = os.preadv, os.pwrite
+        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: preadv(
+            fd, [buffers[0][:5]], offset))
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(
+            fd, data[:5], offset))
+        pieces = tmp_path / "pieces.wav"
+        self._apply(monkeypatch, 2, path, pieces, matrix)
+        assert pieces.read_bytes() == whole.read_bytes()

@@ -245,9 +245,16 @@ class TestTermValues:
         assert record[0].filename == __file__
         b = problem.breakdown(np.eye(4))
         assert b["symmetry_quadratic"] == 0.0
-        with pytest.warns(UserWarning, match="symmetry"):
+        # a problem rebuilt with new coefficients warns at its caller too,
+        # not inside dataclasses
+        with pytest.warns(UserWarning, match="symmetry") as record:
+            dataclasses.replace(problem, coeffs=CostCoefficients(
+                energy=1.0, symmetry_linear=1.0))
+        assert record[0].filename == __file__
+        with pytest.warns(UserWarning, match="symmetry") as record:
             b = cost_terms(SpeakerMatrix(g.entries, cloud, layout),
                            coeffs=coeffs)
+        assert record[0].filename == __file__
         assert b["symmetry_quadratic"] == 0.0
 
     def test_sparse_mirror_coverage_warns(self):
@@ -260,9 +267,14 @@ class TestTermValues:
         with pytest.warns(UserWarning, match=match) as record:
             problem = TranscodingProblem(g, identity_decoder(layout), coeffs)
         assert record[0].filename == __file__
+        with pytest.warns(UserWarning, match=match) as record:
+            dataclasses.replace(problem, coeffs=CostCoefficients(
+                energy=1.0, symmetry_quadratic=0.1))
+        assert record[0].filename == __file__
         gains = problem.speaker_gains(np.ones(problem.shape))
-        with pytest.warns(UserWarning, match=match):
+        with pytest.warns(UserWarning, match=match) as record:
             cost_terms(SpeakerMatrix(gains, cloud, layout), coeffs=coeffs)
+        assert record[0].filename == __file__
         # example1's t-design pairs every direction with its mirror
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import errno
 import math
 import os
 import struct
@@ -25,6 +26,7 @@ from satx import (
 from satx.audio import apply_matrix_to_audio, read_wav, write_wav_float32
 from satx.config import load_config, parse_config
 from satx.matfile import (
+    atomic_output,
     export_matrix,
     format_matrix,
     import_matrix,
@@ -94,6 +96,29 @@ class TestMatrixFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MatrixFileError, match="cannot read"):
             import_matrix(tmp_path / "nope.smx")
+
+    def test_export_into_missing_directory(self, tmp_path):
+        path = tmp_path / "missing" / "t.smx"
+        with pytest.raises(ConfigError, match=f"^cannot write {path}: No "
+                                              "such file or directory$"):
+            export_matrix(matrix_file(np.eye(2)), path)
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_removes_the_temp_file(self, tmp_path):
+        path = tmp_path / "t.smx"
+        with pytest.raises(ConfigError, match=f"^cannot write {path}: "
+                                              f"{os.strerror(errno.ENOSPC)}$"):
+            with atomic_output(path) as handle:
+                handle.write("partial")
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_rename_removes_the_temp_file(self, tmp_path):
+        (tmp_path / "t.smx").mkdir()
+        with pytest.raises(ConfigError, match="^cannot write .*t.smx: Is a "
+                                              "directory$"):
+            export_matrix(matrix_file(np.eye(2)), tmp_path / "t.smx")
+        assert os.listdir(tmp_path) == ["t.smx"]
 
     def test_declared_size_checked_before_default_labels(self):
         text = ("satx-matrix 1\nkind transcoding\nrows 1000000\ncols 1\n"
