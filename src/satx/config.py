@@ -140,6 +140,17 @@ def _angle_rows(rows, path, form):
     return _checked(geometry.checked_angles, az, el, path)
 
 
+def _load_yaml(path, what: str):
+    """The YAML document in the file ``path``, read as UTF-8; bytes that
+    are not UTF-8 are a ConfigError naming ``what`` and the file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return yaml.safe_load(handle)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
 def parse_layout(node, path, pair_tol=1.0) -> SpeakerLayout:
     """Named layout, inline [[label, az, el], ...], or {file: path}."""
     try:
@@ -148,8 +159,7 @@ def parse_layout(node, path, pair_tol=1.0) -> SpeakerLayout:
         if isinstance(node, dict):
             _check_keys(node, {"file", "speakers"}, path)
             if "file" in node:
-                with open(node["file"], "r") as handle:
-                    data = yaml.safe_load(handle)
+                data = _load_yaml(node["file"], f"{path}.file")
                 data = _require_mapping(data, f"{path}.file:{node['file']}")
                 node = data
             if "speakers" not in node:
@@ -409,8 +419,7 @@ def parse_config(data: dict, source: str = "config",
 
 def load_config(path, mode: Optional[str] = None) -> JobConfig:
     try:
-        with open(path, "r") as handle:
-            data = yaml.safe_load(handle)
+        data = _load_yaml(path, "config")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -320,7 +320,9 @@ def triangulate_hull(layout: SpeakerLayout):
     """Convex-hull faces of the speaker unit vectors, for panning.
 
     3D layouts return outward-oriented vertex triplets covering every hull
-    face exactly once.  Layouts with all elevations within 0.5 deg of the
+    face exactly once: qhull's, which a layout with the angles of a
+    built-in 3D layout takes from ``_QHULL_FACES`` without loading
+    ``scipy.spatial``.  Layouts with all elevations within 0.5 deg of the
     horizon use the 2D path instead and return adjacent azimuth pairs.
     """
     if is_horizontal_layout(layout):
@@ -336,6 +338,14 @@ def triangulate_hull(layout: SpeakerLayout):
                 pairs.append(pair)
         return pairs
 
+    frozen = _frozen_faces().get(_angles_key(layout))
+    if frozen is not None:
+        return list(frozen)
+    return _qhull_triangles(layout)
+
+
+def _qhull_triangles(layout: SpeakerLayout):
+    """qhull's faces of a 3D layout, oriented outward, in qhull's order."""
     vecs = layout.vectors
     if len(layout) < 4:
         raise GeometryError(
@@ -428,6 +438,34 @@ _NAMED_LAYOUTS = {
         ("D", 0.0, -90.0),
     ),
 }
+
+
+# qhull's faces of the built-in 3D layouts, in its order and orientation,
+# as triangulate_hull returns them from scipy.spatial
+_QHULL_FACES = {
+    "5.0.2": ((6, 0, 5), (1, 3, 5), (1, 5, 0), (2, 6, 4), (2, 0, 6),
+              (6, 5, 3), (6, 3, 4), (2, 4, 3), (2, 3, 1), (2, 1, 0)),
+    "7.0.4": ((6, 4, 10), (9, 3, 5), (9, 7, 3), (8, 0, 7), (8, 10, 4),
+              (1, 7, 0), (1, 3, 7), (2, 0, 8), (2, 8, 4), (9, 5, 6),
+              (9, 6, 10), (8, 9, 10), (8, 7, 9), (2, 1, 0), (2, 5, 3),
+              (2, 6, 5), (2, 4, 6), (2, 3, 1)),
+    "3.0.1": ((1, 2, 0), (3, 0, 2), (3, 2, 1), (3, 1, 0)),
+    "octahedron": ((5, 3, 1), (5, 0, 3), (4, 1, 3), (4, 3, 0), (2, 0, 5),
+                   (2, 5, 1), (2, 4, 0), (2, 1, 4)),
+}
+
+
+def _angles_key(layout: SpeakerLayout) -> tuple:
+    return tuple(layout.azimuth.tolist()), tuple(layout.elevation.tolist())
+
+
+@functools.cache
+def _frozen_faces() -> dict:
+    """``_QHULL_FACES`` keyed by each layout's normalized angles, so any
+    layout with those speakers in that order gets them, whatever its
+    labels."""
+    return {_angles_key(named_layout(name)): faces
+            for name, faces in _QHULL_FACES.items()}
 
 
 def named_layout(name: str, pair_tol_deg: float = 1.0) -> SpeakerLayout:

@@ -173,6 +173,7 @@ def parse_matrix(text: str) -> MatrixFile:
     if rows < 1 or cols < 1:
         raise MatrixFileError("rows and cols must be positive")
     entries = []
+    ragged = None  # the first body line whose entry count is not cols
     for number, line in enumerate(lines[body_start:], start=body_start + 1):
         stripped = line.strip()
         if not stripped:
@@ -187,8 +188,10 @@ def parse_matrix(text: str) -> MatrixFile:
             raise MatrixFileError(
                 f"line {number}: non-finite entry in {stripped!r}"
             )
+        if ragged is None and len(row) != cols:
+            ragged = f"line {number}: {len(row)} entries, expected {cols}"
         entries.extend(row)
-    return MatrixFile(
+    m = MatrixFile(
         kind=header["kind"],
         rows=rows,
         cols=cols,
@@ -197,14 +200,20 @@ def parse_matrix(text: str) -> MatrixFile:
         entries=tuple(entries),
         note=header.get("note", ""),
     )
+    if ragged:  # after the entry count, which a huge declared size fails
+        raise MatrixFileError(ragged)
+    return m
 
 
 def import_matrix(path) -> MatrixFile:
     try:
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise MatrixFileError(f"cannot read matrix file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"matrix file {path} is not UTF-8 text: "
+                              f"{exc}") from exc
     try:
         return parse_matrix(text)
     except MatrixFileError as exc:

@@ -16,7 +16,12 @@ the lowest-cost restart's.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -324,6 +329,48 @@ def identity_hessian(n: int) -> np.ndarray:
     return np.eye(n, order="F")
 
 
+_FBLAS = "scipy.linalg._fblas"
+
+
+def _fblas_file() -> str:
+    """Path of the ``scipy.linalg._fblas`` extension file, found without
+    importing scipy; ImportError if there is none."""
+    spec = importlib.util.find_spec("scipy")
+    for directory in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "linalg", "_fblas" + suffix)
+            if os.path.isfile(path):
+                return path
+    raise ImportError(f"no {_FBLAS} extension file")
+
+
+@functools.cache
+def _blas():
+    """``(dsymv, dsyr2)`` from the BLAS extension ``scipy.linalg._fblas``.
+
+    A module already imported is reused.  Otherwise it is loaded from its
+    file, so ``scipy/linalg/__init__.py`` and the packages it imports never
+    run.  If the file is missing or does not load, ``scipy.linalg.blas``
+    is imported instead; it re-exports the same shared object, so the
+    bits are the same either way.
+    """
+    module = sys.modules.get(_FBLAS)
+    try:
+        if module is None:
+            spec = importlib.util.spec_from_file_location(_FBLAS,
+                                                          _fblas_file())
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # unregister it, so a later `import scipy.linalg` loads and
+            # binds its own module object, which shares these functions
+            if sys.modules.get(_FBLAS) is module:
+                del sys.modules[_FBLAS]
+        return module.dsymv, module.dsyr2
+    except (ImportError, AttributeError):
+        from scipy.linalg.blas import dsymv, dsyr2
+        return dsymv, dsyr2
+
+
 def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray,
                 g_new: np.ndarray, hg: np.ndarray, first: bool = False):
     """BFGS update of the inverse Hessian ``h`` at a step ``s``, in place.
@@ -344,8 +391,7 @@ def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray,
     only when it is Fortran-ordered, as ``identity_hessian`` makes it, so
     any other ``h`` is rejected.
     """
-    from scipy.linalg.blas import dsymv, dsyr2
-
+    dsymv, dsyr2 = _blas()
     if not h.flags.f_contiguous:
         raise ValueError("the inverse Hessian must be Fortran-ordered")
     hg_new = dsymv(1.0, h, g_new)

@@ -1,9 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import satx
 from satx.config import parse_cloud
 from satx.formats import _face_gains, vbap_matrix
 from satx.geometry import PointCloud, SpeakerLayout, unit_vectors
+
+
+def fresh_python(script: str, *args) -> str:
+    """Standard output of ``script`` run with ``args`` in a fresh
+    interpreter that imports satx from this checkout."""
+    src = str(Path(satx.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 @pytest.fixture

@@ -477,23 +477,23 @@ class TestWorkers:
     def test_a_failure_stops_the_other_worker(self, tmp_path, pcm16,
                                               monkeypatch):
         # the helper fails on its first block (1) once the calling thread
-        # has read block 0; the calling thread waits on block 2 until the
-        # helper has ended, then stops before block 4
+        # has reached block 2, past its check for a failure; the calling
+        # thread waits there until the helper has ended, then stops
+        # before block 4
         path, out = tmp_path / "in.wav", tmp_path / "out.wav"
         wavfile.write(path, 8000, pcm16[:33])
         starts, helper = [], []
-        started, failing = threading.Event(), threading.Event()
+        reached, failing = threading.Event(), threading.Event()
 
         def spy(handle, wav, start, frames, buffers):
             starts.append(start)
-            if start == 0:
-                started.set()
             if start == 7:
-                assert started.wait(10)
+                assert reached.wait(10)
                 helper.append(threading.current_thread())
                 failing.set()
                 raise AudioError("read failed")
             if start == 14:
+                reached.set()
                 assert failing.wait(10)
                 helper[0].join(10)
                 assert not helper[0].is_alive()

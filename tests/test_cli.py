@@ -16,6 +16,8 @@ from satx.config import parse_config
 from satx.errors import ConfigError
 from satx.matfile import export_matrix, import_matrix, matrix_file
 
+from conftest import fresh_python
+
 DATA = Path(__file__).parent / "data"
 
 TINY_JOB = {
@@ -194,6 +196,46 @@ class TestLostChannelsExit2:
         assert ("error: config.cloud: the encoding has rank 3 for 4 input "
                 "channels; the cloud never excites ACN2") in err
         assert not (tmp_path / "out").exists()
+
+
+class TestTextThatIsNotUtf8:
+    """A text input whose bytes are not UTF-8 exits 2 naming its file."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        path = tmp_path / "binary.dat"
+        path.write_bytes(b"satx-matrix 1\n\xff\xfe\x00\x80\n")
+        return str(path)
+
+    def _error(self, tmp_path, capsys, args):
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        return capsys.readouterr().err
+
+    def _generate_error(self, tmp_path, capsys, job):
+        config = tmp_path / "job.yaml"
+        config.write_text(yaml.safe_dump(job))
+        return self._error(tmp_path, capsys,
+                           ["generate", "--config", str(config)])
+
+    def test_config(self, bad, tmp_path, capsys):
+        err = self._error(tmp_path, capsys, ["generate", "--config", bad])
+        assert f"error: config {bad} is not UTF-8 text: " in err
+
+    def test_evaluate_matrix(self, bad, tiny_config, tmp_path, capsys):
+        err = self._error(tmp_path, capsys, [
+            "evaluate", "--config", str(tiny_config), "--matrix", bad])
+        assert f"error: matrix file {bad} is not UTF-8 text: " in err
+
+    def test_layout_file(self, bad, tmp_path, capsys):
+        err = self._generate_error(tmp_path, capsys, dict(
+            TINY_JOB, output={"format": "speakers", "layout": {"file": bad}}))
+        assert (f"error: config.output.layout.file {bad} is not UTF-8 "
+                "text: ") in err
+
+    def test_given_init(self, bad, tmp_path, capsys):
+        err = self._generate_error(tmp_path, capsys, dict(
+            TINY_JOB, optimizer={"init": "given", "matrix": bad}))
+        assert f"error: matrix file {bad} is not UTF-8 text: " in err
 
 
 class TestEvaluateCompareCli:
@@ -513,20 +555,26 @@ class TestApplyCli:
 def _scipy_after(script, *args):
     """Run ``script`` in a fresh interpreter that imports satx from this
     checkout; returns the scipy modules it loaded, sorted."""
-    src = str(Path(satx.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
     probe = (script + "\nimport json, sys\nprint(json.dumps(sorted("
              "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
-    out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out.splitlines()[-1])
+    return json.loads(fresh_python(probe, *args).splitlines()[-1])
+
+
+# the scipy packages that cost a fresh process most of its start-up
+_HEAVY_SCIPY = ("scipy.linalg", "scipy.optimize", "scipy.sparse",
+                "scipy.spatial", "scipy.special")
+
+
+def _heavy(loaded):
+    """The packages of ``_HEAVY_SCIPY`` that modules ``loaded`` belong to."""
+    return sorted({".".join(m.split(".")[:2]) for m in loaded}
+                  & set(_HEAVY_SCIPY))
 
 
 class TestImportHygiene:
-    """scipy loads only where a command needs its hull, Legendre functions
-    or BLAS update."""
+    """scipy packages load only where a command needs qhull for a layout
+    outside the frozen faces, or Legendre functions; BFGS loads its BLAS
+    extension without ``scipy.linalg``."""
 
     def test_config_parsing_loads_no_scipy(self, tiny_config):
         script = (
@@ -556,12 +604,67 @@ class TestImportHygiene:
                             str(tmp_path / "out.wav")) == []
 
     def test_generate_never_loads_scipy_optimize(self, tmp_path):
+        # built-in layouts only, and no spherical harmonics
         script = (
             "import sys\n"
             "from satx.cli import main\n"
-            "assert main(['generate', '--preset', 'example3', '--out', "
+            "for name in ('example3', 'example4'):\n"
+            "    out = f'{sys.argv[1]}/{name}'\n"
+            "    assert main(['generate', '--preset', name, '--out', out]) "
+            "== 0\n"
+            "    assert main(['evaluate', '--preset', name, '--matrix', "
+            "f'{out}/{name}_transcoder.smx', '--out', out]) == 0\n"
+        )
+        assert _heavy(_scipy_after(script, str(tmp_path))) == []
+
+    def test_vbap_generate_and_compare_load_no_scipy_package(self, tmp_path):
+        job = {
+            "name": "vbap",
+            "input": {"format": "vbap", "layout": "7.0.4"},
+            "output": {"format": "speakers", "layout": "5.0.2"},
+            "cloud": {"kind": "fibonacci", "points": 200,
+                      "hemisphere": True},
+            "coefficients": {"energy": 5, "intensity_radial": 2,
+                             "intensity_transverse": 1,
+                             "symmetry_quadratic": 2},
+            "optimizer": {"max_iterations": 20},
+        }
+        config = tmp_path / "vbap.yaml"
+        config.write_text(yaml.safe_dump(job))
+        script = (
+            "import sys\n"
+            "from satx.cli import main\n"
+            "config, out = sys.argv[1:]\n"
+            "assert main(['generate', '--config', config, '--out', out]) "
+            "== 0\n"
+            "assert main(['compare', '--config', config, '--matrix', "
+            "f'{out}/vbap_transcoder.smx', '--baseline', 'reference', "
+            "'--out', out]) == 0\n"
+        )
+        assert _heavy(_scipy_after(script, str(config), str(tmp_path))) == []
+
+    def test_ambisonics_generate_loads_only_scipy_special(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from satx.cli import main\n"
+            "assert main(['generate', '--preset', 'example1', '--out', "
             "sys.argv[1]]) == 0\n"
         )
-        loaded = _scipy_after(script, str(tmp_path))
-        assert "scipy.spatial" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.optimize")]
+        assert _heavy(_scipy_after(script, str(tmp_path))) == [
+            "scipy.special"]
+
+    def test_layout_outside_the_frozen_faces_loads_qhull(self, tmp_path):
+        job = dict(TINY_JOB, output={
+            "format": "speakers",
+            "layout": [["A", 0, 0], ["B", 120, 0], ["C", -120, 0],
+                       ["T", 0, 90]]})
+        config = tmp_path / "tetra.yaml"
+        config.write_text(yaml.safe_dump(job))
+        script = (
+            "import sys\n"
+            "from satx.cli import main\n"
+            "assert main(['generate', '--config', sys.argv[1], '--out', "
+            "sys.argv[2]]) == 0\n"
+        )
+        assert "scipy.spatial" in _heavy(
+            _scipy_after(script, str(config), str(tmp_path)))

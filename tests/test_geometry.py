@@ -311,6 +311,34 @@ class TestHull:
         assert len(faces) == 8
         assert all(len(f) == 3 for f in faces)
 
+    @pytest.mark.parametrize("name", sorted(geometry._QHULL_FACES))
+    def test_frozen_faces_are_qhulls(self, name):
+        layout = named_layout(name)
+        faces = list(geometry._QHULL_FACES[name])
+        assert geometry._qhull_triangles(layout) == faces
+        assert triangulate_hull(layout) == faces
+
+    def test_frozen_faces_keyed_on_normalized_angles(self, monkeypatch):
+        # other labels and azimuths a turn away still match the built-in;
+        # the same speakers in another order go through qhull
+        qhull = geometry._qhull_triangles
+        calls = []
+
+        def counting(layout):
+            calls.append(layout)
+            return qhull(layout)
+
+        monkeypatch.setattr(geometry, "_qhull_triangles", counting)
+        built_in = named_layout("5.0.2")
+        turned = ring_layout(built_in.azimuth + 360.0, built_in.elevation)
+        assert triangulate_hull(turned) == list(geometry._QHULL_FACES["5.0.2"])
+        assert calls == []
+        order = [6, 0, 1, 2, 3, 4, 5]
+        reordered = ring_layout(built_in.azimuth[order],
+                                built_in.elevation[order])
+        triangulate_hull(reordered)
+        assert calls == [reordered]
+
     def test_horizontal_ring_gives_adjacent_pairs(self):
         pairs = triangulate_hull(named_layout("5.0"))
         assert len(pairs) == 5

@@ -81,6 +81,16 @@ class TestMatrixFile:
         ):
             import_matrix(path)
 
+    def test_ragged_rows_rejected_naming_file_and_line(self, tmp_path):
+        # six entries for 2 x 3, but not one row per line
+        path = tmp_path / "ragged.smx"
+        path.write_text("satx-matrix 1\nkind transcoding\nrows 2\ncols 3\n"
+                        "1 2\n3 4 5 6\n")
+        with pytest.raises(MatrixFileError) as info:
+            import_matrix(path)
+        assert str(info.value) == (f"matrix file {path}: line 5: 2 entries, "
+                                   "expected 3")
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(MatrixFileError, match="unique"):
             matrix_file(np.ones((2, 2)), row_labels=["a", "a"])

@@ -31,7 +31,7 @@ from satx.optimizer import (
     optimize,
 )
 
-from conftest import cloud_of
+from conftest import cloud_of, fresh_python
 
 INCOHERENT_SET = CostCoefficients(
     energy=5, intensity_radial=2, intensity_transverse=1,
@@ -217,6 +217,43 @@ class TestBfgsUpdate:
                     -150, 150, size=(2, 1))
                 ours = 1e-12 * math.sqrt(y @ y) * math.sqrt(s @ s)
                 assert ours == 1e-12 * np.linalg.norm(y) * np.linalg.norm(s)
+
+    def test_same_bits_through_every_blas_load(self):
+        # in a fresh process: the extension loaded from its file, then the
+        # scipy.linalg.blas fallback, then the module scipy.linalg imported
+        script = (
+            "import hashlib, sys\n"
+            "import numpy as np\n"
+            "from satx import optimizer\n"
+            "def digest():\n"
+            "    rng = np.random.default_rng(6)\n"
+            "    n = 50\n"
+            "    a, b = rng.normal(size=(2, n, n))\n"
+            "    h = optimizer.identity_hessian(n)\n"
+            "    h[...] = a @ a.T + n * np.eye(n)\n"
+            "    s, g_new = rng.normal(size=(2, n))\n"
+            "    y = (b @ b.T + np.eye(n)) @ s\n"
+            "    hg_new, updated = optimizer.bfgs_update(\n"
+            "        h, s, y, g_new, h @ (g_new - y), True)\n"
+            "    assert updated\n"
+            "    return hashlib.sha256(h.tobytes() + hg_new.tobytes())"
+            ".hexdigest()\n"
+            "direct = digest()\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "found = optimizer._fblas_file\n"
+            "def missing():\n"
+            "    raise ImportError('no file')\n"
+            "optimizer._fblas_file = missing\n"
+            "optimizer._blas.cache_clear()\n"
+            "fallback = digest()\n"
+            "assert 'scipy.linalg.blas' in sys.modules\n"
+            "optimizer._fblas_file = found\n"
+            "optimizer._blas.cache_clear()\n"
+            "imported = digest()\n"
+            "print(direct, fallback, imported)\n"
+        )
+        direct, fallback, imported = fresh_python(script).split()
+        assert direct == fallback == imported
 
     def test_c_ordered_hessian_rejected(self):
         # BLAS would update a copy and the carried product would be wrong

@@ -17,8 +17,9 @@ and reads the inputs into the page cache.  Then each of ROUNDS rounds
 (5 by default, at least 5) runs every command once in each checkout, A
 first in even rounds and B first in odd ones, so a slow stretch of the
 host falls on both.  It prints one line per command
-and checkout: the median wall seconds, and the median, lowest and highest
-peak RSS of the children in MiB (``ru_maxrss`` from ``os.wait4``).  That
+and checkout: the median wall seconds, the median, lowest and highest
+peak RSS of the children in MiB (``ru_maxrss`` from ``os.wait4``), and
+the wall seconds of each round in order.  That
 peak covers the whole process, imports included, which the benchmark's
 warm worker cannot show.  A child's ``ru_maxrss`` starts from its
 parent's peak, so the inputs are written by a child of their own and
@@ -99,7 +100,8 @@ def main(argv) -> None:
                         run_child(checkouts[side], args))
     print(f"A = {checkouts[0]}")
     print(f"B = {checkouts[1]}")
-    print(f"{rounds} rounds, median wall s; peak RSS MiB median (min-max)")
+    print(f"{rounds} rounds, median wall s; peak RSS MiB median (min-max); "
+          "wall s per round")
     for name in dict.fromkeys(name for name, _ in runs):
         for side in (0, 1):
             samples = runs[name, side]
@@ -107,7 +109,8 @@ def main(argv) -> None:
             peaks = [mib for _, mib in samples]
             print(f"{name:12s} {'AB'[side]} {seconds:7.3f} s "
                   f"{statistics.median(peaks):6.1f} MiB "
-                  f"({min(peaks):.1f}-{max(peaks):.1f})")
+                  f"({min(peaks):.1f}-{max(peaks):.1f}); "
+                  + " ".join(f"{s:.3f}" for s, _ in samples))
 
 
 if __name__ == "__main__":
