@@ -13,20 +13,22 @@ clouds and a bad cloud fails at load under its key path.  Layout rows and
 explicit cloud rows are checked one by one under their keys
 (``config.output.layout[1]``) and then become the azimuth and elevation
 arrays of a ``SpeakerLayout`` or ``PointCloud``.  Explicit
-``symmetry.pairs`` become the output layout's symmetry pairs.  An objects
-input is evaluated at its own cloud, the directions of its channels.
+``symmetry.pairs`` become the output layout's symmetry pairs.  A matrix
+file a config names is read here, once, under its key, so a job holds
+no file path.  An objects or external input is evaluated at its own
+cloud, the directions of its channels or matrix rows.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from . import geometry
+from . import geometry, matfile
 from .cost import CostCoefficients
 from .errors import ConfigError, SatxError, check_integer, check_number
 from .formats import (
@@ -63,6 +65,8 @@ _COEFF_KEYS = {f.name for f in fields(CostCoefficients)}
 _SYM_KEYS = {"tolerance_deg", "pairs"}
 
 DEFAULT_EVAL_CLOUD = {"kind": "fibonacci", "points": 312, "hemisphere": True}
+# the inputs with a channel or matrix row per cloud direction, evaluated there
+_CLOUD_INPUTS = {ObjectsSpec: "objects", ExternalSpec: "external"}
 
 
 @dataclass
@@ -76,7 +80,6 @@ class JobConfig:
     eval_cloud: PointCloud
     coeffs: CostCoefficients
     optimizer: OptimizationConfig
-    init_matrix: Optional[str] = None  # matrix file of a given init
 
 
 def _require_mapping(node, path):
@@ -149,6 +152,11 @@ def _load_yaml(path, what: str):
         except UnicodeDecodeError as exc:
             raise ConfigError(
                 f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
+def _matrix_file(node, path) -> matfile.MatrixFile:
+    """The matrix file named at the key ``path``, read at load."""
+    return _checked(matfile.import_matrix, str(node), path=path)
 
 
 def parse_layout(node, path, pair_tol=1.0) -> SpeakerLayout:
@@ -264,7 +272,7 @@ def _parse_input(node, path, pair_tol):
         return ObjectsSpec()
     if "matrix" not in node:  # external
         raise ConfigError(f"{path}.matrix: required for external input")
-    return ExternalSpec(str(node["matrix"]))
+    return ExternalSpec(_matrix_file(node["matrix"], f"{path}.matrix"))
 
 
 def _parse_output(node, path, pair_tol):
@@ -292,7 +300,11 @@ def _parse_output(node, path, pair_tol):
             f"{path}: external output needs 'matrix' and 'layout'"
         )
     layout = parse_layout(node["layout"], f"{path}.layout", pair_tol)
-    return ExternalSpec(str(node["matrix"])), layout
+    matrix = _matrix_file(node["matrix"], f"{path}.matrix")
+    if matrix.rows != len(layout):
+        raise ConfigError(f"{path}.matrix: has {matrix.rows} rows for the "
+                          f"{len(layout)} speakers of {path}.layout")
+    return ExternalSpec(matrix), layout
 
 
 def _parse_coeffs(node, path) -> CostCoefficients:
@@ -301,8 +313,8 @@ def _parse_coeffs(node, path) -> CostCoefficients:
     return _checked(CostCoefficients, path=path, **node)
 
 
-def _parse_optimizer(node, path):
-    """(settings, matrix file of a given init)."""
+def _parse_optimizer(node, path) -> OptimizationConfig:
+    """The settings; a given init's ``matrix`` is its file's, read here."""
     node = dict(_require_mapping(node, path))
     _check_keys(node, _OPT_KEYS, path)
     matrix = node.pop("matrix", None)
@@ -311,7 +323,8 @@ def _parse_optimizer(node, path):
         raise ConfigError(f"{path}.matrix: required when init is 'given'")
     if settings.init != "given" and matrix is not None:
         raise ConfigError(f"{path}.matrix: only read when init is 'given'")
-    return settings, None if matrix is None else str(matrix)
+    return settings if matrix is None else replace(
+        settings, matrix=_matrix_file(matrix, f"{path}.matrix").values())
 
 
 def _parse_name(node, path) -> str:
@@ -383,25 +396,28 @@ def parse_config(data: dict, source: str = "config",
                               f"{source}.output, which is absent")
         output_layout = _with_pairs(output_layout, symmetry["pairs"],
                                     f"{source}.symmetry")
+    at_cloud = _CLOUD_INPUTS.get(type(input_spec))
     if "cloud" in data:
         cloud = parse_cloud(data["cloud"], f"{source}.cloud")
-    elif isinstance(input_spec, ObjectsSpec):
-        raise ConfigError(f"{source}.cloud: required for objects input, "
-                          "whose channels sit at the cloud's directions")
-    # objects are evaluated at their channels, the cloud's directions
-    objects = isinstance(input_spec, ObjectsSpec)
+    elif at_cloud:
+        raise ConfigError(f"{source}.cloud: required for {at_cloud} input, "
+                          "which encodes only the cloud's directions")
+    if at_cloud == "external" and len(cloud) != input_spec.matrix.rows:
+        raise ConfigError(f"{source}.input.matrix: has "
+                          f"{input_spec.matrix.rows} rows for the "
+                          f"{len(cloud)} directions of {source}.cloud")
     path = f"{source}.evaluation_cloud"
-    eval_cloud = (cloud if objects and "evaluation_cloud" not in data else
+    eval_cloud = (cloud if at_cloud and "evaluation_cloud" not in data else
                   parse_cloud(data.get("evaluation_cloud", DEFAULT_EVAL_CLOUD),
                               path))
-    if objects and not (np.array_equal(eval_cloud.azimuth, cloud.azimuth) and
-                        np.array_equal(eval_cloud.elevation, cloud.elevation)):
-        raise ConfigError(f"{path}: an objects input is evaluated at the "
+    if at_cloud and not (np.array_equal(eval_cloud.azimuth, cloud.azimuth) and
+                         np.array_equal(eval_cloud.elevation, cloud.elevation)):
+        raise ConfigError(f"{path}: an {at_cloud} input is evaluated at the "
                           f"directions of {source}.cloud")
     coeffs = _parse_coeffs(data.get("coefficients", {}),
                            f"{source}.coefficients")
-    optimizer, init_matrix = _parse_optimizer(data.get("optimizer", {}),
-                                              f"{source}.optimizer")
+    optimizer = _parse_optimizer(data.get("optimizer", {}),
+                                 f"{source}.optimizer")
 
     return JobConfig(
         analysis=analysis,
@@ -413,7 +429,6 @@ def parse_config(data: dict, source: str = "config",
         eval_cloud=eval_cloud,
         coeffs=coeffs,
         optimizer=optimizer,
-        init_matrix=init_matrix,
     )
 
 

@@ -170,9 +170,9 @@ class ObjectsSpec:
 
 @dataclass(frozen=True)
 class ExternalSpec:
-    """Matrix loaded from a file (see the matrix file format)."""
+    """A loaded ``MatrixFile``: an encoding, or a decoder to speakers."""
 
-    path: str
+    matrix: object
 
 
 FormatSpec = object  # any of the four spec classes above
@@ -250,15 +250,8 @@ def build_encoding_matrix(spec: FormatSpec, cloud: PointCloud) -> EncodingMatrix
             np.eye(n), cloud, tuple(f"obj{i}" for i in range(n))
         )
     if isinstance(spec, ExternalSpec):
-        from .matfile import import_matrix
-
-        mat = import_matrix(spec.path)
-        if mat.rows != len(cloud):
-            raise DimensionError(
-                f"external matrix has {mat.rows} rows but the cloud has "
-                f"{len(cloud)} directions"
-            )
-        return EncodingMatrix(mat.values(), cloud, tuple(mat.col_labels))
+        return EncodingMatrix(spec.matrix.values(), cloud,
+                              spec.matrix.col_labels)
     raise DimensionError(f"unsupported input format spec {spec!r}")
 
 
@@ -298,15 +291,8 @@ def build_decoder_to_speaker(spec: FormatSpec, layout: SpeakerLayout) -> Decoder
         d = np.linalg.pinv(y.T, rcond=_PINV_CUTOFF)
         return DecoderToSpeaker(d, layout, acn_labels(spec.order))
     if isinstance(spec, ExternalSpec):
-        from .matfile import import_matrix
-
-        mat = import_matrix(spec.path)
-        if mat.rows != len(layout):
-            raise DimensionError(
-                f"external decoder has {mat.rows} rows but the layout has "
-                f"{len(layout)} speakers"
-            )
-        return DecoderToSpeaker(mat.values(), layout, tuple(mat.col_labels))
+        return DecoderToSpeaker(spec.matrix.values(), layout,
+                                spec.matrix.col_labels)
     raise DimensionError(f"unsupported output format spec {spec!r}")
 
 

@@ -45,8 +45,8 @@ class OptimizationConfig:
     ``matrix`` is the start of every init but random, which starts from
     zeros; ``runner.optimization_config`` sets it from the job.  ``init``
     is one of INIT_KINDS and only picks the noise; by default it is
-    remap_plus_noise when ``matrix`` is set, else random.  ``scale``
-    overrides the noise amplitude of the noisy inits (INIT_SCALE).
+    remap_plus_noise when ``matrix`` is set, else random.  Only the noisy
+    inits (INIT_SCALE) read ``scale``, the noise amplitude, or restart.
     """
 
     init: Optional[str] = None
@@ -65,9 +65,10 @@ class OptimizationConfig:
                 f"unknown strategy {self.init!r}; choose from {INIT_KINDS}",
                 "init",
             )
+        noiseless = self.init not in (None, *INIT_SCALE)
         if self.scale is not None:
             check_number(self.scale, "scale", 0)
-            if self.init not in (None, *INIT_SCALE):
+            if noiseless:
                 raise ConfigError(
                     f"is only read by the {' and '.join(INIT_SCALE)} inits",
                     "scale",
@@ -83,6 +84,9 @@ class OptimizationConfig:
             check_integer(getattr(self, name), name, minimum)
         for name in ("gradient_tolerance", "cost_tolerance"):
             check_number(getattr(self, name), name, 0, exclusive=True)
+        if noiseless and self.restarts > 1:
+            raise ConfigError(f"must be 1: the {self.init} init adds no "
+                              "noise", "restarts")
 
 
 @dataclass

@@ -141,23 +141,18 @@ def optimization_config(job: JobConfig,
                         seed: Optional[int] = None) -> optimizer.OptimizationConfig:
     """The job's optimizer settings, ready for ``optimizer.optimize``.
 
-    Sets the start matrix of every init but random: the loaded file of a
-    given init, else ``reference_transcoder``, the per-channel remap on
+    Sets the start matrix of every init but random and given (whose file
+    the config loaded): ``reference_transcoder``, the per-channel remap on
     bed and object inputs.  ``seed`` overrides the job's.
     """
     config = job.optimizer
     kind = config.init
-    if kind == "given":
-        matrix = matfile.import_matrix(job.init_matrix).values()
-    elif kind == "reference" or (
-            kind != "random" and isinstance(job.input_spec, _CHANNEL_INPUTS)):
-        matrix = reference_transcoder(job)
+    if kind == "reference" or (kind not in ("random", "given") and
+                               isinstance(job.input_spec, _CHANNEL_INPUTS)):
+        config = replace(config, matrix=reference_transcoder(job))
     elif kind in ("remap", "remap_plus_noise"):
         raise ConfigError(f"{kind} initialization needs input channel "
                           "directions (a bed or object input)")
-    else:
-        matrix = None
-    config = replace(config, matrix=matrix)
     return config if seed is None else replace(config, seed=seed)
 
 
@@ -171,10 +166,9 @@ class GenerateResult:
 def run_generate(job: JobConfig, out_dir, seed: Optional[int] = None) -> GenerateResult:
     problem = build_problem(job)
     cfg = optimization_config(job, seed)
-    if job.init_matrix is not None and cfg.matrix.shape != problem.shape:
-        raise ConfigError(
-            f"config.optimizer.matrix: {job.init_matrix} has shape "
-            f"{cfg.matrix.shape}, expected {problem.shape}")
+    if cfg.matrix is not None and cfg.matrix.shape != problem.shape:
+        raise ConfigError(f"config.optimizer.matrix: has shape "
+                          f"{cfg.matrix.shape}, expected {problem.shape}")
     report = optimizer.optimize(problem, cfg)
     os.makedirs(out_dir, exist_ok=True)
     matrix_path = os.path.join(out_dir, f"{job.name}_transcoder.smx")

@@ -38,6 +38,19 @@ TINY_JOB = {
 
 
 @pytest.fixture
+def reads(monkeypatch):
+    """The paths ``matfile.import_matrix`` is called with, in order."""
+    from satx import matfile
+
+    read = []
+    import_matrix = matfile.import_matrix
+    monkeypatch.setattr(matfile, "import_matrix",
+                        lambda path: read.append(str(path))
+                        or import_matrix(path))
+    return read
+
+
+@pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.yaml"
     path.write_text(yaml.safe_dump(TINY_JOB))
@@ -235,7 +248,8 @@ class TestTextThatIsNotUtf8:
     def test_given_init(self, bad, tmp_path, capsys):
         err = self._generate_error(tmp_path, capsys, dict(
             TINY_JOB, optimizer={"init": "given", "matrix": bad}))
-        assert f"error: matrix file {bad} is not UTF-8 text: " in err
+        assert (f"error: config.optimizer.matrix: matrix file {bad} is not "
+                "UTF-8 text: ") in err
 
 
 class TestEvaluateCompareCli:
@@ -358,8 +372,64 @@ class TestObjectsEvaluation:
                 in capsys.readouterr().err)
 
 
+class TestExternalInput:
+    """An external input is evaluated at its own cloud, its matrix rows."""
+
+    def _config(self, tmp_path, rng, **changes):
+        path = tmp_path / "enc.smx"
+        export_matrix(matrix_file(rng.normal(size=(40, 4)), kind="encoding"),
+                      path)
+        job = {"name": "ext", "input": {"format": "external",
+                                        "matrix": str(path)},
+               "output": {"format": "speakers", "layout": "7.0.4"},
+               "cloud": {"kind": "fibonacci", "points": 40},
+               "coefficients": {"energy": 5, "intensity_radial": 2,
+                                "intensity_transverse": 1},
+               "optimizer": {"max_iterations": 30}}
+        job.update(changes)
+        config = tmp_path / "ext.yaml"
+        config.write_text(yaml.safe_dump(job))
+        return str(config)
+
+    def test_generate_evaluate_and_compare(self, tmp_path, rng):
+        config = self._config(tmp_path, rng)
+        out = str(tmp_path / "out")
+        assert main(["generate", "--config", config, "--out", out]) == 0
+        matrix = os.path.join(out, "ext_transcoder.smx")
+        assert import_matrix(matrix).values().shape == (11, 4)
+        assert main(["evaluate", "--config", config, "--matrix", matrix,
+                     "--out", out]) == 0
+        rows = (tmp_path / "out" / "ext_metrics.dat").read_text()
+        assert len(rows.splitlines()) == 1 + 40
+        assert main(["compare", "--config", config, "--matrix", matrix,
+                     "--matrix", matrix, "--out", out]) == 0
+
+    def test_other_evaluation_directions_exit_2(self, tmp_path, rng,
+                                                 capsys):
+        config = self._config(tmp_path, rng, evaluation_cloud={
+            "kind": "fibonacci", "points": 312, "hemisphere": True})
+        assert main(["generate", "--config", config,
+                     "--out", str(tmp_path)]) == 2
+        assert ("error: config.evaluation_cloud: an external input is "
+                "evaluated at the directions of config.cloud"
+                in capsys.readouterr().err)
+
+    def test_cloud_required(self, tmp_path, rng, capsys):
+        config = Path(self._config(tmp_path, rng))
+        job = yaml.safe_load(config.read_text())
+        del job["cloud"]
+        config.write_text(yaml.safe_dump(job))
+        matrix = tmp_path / "t.smx"
+        export_matrix(matrix_file(np.zeros((11, 4))), matrix)
+        assert main(["evaluate", "--config", str(config), "--matrix",
+                     str(matrix), "--out", str(tmp_path)]) == 2
+        assert ("error: config.cloud: required for external input"
+                in capsys.readouterr().err)
+
+
 class TestMatrixShapeNamesItsFile:
-    """A matrix that does not fit the job's formats is named by its file."""
+    """A matrix that does not fit the job's formats is named by its file,
+    or by its config key when the config names it."""
 
     def _matrices(self, tmp_path):
         good, bad = tmp_path / "good.smx", tmp_path / "bad.smx"
@@ -388,8 +458,95 @@ class TestMatrixShapeNamesItsFile:
         config.write_text(yaml.safe_dump(job))
         assert main(["generate", "--config", str(config),
                      "--out", str(tmp_path)]) == 2
-        assert (f"error: config.optimizer.matrix: {bad} has shape (11, 36), "
+        assert ("error: config.optimizer.matrix: has shape (11, 36), "
                 "expected (3, 12)") in capsys.readouterr().err
+
+
+# per config key that names a matrix file: a job, the shape its file
+# must have, and the message of a file with a row too many
+_MATRIX_KEYS = {
+    "input.matrix": (dict(TINY_JOB, input={"format": "external"}), (12, 2),
+                     "has 13 rows for the 12 directions of config.cloud"),
+    "output.matrix": (dict(TINY_JOB, output=dict(TINY_JOB["output"],
+                                                 format="external")), (3, 2),
+                      "has 4 rows for the 3 speakers of "
+                      "config.output.layout"),
+    "optimizer.matrix": (dict(TINY_JOB, optimizer={"init": "given"}),
+                         (3, 12), "has shape (4, 12), expected (3, 12)"),
+}
+
+
+def _extra_row(key):
+    """A writer of a file for ``key`` with a row too many."""
+    rows, cols = _MATRIX_KEYS[key][1]
+    return lambda path: export_matrix(matrix_file(np.ones((rows + 1, cols))),
+                                      path)
+
+
+class TestMatrixFilesReadAtLoad:
+    """Each matrix file a config names is read once, when the config is
+    loaded; its errors exit 2 naming the key, and nothing is optimized."""
+
+    def _matrix_job(self, tmp_path, key, write):
+        """The config of the key's job, and its file written by ``write``."""
+        job = _MATRIX_KEYS[key][0]
+        section = key.split(".")[0]
+        path = tmp_path / "m.smx"
+        write(path)
+        job = dict(job, **{section: dict(job[section], matrix=str(path))})
+        config = tmp_path / "job.yaml"
+        config.write_text(yaml.safe_dump(job))
+        return str(config), str(path)
+
+    @pytest.mark.parametrize("key", _MATRIX_KEYS)
+    @pytest.mark.parametrize("case, write, message", [
+        ("missing", lambda path: None, "cannot read matrix file {path}: "),
+        ("not-utf-8", lambda path: path.write_bytes(b"\xff\xfe\n"),
+         "matrix file {path} is not UTF-8 text: "),
+        ("ragged", lambda path: path.write_text(
+            "satx-matrix 1\nkind encoding\nrows 2\ncols 2\n1 2 3\n4\n"),
+         "matrix file {path}: line 5: 3 entries, expected 2"),
+        ("rows", None, None),
+    ], ids=["missing", "not-utf-8", "ragged", "rows"])
+    def test_bad_file_exits_2_at_load(self, tmp_path, capsys, monkeypatch,
+                                      key, case, write, message):
+        from satx import runner
+        from satx.config import load_config
+
+        if case == "rows":
+            write, message = _extra_row(key), _MATRIX_KEYS[key][2]
+        config, path = self._matrix_job(tmp_path, key, write)
+        message = f"error: config.{key}: " + message.format(path=path)
+        # a given matrix must have the problem's shape, which is known
+        # once the problem is built, before it is optimized
+        if (case, key) != ("rows", "optimizer.matrix"):
+            with pytest.raises(ConfigError) as info:
+                load_config(config, "generate")
+            assert f"error: {info.value}".startswith(message)
+
+        def optimize(*args):
+            raise AssertionError("optimized a job with a bad matrix file")
+
+        monkeypatch.setattr(runner.optimizer, "optimize", optimize)
+        assert main(["generate", "--config", config,
+                     "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", _MATRIX_KEYS)
+    def test_each_file_is_read_once_per_command(self, tmp_path, reads, key):
+        shape = _MATRIX_KEYS[key][1]
+        config, path = self._matrix_job(
+            tmp_path, key, lambda path: export_matrix(
+                matrix_file(np.eye(*shape) + 0.5), path))
+        out = tmp_path / "out"
+        assert main(["generate", "--config", config, "--out", str(out)]) == 0
+        assert reads.count(path) == 1
+        matrix = str(out / "tiny_transcoder.smx")
+        for command in (["evaluate"], ["compare", "--matrix", matrix]):
+            reads.clear()
+            assert main(command + ["--config", config, "--matrix", matrix,
+                                   "--out", str(out)]) == 0
+            assert reads.count(path) == 1
 
 
 class TestSectionsAtLoad:
@@ -442,6 +599,8 @@ class TestReferenceFitsTheOutput:
     """The reference transcoder has the problem's shape on every output."""
 
     COEFFS = {"energy": 1, "intensity_radial": 1}
+    # 5 speakers fed by 3 channels
+    DECODER = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0.5, 0], [0, 0.5, 0.5]]
 
     def _external_bed_job(self, tmp_path, decoder, layout="5.0"):
         path = tmp_path / "decoder.smx"
@@ -467,11 +626,19 @@ class TestReferenceFitsTheOutput:
                      "--out", str(tmp_path / "cmp")]) == 0
 
     def test_bed_to_external_output(self, tmp_path):
-        # 5 speakers fed by 3 channels; the default init starts from the
-        # reference
-        decoder = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0.5, 0],
-                   [0, 0.5, 0.5]]
-        self._run(tmp_path, self._external_bed_job(tmp_path, decoder), (3, 5))
+        # the default init starts from the reference
+        self._run(tmp_path, self._external_bed_job(tmp_path, self.DECODER),
+                  (3, 5))
+
+    def test_compare_reads_the_external_decoder_once(self, tmp_path, reads):
+        job = self._external_bed_job(tmp_path, self.DECODER)
+        self._run(tmp_path, job, (3, 5))
+        reads.clear()
+        assert main(["compare", "--config", str(tmp_path / "job.yaml"),
+                     "--matrix", str(tmp_path / "out" / "ext_transcoder.smx"),
+                     "--baseline", "reference",
+                     "--out", str(tmp_path / "cmp")]) == 0
+        assert reads.count(job["output"]["matrix"]) == 1
 
     def test_scene_to_ambisonics_output(self, tmp_path):
         job = {"name": "amb", "input": {"format": "ambisonics", "order": 1},

@@ -312,18 +312,21 @@ class TestEncodingMatrix:
         assert enc.channel_labels[:3] == ("ACN0", "ACN1", "ACN2")
 
     def test_external_matrix_input(self, tmp_path, rng):
-        from satx.matfile import export_matrix, matrix_file
+        from satx.matfile import export_matrix, import_matrix, matrix_file
 
         cloud = cloud_of(kind="ring", points=6)
         values = rng.normal(size=(6, 4))
         path = tmp_path / "enc.smx"
         export_matrix(matrix_file(values, kind="encoding"), path)
-        enc = build_encoding_matrix(ExternalSpec(str(path)), cloud)
+        spec = ExternalSpec(import_matrix(path))
+        enc = build_encoding_matrix(spec, cloud)
         np.testing.assert_array_equal(enc.entries, values)
+        assert enc.channel_labels == ("c0", "c1", "c2", "c3")
 
         bad_cloud = cloud_of(kind="ring", points=5)
-        with pytest.raises(DimensionError, match="rows"):
-            build_encoding_matrix(ExternalSpec(str(path)), bad_cloud)
+        with pytest.raises(DimensionError, match=r"has shape \(6, 4\), "
+                           r"expected \(5, 4\)"):
+            build_encoding_matrix(spec, bad_cloud)
 
 
 class TestDecoderToSpeaker:

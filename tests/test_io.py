@@ -337,7 +337,7 @@ class TestConfig:
         cfg["optimizer"] = {"init": "given", "matrix": str(tmp_path / "t0.smx"),
                             "seed": 4}
         job = parse_config(cfg)
-        assert job.optimizer.matrix is None
+        np.testing.assert_array_equal(job.optimizer.matrix, t0)  # at load
         resolved = runner.optimization_config(job, seed=9)
         assert resolved.init == "given" and resolved.seed == 9
         np.testing.assert_array_equal(resolved.matrix, t0)
@@ -345,6 +345,7 @@ class TestConfig:
 
         cfg["optimizer"] = {"init": "reference"}
         job = parse_config(cfg)
+        assert job.optimizer.matrix is None
         resolved = runner.optimization_config(job)
         np.testing.assert_array_equal(resolved.matrix,
                                       runner.reference_transcoder(job))
@@ -440,6 +441,9 @@ class TestConfig:
         ("output", {"format": "speakers",
                     "layout": {"speakers": [["L", 30, 0], ["R", -30, -91]]}},
          "config.output.layout[1]: elevation -91.0 outside [-90, 90]"),
+        ("optimizer", {"init": "reference", "restarts": 3},
+         "config.optimizer.restarts: must be 1: the reference init adds no "
+         "noise"),
     ])
     def test_load_error_names_its_key(self, tmp_path, capsys, key, value,
                                       message):

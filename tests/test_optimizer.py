@@ -116,6 +116,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="scale is only read by"):
             OptimizationConfig(init=init, scale=0.1)
 
+    @pytest.mark.parametrize("init", ["remap", "given", "reference"])
+    def test_restarts_rejected_where_no_noise_is_added(self, init):
+        matrix = np.eye(2)
+        with pytest.raises(ConfigError, match=f"restarts must be 1: the "
+                           f"{init} init adds no noise"):
+            OptimizationConfig(init=init, matrix=matrix, restarts=3)
+        OptimizationConfig(init=init, matrix=matrix, restarts=1)
+
+    @pytest.mark.parametrize("init", [None, "remap_plus_noise", "random"])
+    def test_restarts_accepted_where_noise_is_added(self, init):
+        assert OptimizationConfig(init=init, restarts=3).restarts == 3
+
     def test_matrix_rejected_by_random_init(self):
         with pytest.raises(ConfigError,
                            match="matrix is not read by the random init"):
@@ -504,10 +516,13 @@ def test_start_matrix_digests(name, kind, digest, tmp_path):
     shape = PRESET_SHAPES[name]
     job = presets.load_preset(name)
     job.optimizer = replace(job.optimizer, init=kind, scale=None)
-    if kind == "given":
-        job.init_matrix = str(tmp_path / "t0.smx")
+    if kind == "given":  # the file is read where the config is loaded
+        path = str(tmp_path / "t0.smx")
         export_matrix(matrix_file(np.arange(float(np.prod(shape)))
-                                  .reshape(shape) / 100), job.init_matrix)
+                                  .reshape(shape) / 100), path)
+        cfg = presets.preset_dict(name)
+        cfg["optimizer"] = {"init": "given", "matrix": path, "seed": 0}
+        job = parse_config(cfg)
     if digest is None:
         with pytest.raises(ConfigError, match="channel directions"):
             runner.optimization_config(job, 0)

@@ -10,6 +10,9 @@ Runs, through ``satx.cli.main`` from this checkout's ``src``:
   from example3's own seed-0 ``.smx``;
 - ``generate`` and ``compare --baseline reference`` of the benchmark's
   ``dense_cloud`` job at seed 0 (its YAML comes from ``bench/synth.py``);
+- ``generate`` and ``evaluate`` of ``external``: a first-order encoding
+  of a 40-direction Fibonacci cloud decoded by a 5x3 matrix to 5.0, both
+  given as matrix files that it writes first;
 - ``apply`` of the benchmark's seed-0 11x36 matrix to 1 s 16-bit and
   24-bit 36-channel WAVs, all three written by ``bench/synth.py``.
 
@@ -35,9 +38,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
+import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
 import synth  # noqa: E402
+from satx import geometry, matfile  # noqa: E402
 from satx.cli import main as satx_main  # noqa: E402
 from satx.presets import preset_dict  # noqa: E402
 
@@ -60,6 +65,28 @@ def write_config(job):
     with open(config, "w") as handle:
         yaml.safe_dump(job, handle, sort_keys=True)
     return config
+
+
+def external_job():
+    """The ``external`` job, after writing its two matrix files."""
+    os.makedirs("external", exist_ok=True)
+    az, el = geometry.fibonacci_sphere(40)
+    # W and the first-order channels, as SN3D ambisonics would give them
+    encoding = np.column_stack((np.ones(40), geometry.unit_vectors(az, el)))
+    decoder = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0.5, 0], [0, 0.5, 0.5]]
+    paths = {}
+    for kind, values in (("encoding", encoding),
+                         ("decoder_to_speaker", decoder)):
+        paths[kind] = os.path.join("external", f"{kind}.smx")
+        matfile.export_matrix(matfile.matrix_file(values, kind), paths[kind])
+    return {"name": "external",
+            "input": {"format": "external", "matrix": paths["encoding"]},
+            "output": {"format": "external",
+                       "matrix": paths["decoder_to_speaker"], "layout": "5.0"},
+            "cloud": {"kind": "fibonacci", "points": 40},
+            "coefficients": {"energy": 5, "intensity_radial": 2,
+                             "intensity_transverse": 1},
+            "optimizer": {"seed": 0}}
 
 
 def run_set():
@@ -85,6 +112,11 @@ def run_set():
     run(["compare", "--config", config, "--matrix",
          os.path.join("dense_cloud", "dense_cloud_transcoder.smx"),
          "--baseline", "reference", "--out", "dense_cloud"])
+    config = write_config(external_job())
+    run(["generate", "--config", config, "--out", "external"])
+    run(["evaluate", "--config", config, "--matrix",
+         os.path.join("external", "external_transcoder.smx"),
+         "--out", "external"])
     os.makedirs("apply", exist_ok=True)
     matrix = os.path.join("apply", "apply.smx")
     with open(matrix, "w") as handle:
