@@ -70,20 +70,20 @@ def speaker_matrix(g, t, d_spk) -> SpeakerMatrix:
     return SpeakerMatrix(gm @ tm.T @ dm.T, g.cloud, d_spk.layout)
 
 
-def guard_pressure(p: np.ndarray) -> np.ndarray:
+def guard_pressure(p: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Clamp pressure magnitudes away from zero, keeping the sign.
 
     The sign of +-0.0 resolves to +1 so the guard never returns zero.
     """
-    return np.copysign(np.maximum(np.abs(p), PRESSURE_GUARD), p)
+    return np.copysign(np.maximum(np.abs(p), PRESSURE_GUARD), p, out=out)
 
 
-def guard_energy(e: np.ndarray) -> np.ndarray:
-    return np.maximum(e, ENERGY_GUARD)
+def guard_energy(e: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    return np.maximum(e, ENERGY_GUARD, out=out)
 
 
 def direction_vector(xt: np.ndarray, g: np.ndarray, u: np.ndarray,
-                     v_t: np.ndarray):
+                     v_t: np.ndarray, out: tuple = None):
     """Radial and transverse parts of a per-direction vector, speaker-major.
 
     ``xt`` holds per-speaker weights as a (P x L) array, speakers by
@@ -95,10 +95,18 @@ def direction_vector(xt: np.ndarray, g: np.ndarray, u: np.ndarray,
     the radial part r = vec . v (an L-array) and the transverse part
     vec - r v (3 x L) of vec = (Uᵀ xt) / g.  The cost kernel and the
     analysis both call it, so these physics exist once.
+
+    ``out``, if given, is a triple of arrays that receive the results:
+    the transverse part (3 x L), scratch (3 x L) and the radial part
+    (L).  Without it, new ones are allocated.
     """
-    vec = (u.T @ xt) / g
-    radial = np.add.reduce(vec * v_t, axis=0)
-    return radial, vec - radial * v_t
+    vec, scratch, radial = out or (None, np.empty(v_t.shape), None)
+    vec = np.matmul(u.T, xt, out=vec)
+    vec /= g
+    radial = np.add.reduce(np.multiply(vec, v_t, out=scratch), axis=0,
+                           out=radial)
+    vec -= np.multiply(radial, v_t, out=scratch)
+    return radial, vec
 
 
 def coherent_metrics(s: SpeakerMatrix):

@@ -418,6 +418,9 @@ def parse_config(data: dict, source: str = "config",
                            f"{source}.coefficients")
     optimizer = _parse_optimizer(data.get("optimizer", {}),
                                  f"{source}.optimizer")
+    if at_cloud == "external" and optimizer.init == "reference":
+        raise ConfigError(f"{source}.optimizer.init: an external input has "
+                          "no reference transcoder to start from")
 
     return JobConfig(
         analysis=analysis,

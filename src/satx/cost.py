@@ -48,10 +48,23 @@ are on, so the hot total keeps the bits of ``breakdown``, which uses a
 plan of all fourteen terms.  Each term but the gain caps sums an
 L-array; the arrays fill the rows of one buffer, and one reduction sums
 every row as the array's own sum would.
+
+The kernel writes into buffers the problem owns (``_Workspace``),
+allocated at its first evaluation and shared by both plans: the gains
+and every other (P, L) array, the (3, L) arrays of the direction
+vectors, the factors, the term rows and each named L-array.  A warm
+evaluation then allocates only short temporaries of at most L floats,
+so its speed does not rest on the heap's history: glibc serves larger
+blocks from fresh mmaps, which fault in every page, unless an earlier
+free happened to raise its mmap threshold.  Only the destinations
+differ from plain expressions, not the operations or their order, so
+the bits are the same.  A problem is therefore evaluated by one thread
+at a time; what an evaluation returns is the caller's own.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -238,11 +251,12 @@ class _Plan:
         for k in _SYMMETRY & self.pre.keys():
             self.pre[k] = self.pre[k][self.rows]
 
-    def spread(self, x: np.ndarray) -> np.ndarray:
-        """The mirrored rows' values ``x`` as an L-array, zero elsewhere."""
+    def spread(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The mirrored rows' values ``x`` as an L-array, zero elsewhere:
+        ``x`` itself when every direction is mirrored, else ``out``."""
         if isinstance(self.rows, slice):
             return x
-        out = np.zeros(len(self.geo.w))
+        out.fill(0.0)
         out[self.rows] = x
         return out
 
@@ -259,56 +273,96 @@ class _Plan:
         return float(sum(c * terms[k] for c, k in self.weights))
 
 
-def _kernel(st, t, plan: _Plan, want_gradient: bool):
+# the kernel's named per-direction arrays, each an L-array of the workspace
+_ROWS = ("p_raw", "pg", "abs_pg", "vt2", "e_raw", "eg", "it2", "m1_neg",
+         "phi_lin", "e_neg", "phi_quad", "delta_lin", "delta_quad", "l1",
+         "l2", "sp_lin", "sp_quad", "sgn_pg", "k", "n", "q", "g")
+
+
+class _Workspace:
+    """The kernel's work buffers for P speakers and L directions.
+
+    The kernel writes its intermediates into these with ``out=``, so a
+    warm evaluation allocates only expression temporaries of L floats or
+    fewer, whatever the heap's history: the speaker gains ``st``, their
+    squares ``sq`` and negative part ``neg``, the scratch ``tmp`` and
+    ``mask``, the gradient ``ds`` and its incoherent part ``sb`` (P x L);
+    the factors ``f`` (8 x L) and the term rows ``parts``, one per term
+    but the gain caps; the ``velocity`` and ``energy`` vectors, each the
+    ``out`` of ``direction_vector``; and one L-array per name of
+    ``_ROWS``.
+    """
+
+    def __init__(self, n_speakers: int, n_dirs: int):
+        shape = (n_speakers, n_dirs)
+        self.st, self.sq, self.neg, self.tmp, self.ds, self.sb = (
+            np.empty(shape) for _ in range(6))
+        self.mask = np.empty(shape, dtype=bool)
+        self.f = np.empty((8, n_dirs))
+        self.parts = np.empty((len(TERM_NAMES) - len(_GAIN_CAP), n_dirs))
+        self.velocity, self.energy = (
+            (np.empty((3, n_dirs)), np.empty((3, n_dirs)), np.empty(n_dirs))
+            for _ in range(2))
+        self.__dict__.update(zip(_ROWS, np.empty((len(_ROWS), n_dirs))))
+
+
+def _kernel(st, t, plan: _Plan, want_gradient: bool,
+            ws: _Workspace = None):
     """Term values, and optionally (dC/dS as P x L, dC/dT_direct).
 
     ``st`` holds the speaker gains speaker-major (P x L, C order).  Only
     the terms of ``plan.on`` are computed, together with the
-    intermediates they use.
+    intermediates they use.  The intermediates, dC/dS among them, are
+    written into ``ws``, a fresh workspace if none is given.
     """
     geo, on, pre = plan.geo, plan.on, plan.pre
     w, u, v_t = geo.w, geo.u, geo.v_t
+    ws = _Workspace(*st.shape) if ws is None else ws
     # each term is the sum of an L-array, w times its row of ``parts``
-    parts = np.empty((len(plan.row_of), len(w)))
+    parts = ws.parts[:len(plan.row_of)]
 
     def part(name, x):
         np.multiply(w, x, out=parts[plan.row_of[name]])
 
     if on & _COHERENT:
-        p_raw = np.add.reduce(st, axis=0)
-        pg = guard_pressure(p_raw)
-        abs_pg = np.abs(pg)
+        p_raw = np.add.reduce(st, axis=0, out=ws.p_raw)
+        pg = guard_pressure(p_raw, out=ws.pg)
+        abs_pg = np.abs(pg, out=ws.abs_pg)
         if "pressure" in on:
             part("pressure", (1.0 - p_raw) ** 2)
         if on & _VELOCITY:
-            vr, vt = direction_vector(st, pg, u, v_t)
-            vt2 = np.add.reduce(vt * vt, axis=0)
+            vr, vt = direction_vector(st, pg, u, v_t, ws.velocity)
+            vt2 = np.add.reduce(np.multiply(vt, vt, out=ws.velocity[1]),
+                                axis=0, out=ws.vt2)
             if "velocity_radial" in on:
                 part("velocity_radial", (1.0 - vr) ** 2)
             if "velocity_transverse" in on:
                 part("velocity_transverse", vt2)
     if on & _INCOHERENT:
-        sq = st * st
-        e_raw = np.add.reduce(sq, axis=0)
-        eg = guard_energy(e_raw)
+        sq = np.multiply(st, st, out=ws.sq)
+        e_raw = np.add.reduce(sq, axis=0, out=ws.e_raw)
+        eg = guard_energy(e_raw, out=ws.eg)
         if "energy" in on:
             part("energy", (1.0 - e_raw) ** 2)
         if on & _INTENSITY:
-            ir, it = direction_vector(sq, eg, u, v_t)
-            it2 = np.add.reduce(it * it, axis=0)
+            ir, it = direction_vector(sq, eg, u, v_t, ws.energy)
+            it2 = np.add.reduce(np.multiply(it, it, out=ws.energy[1]),
+                                axis=0, out=ws.it2)
             if "intensity_radial" in on:
                 part("intensity_radial", (1.0 - ir) ** 2)
             if "intensity_transverse" in on:
                 part("intensity_transverse", it2)
     if on & _IN_PHASE:
-        s_neg = np.minimum(st, 0.0)
+        s_neg = np.minimum(st, 0.0, out=ws.neg)
         if "in_phase_linear" in on:
-            m1_neg = -np.add.reduce(s_neg, axis=0)
-            phi_lin = m1_neg / abs_pg
+            m1_neg = np.negative(np.add.reduce(s_neg, axis=0),
+                                 out=ws.m1_neg)
+            phi_lin = np.divide(m1_neg, abs_pg, out=ws.phi_lin)
             part("in_phase_linear", phi_lin**2)
         if "in_phase_quadratic" in on:
-            e_neg = np.add.reduce(s_neg * s_neg, axis=0)
-            phi_quad = e_neg / eg
+            e_neg = np.add.reduce(np.multiply(s_neg, s_neg, out=ws.tmp),
+                                  axis=0, out=ws.e_neg)
+            phi_quad = np.divide(e_neg, eg, out=ws.phi_quad)
             part("in_phase_quadratic", phi_quad**2)
 
     if on & _SYMMETRY:
@@ -320,24 +374,24 @@ def _kernel(st, t, plan: _Plan, want_gradient: bool):
             if "symmetry_linear" in on:
                 abs_pg_r = abs_pg[rows]
                 dl_r = np.add.reduce(np.abs(dmat), axis=0) / abs_pg_r
-                delta_lin = plan.spread(dl_r)
+                delta_lin = plan.spread(dl_r, ws.delta_lin)
             if "symmetry_quadratic" in on:
                 eg_r = eg[rows]
                 dq_r = np.add.reduce(dmat * dmat, axis=0) / eg_r
-                delta_quad = plan.spread(dq_r)
+                delta_quad = plan.spread(dq_r, ws.delta_quad)
         if "symmetry_linear" in on:
             part("symmetry_linear", delta_lin**2)
         if "symmetry_quadratic" in on:
             part("symmetry_quadratic", delta_quad**2)
 
     if on & _SPARSITY:
-        l1 = np.add.reduce(np.abs(st), axis=0)
-        l2 = np.sqrt(e_raw)
+        l1 = np.add.reduce(np.abs(st, out=ws.tmp), axis=0, out=ws.l1)
+        l2 = np.sqrt(e_raw, out=ws.l2)
         if "sparsity_linear" in on:
-            sp_lin = (l1 - l2) / abs_pg
+            sp_lin = np.divide(l1 - l2, abs_pg, out=ws.sp_lin)
             part("sparsity_linear", sp_lin**2)
         if "sparsity_quadratic" in on:
-            sp_quad = (l1 * l1 - e_raw) / eg
+            sp_quad = np.divide(l1 * l1 - e_raw, eg, out=ws.sp_quad)
             part("sparsity_quadratic", sp_quad**2)
 
     # one reduction sums every row, each as its own sum would
@@ -358,42 +412,45 @@ def _kernel(st, t, plan: _Plan, want_gradient: bool):
     c = plan.coeffs
     dt = np.zeros(t.shape) if t is not None else None
     # the per-direction factors: rows Wv, a (the first four), Wi, b
-    f = np.zeros((8, len(w)))
+    f = ws.f
+    f.fill(0.0)
     wv, a, wi, b = f[:3], f[3], f[4:7], f[7]
+    # (3 x L) scratch: the velocity vector's, free once the terms are in
+    three = ws.velocity[1]
     n = q = g = scale = None
     if on & _COHERENT:
         g_p = np.abs(p_raw) > PRESSURE_GUARD
-        sgn_pg = np.sign(pg)
+        sgn_pg = np.sign(pg, out=ws.sgn_pg)
     if on & _INCOHERENT:
         g_e = e_raw > ENERGY_GUARD
 
     if "pressure" in pre:
         a += pre["pressure"] * (p_raw - 1.0)
     if "velocity_radial" in pre:
-        k = pre["velocity_radial"] * (vr - 1.0) / pg
-        wv += k * v_t
+        k = np.divide(pre["velocity_radial"] * (vr - 1.0), pg, out=ws.k)
+        wv += np.multiply(k, v_t, out=three)
         a -= k * vr * g_p
     if "velocity_transverse" in pre:
-        k = pre["velocity_transverse"] / pg
-        wv += k * vt
+        k = np.divide(pre["velocity_transverse"], pg, out=ws.k)
+        wv += np.multiply(k, vt, out=three)
         a -= k * vt2 * g_p
     if "energy" in pre:
         b += pre["energy"] * (e_raw - 1.0)
     if "intensity_radial" in pre:
-        k = pre["intensity_radial"] * (ir - 1.0) / eg
-        wi += k * v_t
+        k = np.divide(pre["intensity_radial"] * (ir - 1.0), eg, out=ws.k)
+        wi += np.multiply(k, v_t, out=three)
         b -= k * ir * g_e
     if "intensity_transverse" in pre:
-        k = pre["intensity_transverse"] / eg
-        wi += k * it
+        k = np.divide(pre["intensity_transverse"], eg, out=ws.k)
+        wi += np.multiply(k, it, out=three)
         b -= k * it2 * g_e
     if "in_phase_linear" in pre:
-        k = pre["in_phase_linear"] * phi_lin
-        n = -k / abs_pg
+        k = np.multiply(pre["in_phase_linear"], phi_lin, out=ws.k)
+        n = np.divide(-k, abs_pg, out=ws.n)
         a -= k * m1_neg * sgn_pg * g_p / pg**2
     if "in_phase_quadratic" in pre:
-        k = pre["in_phase_quadratic"] * phi_quad
-        q = 2.0 * k / eg
+        k = np.multiply(pre["in_phase_quadratic"], phi_quad, out=ws.k)
+        q = np.divide(2.0 * k, eg, out=ws.q)
         b -= q * e_neg * g_e / eg
     if plan.have_pairs and "symmetry_linear" in pre:
         k = pre["symmetry_linear"] * dl_r / abs_pg_r
@@ -404,29 +461,34 @@ def _kernel(st, t, plan: _Plan, want_gradient: bool):
         scale = k * dmat if scale is None else scale + k * dmat
         b[rows] -= k * dq_r * g_e[rows]
     if "sparsity_linear" in pre:
-        g = pre["sparsity_linear"] * sp_lin / abs_pg
+        g = np.divide(pre["sparsity_linear"] * sp_lin, abs_pg, out=ws.g)
         b -= g / np.maximum(l2, 1e-300)
         a -= g * sp_lin * sgn_pg * g_p
     if "sparsity_quadratic" in pre:
-        k = pre["sparsity_quadratic"] * sp_quad * 2.0 / eg
-        g = k * l1 if g is None else g + k * l1
+        k = np.divide(pre["sparsity_quadratic"] * sp_quad * 2.0, eg,
+                      out=ws.k)
+        if g is None:
+            g = np.multiply(k, l1, out=ws.g)
+        else:
+            g += k * l1
         b -= k * (1.0 + sp_quad * g_e)
 
     # the coherent terms add into Wv and a, the incoherent ones into Wi and b
     if pre.keys() & _COHERENT:
-        ds = geo.u1 @ f[:4]
+        ds = np.matmul(geo.u1, f[:4], out=ws.ds)
     else:
-        ds = np.zeros(st.shape)
+        ds = ws.ds
+        ds.fill(0.0)
     if pre.keys() & _INCOHERENT:
-        sb = geo.u1 @ f[4:]
+        sb = np.matmul(geo.u1, f[4:], out=ws.sb)
         sb *= st
         ds += sb
     if n is not None:
-        ds += n * (st < 0.0)
+        ds += np.multiply(n, np.less(st, 0.0, out=ws.mask), out=ws.tmp)
     if q is not None:
-        ds += q * s_neg
+        ds += np.multiply(q, s_neg, out=ws.tmp)
     if g is not None:
-        ds += g * np.sign(st)
+        ds += np.multiply(g, np.sign(st, out=ws.tmp), out=ws.tmp)
     if scale is not None:
         plan.scatter(ds, scale)
     if t is not None and c.gain_cap_linear:
@@ -446,6 +508,11 @@ class TranscodingProblem:
     ``dataclasses.FrozenInstanceError``.  For other coefficients, build
     ``dataclasses.replace(problem, coeffs=...)``.  ``shape`` is that of
     the transcoding matrix being optimized, (N, M).
+
+    The problem owns the kernel's work buffers (``_Workspace``), allocated
+    on the first evaluation and shared by both plans.  So ``breakdown``,
+    ``cost`` and ``cost_and_gradient`` are not reentrant: one thread at a
+    time evaluates a problem.  What they return is the caller's own.
     """
 
     encoding: EncodingMatrix
@@ -479,18 +546,24 @@ class TranscodingProblem:
             )
         return t
 
+    @functools.cached_property
+    def _ws(self) -> _Workspace:
+        return _Workspace(len(self._geo.u), len(self._geo.w))
+
     def _gains_t(self, t: np.ndarray) -> np.ndarray:
-        """The speaker gains speaker-major, Sᵀ = (D T) Eᵀ (P x L)."""
+        """The speaker gains speaker-major, Sᵀ = (D T) Eᵀ (P x L), written
+        into the workspace."""
         dt = t if self._identity_decoder else self.decoder.entries @ t
-        return dt @ self._et
+        return np.matmul(dt, self._et, out=self._ws.st)
 
     def speaker_gains(self, t) -> np.ndarray:
-        """The speaker gains direction-major (L x P), a view of Sᵀ."""
-        return self._gains_t(self._check(t)).T
+        """The speaker gains direction-major (L x P), a copy of Sᵀ."""
+        return self._gains_t(self._check(t)).T.copy()
 
     def breakdown(self, t) -> CostBreakdown:
         t = self._check(t)
-        terms, _, _ = _kernel(self._gains_t(t), t, self._every, False)
+        terms, _, _ = _kernel(self._gains_t(t), t, self._every, False,
+                              self._ws)
         return CostBreakdown(terms, self._every.total(terms))
 
     def cost(self, t) -> float:
@@ -498,7 +571,8 @@ class TranscodingProblem:
 
     def cost_and_gradient(self, t):
         t = self._check(t)
-        terms, ds, dt = _kernel(self._gains_t(t), t, self._hot, True)
+        terms, ds, dt = _kernel(self._gains_t(t), t, self._hot, True,
+                                self._ws)
         if not self._identity_decoder:
             ds = self.decoder.entries.T @ ds
         grad = ds @ self.encoding.entries

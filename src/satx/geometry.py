@@ -25,7 +25,6 @@ import numpy as np
 from .errors import GeometryError
 
 _EMBEDDED_DESIGN_SIZES = (56, 60)
-_MIRROR_ROWS = 256
 
 
 def _normalize_azimuth(az):
@@ -174,17 +173,31 @@ def mirror_indices(vecs: np.ndarray, tol_deg: float = 0.1) -> np.ndarray:
     ``vecs`` is (n, 3), a cloud's ``vectors``.  Median-plane directions are
     their own partner.  Used by the symmetry cost term to compare mirrored
     source directions.
+
+    The partner is the direction of the largest dot product with the
+    mirrored vector, if that is at least cos(tol_deg); the first index
+    wins a tie.  Such a partner lies within the chord 2 sin(tol_deg / 2)
+    of the mirrored vector, and mirroring keeps x, so with the directions
+    sorted by x only those within that chord of a direction's own x are
+    candidates: O(n log n) for a cloud spread over x.
     """
     mirrored = vecs * np.array([1.0, -1.0, 1.0])
     cos_tol = math.cos(math.radians(tol_deg))
-    out = np.empty(len(vecs), dtype=int)
-    # row chunks keep the dot products at _MIRROR_ROWS x L, not L x L
-    for start in range(0, len(vecs), _MIRROR_ROWS):
-        dots = mirrored[start:start + _MIRROR_ROWS] @ vecs.T
-        best = np.argmax(dots, axis=1)
-        close = dots[np.arange(len(best)), best] >= cos_tol
-        out[start:start + len(best)] = np.where(close, best, -1)
-    return out
+    # the margin covers the rounding of unit vectors and of their dots
+    reach = 2.0 * math.sin(math.radians(tol_deg) / 2.0) + 1e-9
+    x = vecs[:, 0]
+    order = np.argsort(x, kind="stable")
+    lo = np.searchsorted(x[order], x - reach, side="left")
+    counts = np.searchsorted(x[order], x + reach, side="right") - lo
+    # each direction's window holds the direction itself, so none is empty
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(vecs)), counts)
+    cand = order[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
+    dots = np.einsum("ij,ij->i", mirrored[owner], vecs[cand])
+    best = np.maximum.reduceat(dots, starts)
+    first = np.minimum.reduceat(
+        np.where(dots == best[owner], cand, len(vecs)), starts)
+    return np.where(best >= cos_tol, first, -1)
 
 
 # ---------------------------------------------------------------------------

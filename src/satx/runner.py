@@ -124,9 +124,8 @@ def reference_transcoder(job: JobConfig) -> np.ndarray:
     else:
         directions = input_channel_directions(job)
         if directions is None:
-            raise ConfigError(
-                "no reference transcoder is defined for this input format"
-            )
+            raise ConfigError("config.input.format: no reference "
+                              "transcoder is defined for an external input")
         if not isinstance(job.output_spec, formats.ExternalSpec):
             return formats.remap_baseline(
                 *directions, job.output_spec, job.output_layout

@@ -12,7 +12,7 @@ from scipy.io import wavfile
 import satx
 from satx import presets
 from satx.cli import main
-from satx.config import parse_config
+from satx.config import load_config, parse_config
 from satx.errors import ConfigError
 from satx.matfile import export_matrix, import_matrix, matrix_file
 
@@ -425,6 +425,25 @@ class TestExternalInput:
                      str(matrix), "--out", str(tmp_path)]) == 2
         assert ("error: config.cloud: required for external input"
                 in capsys.readouterr().err)
+
+    def test_reference_init_rejected_at_load(self, tmp_path, rng, capsys):
+        config = self._config(tmp_path, rng, optimizer={"init": "reference"})
+        with pytest.raises(ConfigError, match="^config.optimizer.init: "):
+            load_config(config)
+        assert main(["generate", "--config", config,
+                     "--out", str(tmp_path)]) == 2
+        assert ("error: config.optimizer.init: an external input has no "
+                "reference transcoder to start from"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "ext_transcoder.smx").exists()
+
+    def test_reference_baseline_names_the_input_format(self, tmp_path, rng,
+                                                       capsys):
+        config = self._config(tmp_path, rng)
+        assert main(["compare", "--config", config, "--baseline",
+                     "reference", "--out", str(tmp_path)]) == 2
+        assert ("error: config.input.format: no reference transcoder is "
+                "defined for an external input" in capsys.readouterr().err)
 
 
 class TestMatrixShapeNamesItsFile:

@@ -1,11 +1,12 @@
 import contextlib
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from satx import presets, runner
+from satx import optimizer, presets, runner
 from satx.analysis import (
     ENERGY_GUARD,
     PRESSURE_GUARD,
@@ -832,3 +833,60 @@ def test_formats_are_fixed_once_the_problem_is_built():
     assert p3.coeffs is not p4.coeffs
     value, grad = p3.cost_and_gradient(t)
     assert value == before[0] and (grad == before[1]).all()
+
+
+@pytest.mark.parametrize("name", ["example2", "vbap_704_502"])
+def test_results_stay_the_callers_own(name, oracle_problems):
+    # the kernel writes into buffers the problem owns and reuses; what an
+    # evaluation returned does not change when the problem is evaluated
+    # again at another matrix (through D, and through the identity)
+    problem = oracle_problems[name]
+    rng = np.random.default_rng(13)
+    t1, t2 = (rng.normal(size=problem.shape) for _ in range(2))
+    gains = problem.speaker_gains(t1)
+    value, grad = problem.cost_and_gradient(t1)
+    breakdown = problem.breakdown(t1)
+    kept = gains.copy(), grad.copy(), dict(breakdown.terms)
+    problem.speaker_gains(t2)
+    problem.cost_and_gradient(t2)
+    assert problem.breakdown(t2).terms != kept[2]
+    assert (gains == kept[0]).all() and (grad == kept[1]).all()
+    assert breakdown.terms == kept[2]
+    assert problem.cost_and_gradient(t1)[0] == value
+
+
+def test_warm_dense_evaluation_allocates_little():
+    # the benchmark's dense_cloud job (5 000 directions, 7 speakers, every
+    # term on): its buffers are allocated at the first evaluation and
+    # shared by both plans, so a warm cost_and_gradient allocates only
+    # short temporaries; with every intermediate a temporary it peaked at
+    # 3.9 MB
+    job = parse_config({
+        "name": "dense_cloud", "mode": "generate",
+        "input": {"format": "vbap", "layout": "7.0.4"},
+        "output": {"format": "speakers", "layout": "5.0.2"},
+        "cloud": {"kind": "fibonacci", "points": 10000, "hemisphere": True},
+        "coefficients": {
+            "pressure": 1, "velocity_radial": 1, "velocity_transverse": 0.5,
+            "energy": 5, "intensity_radial": 2, "intensity_transverse": 1,
+            "in_phase_linear": 0.1, "in_phase_quadratic": 10,
+            "symmetry_linear": 0.1, "symmetry_quadratic": 2,
+            "gain_cap_linear": 1, "gain_cap_quadratic": 1,
+            "sparsity_linear": 0.001, "sparsity_quadratic": 0.01},
+        "optimizer": {"init": "remap_plus_noise", "scale": 0.05, "seed": 0},
+    })
+    with pytest.warns(UserWarning, match="36 of 5000"):
+        problem = runner.build_problem(job)
+    t = optimizer.initialize(runner.optimization_config(job), problem.shape)
+    assert "_ws" not in vars(problem)
+    problem.breakdown(t)
+    ws = vars(problem).get("_ws")
+    problem.cost_and_gradient(t)
+    tracemalloc.start()
+    try:
+        problem.cost_and_gradient(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    assert ws is not None and problem._ws is ws

@@ -20,6 +20,7 @@ from satx.geometry import (
     triangulate_hull,
     unit_vectors,
 )
+from satx.presets import load_preset
 
 from conftest import cloud_of, layout_of, unit_vector
 
@@ -215,25 +216,50 @@ class TestClouds:
         idx = mirror_indices(unit_vectors([25, 80], [10, -5]))
         assert list(idx) == [-1, -1]
 
-    @pytest.mark.parametrize("rows", [7, 256])
-    def test_mirror_indices_chunked_equals_one_shot(self, rows, monkeypatch):
+    def test_mirror_indices_equal_the_argmax_of_every_dot(self):
         # duplicates (first index wins a tie), median-plane points on the
-        # ring, and more directions than one chunk of rows
-        vecs = cloud_of(kind="merge", parts=[
+        # ring, and partners 0.09 and 0.11 degrees off the mirror, against
+        # the rule itself: the argmax over all L x L dot products
+        az, el = np.array([[25.0, 10.0], [-25.0, 10.09], [140.0, -20.0],
+                           [-140.0, -20.11]]).T
+        vecs = np.vstack([cloud_of(kind="merge", parts=[
             part(1, kind="tdesign", points=60),
             part(1, kind="tdesign", points=60),
             part(1, kind="ring", points=8),
             part(1, kind="fibonacci", points=700),
             part(1, kind="tdesign", points=56, hemisphere=True),
-        ]).vectors
+        ]).vectors, unit_vectors(az, el)])
         dots = (vecs * [1.0, -1.0, 1.0]) @ vecs.T
         best = np.argmax(dots, axis=1)
         close = dots[np.arange(len(vecs)), best] >= math.cos(math.radians(0.1))
-        one_shot = np.where(close, best, -1)
-        monkeypatch.setattr(geometry, "_MIRROR_ROWS", rows)
         got = mirror_indices(vecs)
-        np.testing.assert_array_equal(got, one_shot)
+        np.testing.assert_array_equal(got, np.where(close, best, -1))
         assert got[60] == got[0] < 60 and (got >= 0).sum() > 100
+        n = len(vecs) - 4
+        assert got[n:].tolist() == [n + 1, n, -1, -1]
+
+    @pytest.mark.parametrize("name, node, digest", [
+        ("example1", None, "5c91fd7fa898e7755657ae2ebb0e5fb7"
+                           "b8a9fa4bffd0359648ed705fbedea874"),
+        ("example2", None, "b7b2371d1081893055fe373cd1ad6e28"
+                           "0a8234527132b520ebd3b32190be828d"),
+        ("example3", None, "39d72ef87f1280bc41a3aaac8c87dd53"
+                           "b98f3a7c6e22ffc3cc3a84994dba7e31"),
+        ("example4", None, "7df761a40620eeb9e0934f6bd9992b01"
+                           "ea68153c266d2eb67f7a3361b887b66d"),
+        ("dense", {"points": 10000}, "46aa57ff2f7bcfca547a211f2d96649a"
+                                     "78de7a2487e4b7fdebcbd4047174c8c0"),
+        ("dense_evaluation", {"points": 9500},
+         "f16931a45b54d6e6b445bcc3d734a493fbf24c0a43830ae4ce0df7388c2f4f70"),
+    ])
+    def test_mirror_partners_pinned(self, name, node, digest):
+        # the partners of the preset clouds and of the benchmark's dense
+        # hemispheres (cloud and evaluation cloud), as the one-shot argmax
+        # over every dot product found them
+        cloud = (load_preset(name).cloud if node is None else
+                 cloud_of(kind="fibonacci", hemisphere=True, **node))
+        got = np.asarray(mirror_indices(cloud.vectors), dtype=np.int64)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest
 
 
 def test_cloud_compares_and_hashes_by_identity():

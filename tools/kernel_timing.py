@@ -1,15 +1,18 @@
-"""Print the time of one cost-kernel call, in µs, for each benchmark job.
+"""Print the time of one cost-kernel call, in µs, and of one problem
+build, in ms, for each benchmark job.
 
     python3 tools/kernel_timing.py [ROUNDS]
 
 Builds, from this checkout's ``src``, the problems of the presets
 example1-4 and of the benchmark's ``dense_cloud`` job (its YAML comes
-from ``bench/synth.py``), each at its seed-0 start matrix.  Then it times
-``TranscodingProblem.cost_and_gradient`` in ROUNDS rounds (41 by
-default).  Each round calls every job's kernel 20 times in turn, so a
-slow stretch of the host falls on all jobs alike.  It prints one
-``job  shape  directions x speakers  µs`` line per job, the median over
-the rounds of the mean call.  Run it in two checkouts for a
+from ``bench/synth.py``), each 5 times in a row; a build
+(``runner.build_problem``) includes the cloud's mirror search.  Then it
+times ``TranscodingProblem.cost_and_gradient`` at each job's seed-0
+start matrix in ROUNDS rounds (41 by default).  Each round calls every
+job's kernel 20 times in turn, so a slow stretch of the host falls on
+all jobs alike.  It prints one ``job  shape  directions x speakers  µs
+build ms`` line per job: the median over the rounds of the mean call,
+and the median of the builds.  Run it in two checkouts for a
 before/after; pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) in
 both.
 """
@@ -31,6 +34,7 @@ from satx import optimizer, presets, runner  # noqa: E402
 from satx.config import parse_config  # noqa: E402
 
 CALLS = 20
+BUILDS = 5
 
 
 def jobs():
@@ -41,14 +45,20 @@ def jobs():
 
 
 def kernel_call(job):
-    """The problem's ``cost_and_gradient`` bound to the seed-0 start."""
+    """The problem's ``cost_and_gradient`` bound to the seed-0 start, and
+    the median seconds of BUILDS builds of the problem."""
+    builds = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        problem = runner.build_problem(job)
+        for _ in range(BUILDS):
+            start = time.perf_counter()
+            problem = runner.build_problem(job)
+            builds.append(time.perf_counter() - start)
         config = runner.optimization_config(job, seed=0)
     t0 = optimizer.initialize(config, problem.shape)
     problem.cost_and_gradient(t0)  # warm up
-    return problem, lambda: problem.cost_and_gradient(t0)
+    return (problem, lambda: problem.cost_and_gradient(t0),
+            statistics.median(builds))
 
 
 def main(argv=None):
@@ -57,17 +67,18 @@ def main(argv=None):
     calls = {name: kernel_call(job) for name, job in jobs()}
     times = {name: [] for name in calls}
     for _ in range(rounds):
-        for name, (_, call) in calls.items():
+        for name, (_, call, _) in calls.items():
             start = time.perf_counter()
             for _ in range(CALLS):
                 call()
             times[name].append((time.perf_counter() - start) / CALLS)
-    for name, (problem, _) in calls.items():
+    for name, (problem, _, build) in calls.items():
         rows, cols = problem.shape
         print(f"{name:12s} {rows}x{cols:<3d} "
               f"{len(problem.encoding.cloud):5d} x "
               f"{len(problem.decoder.layout):<3d}"
-              f"{1e6 * statistics.median(times[name]):8.1f} µs")
+              f"{1e6 * statistics.median(times[name]):8.1f} µs"
+              f"{1e3 * build:8.2f} ms")
 
 
 if __name__ == "__main__":
