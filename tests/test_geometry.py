@@ -216,10 +216,12 @@ class TestClouds:
         idx = mirror_indices(unit_vectors([25, 80], [10, -5]))
         assert list(idx) == [-1, -1]
 
-    def test_mirror_indices_equal_the_argmax_of_every_dot(self):
+    @pytest.mark.parametrize("rows", [7, 256])
+    def test_mirror_indices_chunked_equals_one_shot(self, rows):
         # duplicates (first index wins a tie), median-plane points on the
-        # ring, and partners 0.09 and 0.11 degrees off the mirror, against
-        # the rule itself: the argmax over all L x L dot products
+        # ring, and partners 0.09 and 0.11 degrees off the mirror: the sorted
+        # search, in one shot, against the rule itself, the argmax over all
+        # L x L dot products taken `rows` rows at a time
         az, el = np.array([[25.0, 10.0], [-25.0, 10.09], [140.0, -20.0],
                            [-140.0, -20.11]]).T
         vecs = np.vstack([cloud_of(kind="merge", parts=[
@@ -229,11 +231,15 @@ class TestClouds:
             part(1, kind="fibonacci", points=700),
             part(1, kind="tdesign", points=56, hemisphere=True),
         ]).vectors, unit_vectors(az, el)])
-        dots = (vecs * [1.0, -1.0, 1.0]) @ vecs.T
-        best = np.argmax(dots, axis=1)
-        close = dots[np.arange(len(vecs)), best] >= math.cos(math.radians(0.1))
+        chunked = []
+        for start in range(0, len(vecs), rows):
+            dots = (vecs[start:start + rows] * [1.0, -1.0, 1.0]) @ vecs.T
+            best = np.argmax(dots, axis=1)
+            close = (dots[np.arange(len(dots)), best]
+                     >= math.cos(math.radians(0.1)))
+            chunked.append(np.where(close, best, -1))
         got = mirror_indices(vecs)
-        np.testing.assert_array_equal(got, np.where(close, best, -1))
+        np.testing.assert_array_equal(got, np.concatenate(chunked))
         assert got[60] == got[0] < 60 and (got >= 0).sum() > 100
         n = len(vecs) - 4
         assert got[n:].tolist() == [n + 1, n, -1, -1]
