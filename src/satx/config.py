@@ -16,7 +16,8 @@ arrays of a ``SpeakerLayout`` or ``PointCloud``.  Explicit
 ``symmetry.pairs`` become the output layout's symmetry pairs.  A matrix
 file a config names is read here, once, under its key, so a job holds
 no file path.  An objects or external input is evaluated at its own
-cloud, the directions of its channels or matrix rows.
+cloud, the directions of its channels or matrix rows.  The optimizer's
+init is matched to the input here.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .formats import (
     VbapSpec,
 )
 from .geometry import PointCloud, SpeakerLayout
-from .optimizer import OptimizationConfig
+from .optimizer import INITS, NOISY_INIT, OptimizationConfig
 
 # the sections each mode reads that have no default
 _REQUIRED = {"generate": ("input", "output", "cloud", "coefficients"),
@@ -313,16 +314,18 @@ def _parse_coeffs(node, path) -> CostCoefficients:
     return _checked(CostCoefficients, path=path, **node)
 
 
-def _parse_optimizer(node, path) -> OptimizationConfig:
-    """The settings; a given init's ``matrix`` is its file's, read here."""
+def _parse_optimizer(node, path, directions) -> OptimizationConfig:
+    """The settings; an unset init adds noise to the remap on an input
+    with ``directions``, else to zeros; a given file is read here."""
     node = dict(_require_mapping(node, path))
     _check_keys(node, _OPT_KEYS, path)
     matrix = node.pop("matrix", None)
+    if node.get("init") is None:
+        node["init"] = NOISY_INIT["remap" if directions else "zeros"]
     settings = _checked(OptimizationConfig, path=path, **node)
-    if settings.init == "given" and matrix is None:
-        raise ConfigError(f"{path}.matrix: required when init is 'given'")
-    if settings.init != "given" and matrix is not None:
-        raise ConfigError(f"{path}.matrix: only read when init is 'given'")
+    if (INITS[settings.init][0] == "given") != (matrix is not None):
+        verb = "required" if matrix is None else "not read"
+        raise ConfigError(f"{path}.matrix: {verb} by the {settings.init} init")
     return settings if matrix is None else replace(
         settings, matrix=_matrix_file(matrix, f"{path}.matrix").values())
 
@@ -416,9 +419,14 @@ def parse_config(data: dict, source: str = "config",
                           f"directions of {source}.cloud")
     coeffs = _parse_coeffs(data.get("coefficients", {}),
                            f"{source}.coefficients")
+    directions = isinstance(input_spec, (VbapSpec, ObjectsSpec))
     optimizer = _parse_optimizer(data.get("optimizer", {}),
-                                 f"{source}.optimizer")
-    if at_cloud == "external" and optimizer.init == "reference":
+                                 f"{source}.optimizer", directions)
+    start = INITS[optimizer.init][0]
+    if start == "remap" and not directions:
+        raise ConfigError(f"{source}.optimizer.init: the {optimizer.init} init "
+                          "needs input channel directions (bed or objects)")
+    if start == "reference" and at_cloud == "external":
         raise ConfigError(f"{source}.optimizer.init: an external input has "
                           "no reference transcoder to start from")
 

@@ -556,10 +556,6 @@ class TranscodingProblem:
         dt = t if self._identity_decoder else self.decoder.entries @ t
         return np.matmul(dt, self._et, out=self._ws.st)
 
-    def speaker_gains(self, t) -> np.ndarray:
-        """The speaker gains direction-major (L x P), a copy of Sᵀ."""
-        return self._gains_t(self._check(t)).T.copy()
-
     def breakdown(self, t) -> CostBreakdown:
         t = self._check(t)
         terms, _, _ = _kernel(self._gains_t(t), t, self._every, False,

@@ -8,10 +8,10 @@ updated; the product H g of the search direction is carried from one
 iteration to the next, at one symmetric product per iteration.  Runs are
 sequential and fully deterministic for a fixed configuration; a failed
 line search returns the best iterate seen with ``converged=False``
-instead of aborting.  The start matrix is ``OptimizationConfig.matrix``,
-set by ``runner.optimization_config``; ``initialize`` only adds noise.
-Each run returns its own ``OptimizationReport``, and ``optimize`` keeps
-the lowest-cost restart's.
+instead of aborting.  ``INITS`` alone says what each init kind starts
+from and what noise it adds; ``initialize`` adds that noise to zeros or
+to ``OptimizationConfig.matrix``.  Each run returns its own
+``OptimizationReport``, and ``optimize`` keeps the lowest-cost restart's.
 """
 
 from __future__ import annotations
@@ -33,20 +33,22 @@ from .errors import ConfigError, DimensionError, check_integer, check_number
 
 CHANGE_WINDOW = 5  # iterations over which relative cost change is judged
 
-INIT_KINDS = ("remap", "remap_plus_noise", "random", "given", "reference")
-# amplitude of the uniform noise each noisy initialization adds
-INIT_SCALE = {"remap_plus_noise": 0.05, "random": 0.5}
+# init kind -> (start, default amplitude of the uniform noise it adds or
+# None); remap and reference start from the runner's reference transcoder
+INITS = {"remap": ("remap", None), "remap_plus_noise": ("remap", 0.05),
+         "random": ("zeros", 0.5), "given": ("given", None),
+         "reference": ("reference", None)}
+# start -> the kind that adds noise to it, which an unset init means
+NOISY_INIT = {start: kind for kind, (start, noise) in INITS.items() if noise}
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
     """Optimizer settings.
 
-    ``matrix`` is the start of every init but random, which starts from
-    zeros; ``runner.optimization_config`` sets it from the job.  ``init``
-    is one of INIT_KINDS and only picks the noise; by default it is
-    remap_plus_noise when ``matrix`` is set, else random.  Only the noisy
-    inits (INIT_SCALE) read ``scale``, the noise amplitude, or restart.
+    ``init`` is a kind of INITS, unset the NOISY_INIT of the remap start
+    when ``matrix`` is set, else of zeros (which reads no ``matrix``).
+    Only the noisy kinds read ``scale``, the noise amplitude, or restart.
     """
 
     init: Optional[str] = None
@@ -60,23 +62,23 @@ class OptimizationConfig:
     log_every: int = 0
 
     def __post_init__(self):
-        if self.init is not None and self.init not in INIT_KINDS:
-            raise ConfigError(
-                f"unknown strategy {self.init!r}; choose from {INIT_KINDS}",
-                "init",
-            )
-        noiseless = self.init not in (None, *INIT_SCALE)
+        if self.init is None:
+            object.__setattr__(self, "init", NOISY_INIT[
+                "zeros" if self.matrix is None else "remap"])
+        if self.init not in tuple(INITS):
+            raise ConfigError(f"unknown strategy {self.init!r}; choose from "
+                              f"{tuple(INITS)}", "init")
+        start, noise = INITS[self.init]
         if self.scale is not None:
             check_number(self.scale, "scale", 0)
-            if noiseless:
-                raise ConfigError(
-                    f"is only read by the {' and '.join(INIT_SCALE)} inits",
-                    "scale",
-                )
+            if noise is None:
+                raise ConfigError(f"is only read by the "
+                                  f"{' and '.join(NOISY_INIT.values())} inits",
+                                  "scale")
         if self.matrix is not None:
-            if self.init == "random":
-                raise ConfigError("is not read by the random init, which "
-                                  "starts from zeros", "matrix")
+            if start == "zeros":
+                raise ConfigError(f"is not read by the {self.init} init, "
+                                  "which starts from zeros", "matrix")
             if not np.isfinite(self.matrix).all():
                 raise ConfigError("entries must be finite", "matrix")
         for name, minimum in (("max_iterations", 1), ("restarts", 1),
@@ -84,7 +86,7 @@ class OptimizationConfig:
             check_integer(getattr(self, name), name, minimum)
         for name in ("gradient_tolerance", "cost_tolerance"):
             check_number(getattr(self, name), name, 0, exclusive=True)
-        if noiseless and self.restarts > 1:
+        if noise is None and self.restarts > 1:
             raise ConfigError(f"must be 1: the {self.init} init adds no "
                               "noise", "restarts")
 
@@ -124,23 +126,20 @@ class OptimizationReport:
 
 
 def initialize(config: OptimizationConfig, shape: tuple) -> np.ndarray:
-    """Starting transcoder: ``config.matrix`` (zeros for a random init)
-    plus the seeded noise of the init kind."""
-    kind = config.init
-    if kind is None:
-        kind = "random" if config.matrix is None else "remap_plus_noise"
-    if kind == "random":
+    """Start transcoder: zeros or ``config.matrix``, plus the init's noise."""
+    start, noise = INITS[config.init]
+    if start == "zeros":
         t0 = np.zeros(shape)
     elif config.matrix is None:
-        raise ConfigError(f"is required by the {kind} init", "matrix")
+        raise ConfigError(f"is required by the {config.init} init", "matrix")
     else:
         t0 = np.array(config.matrix, dtype=float)
     if t0.shape != shape:
         raise DimensionError(
             f"initial matrix has shape {t0.shape}, expected {shape}"
         )
-    if kind in INIT_SCALE:
-        scale = INIT_SCALE[kind] if config.scale is None else config.scale
+    if noise is not None:
+        scale = noise if config.scale is None else config.scale
         rng = np.random.default_rng(config.seed)
         t0 = t0 + rng.uniform(-scale, scale, size=shape)
     return t0

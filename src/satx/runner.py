@@ -42,9 +42,6 @@ def _reference_virtual_layout() -> geometry.SpeakerLayout:
     return geometry.layout_from_cloud(
         parse_cloud(_REFERENCE_VIRTUAL, "reference virtual layout"))
 
-# the input formats whose channels have directions
-_CHANNEL_INPUTS = (formats.VbapSpec, formats.ObjectsSpec)
-
 
 def input_channel_directions(job: JobConfig) -> Optional[tuple]:
     """(azimuth, elevation) arrays of bed and object input channels, else None.
@@ -140,18 +137,14 @@ def optimization_config(job: JobConfig,
                         seed: Optional[int] = None) -> optimizer.OptimizationConfig:
     """The job's optimizer settings, ready for ``optimizer.optimize``.
 
-    Sets the start matrix of every init but random and given (whose file
-    the config loaded): ``reference_transcoder``, the per-channel remap on
-    bed and object inputs.  ``seed`` overrides the job's.
+    Fills an unset matrix of the remap and reference starts with
+    ``reference_transcoder`` (the per-channel remap on bed and object
+    inputs).  ``seed`` overrides the job's.
     """
     config = job.optimizer
-    kind = config.init
-    if kind == "reference" or (kind not in ("random", "given") and
-                               isinstance(job.input_spec, _CHANNEL_INPUTS)):
+    if (optimizer.INITS[config.init][0] in ("remap", "reference")
+            and config.matrix is None):
         config = replace(config, matrix=reference_transcoder(job))
-    elif kind in ("remap", "remap_plus_noise"):
-        raise ConfigError(f"{kind} initialization needs input channel "
-                          "directions (a bed or object input)")
     return config if seed is None else replace(config, seed=seed)
 
 

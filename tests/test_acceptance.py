@@ -81,7 +81,7 @@ def summaries_for(job, matrix):
 
 def kink_distance(problem, t):
     """Distance of the instance from any step/abs kink of the cost."""
-    s = problem.speaker_gains(t)
+    s = problem._gains_t(t).T
     distances = [np.abs(s).min()]
     p = s.sum(axis=1)
     e = (s * s).sum(axis=1)

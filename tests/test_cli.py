@@ -445,6 +445,48 @@ class TestExternalInput:
         assert ("error: config.input.format: no reference transcoder is "
                 "defined for an external input" in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("kind", ["remap", "remap_plus_noise"])
+    def test_remap_init_rejected_at_load(self, tmp_path, rng, capsys, kind):
+        config = self._config(tmp_path, rng, optimizer={"init": kind})
+        assert main(["generate", "--config", config,
+                     "--out", str(tmp_path)]) == 2
+        assert (f"error: config.optimizer.init: the {kind} init needs input "
+                "channel directions" in capsys.readouterr().err)
+        assert not (tmp_path / "ext_transcoder.smx").exists()
+
+
+class TestRemapInitOnAmbisonics:
+    """A first-order scene has no channel directions to remap: a remap
+    init fails at load, where the same job with a random init generates."""
+
+    def _config(self, tmp_path, optimizer):
+        job = {"name": "foa",
+               "input": {"format": "ambisonics", "order": 1},
+               "output": {"format": "speakers", "layout": "7.0.4"},
+               "cloud": {"kind": "fibonacci", "points": 40},
+               "coefficients": {"energy": 1}, "optimizer": optimizer}
+        config = tmp_path / "foa.yaml"
+        config.write_text(yaml.safe_dump(job))
+        return str(config)
+
+    @pytest.mark.parametrize("kind", ["remap", "remap_plus_noise"])
+    def test_generate_exits_2_at_load(self, tmp_path, capsys, kind):
+        config = self._config(tmp_path, {"init": kind})
+        with pytest.raises(ConfigError, match="^config.optimizer.init: "):
+            load_config(config)
+        assert main(["generate", "--config", config,
+                     "--out", str(tmp_path)]) == 2
+        assert (f"error: config.optimizer.init: the {kind} init needs input "
+                "channel directions" in capsys.readouterr().err)
+        assert not (tmp_path / "foa_transcoder.smx").exists()
+
+    def test_random_init_generates(self, tmp_path):
+        config = self._config(tmp_path, {"init": "random",
+                                         "max_iterations": 5})
+        assert main(["generate", "--config", config,
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "foa_transcoder.smx").exists()
+
 
 class TestMatrixShapeNamesItsFile:
     """A matrix that does not fit the job's formats is named by its file,

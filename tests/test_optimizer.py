@@ -106,6 +106,7 @@ class TestConfig:
         ("seed", None),
         ("init", "bogus"),
         ("init", 3),
+        ("init", ["remap"]),
     ])
     def test_bad_setting_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
@@ -127,6 +128,11 @@ class TestConfig:
     @pytest.mark.parametrize("init", [None, "remap_plus_noise", "random"])
     def test_restarts_accepted_where_noise_is_added(self, init):
         assert OptimizationConfig(init=init, restarts=3).restarts == 3
+
+    def test_unset_init_resolved_at_construction(self):
+        assert OptimizationConfig().init == "random"
+        assert (OptimizationConfig(matrix=np.eye(2)).init
+                == "remap_plus_noise")
 
     def test_matrix_rejected_by_random_init(self):
         with pytest.raises(ConfigError,
@@ -418,10 +424,11 @@ class TestInitialize:
         assert 0 < np.abs(noisy - t0).max() <= 0.05
 
     def test_remap_without_channel_directions(self):
-        job = presets.load_preset("example1")  # an ambisonics input
-        job.optimizer = OptimizationConfig(init="remap")
-        with pytest.raises(ConfigError, match="channel directions"):
-            runner.optimization_config(job)
+        cfg = presets.preset_dict("example1")  # an ambisonics input
+        cfg["optimizer"] = {"init": "remap"}
+        with pytest.raises(ConfigError, match="^config.optimizer.init: the "
+                           "remap init needs input channel directions"):
+            parse_config(cfg)
 
     def test_objects_input_samples_the_cloud_once_per_use(self, monkeypatch):
         # the job holds the sampled cloud: the problem and the remap start
@@ -443,6 +450,17 @@ class TestInitialize:
         runner.reference_transcoder(scene)
         assert built == []
 
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_runner_keeps_a_matrix_the_caller_set(self, name):
+        # a hand-set matrix is the start on a scene (example1) and a bed
+        # (example2) input alike; only an unset one is filled
+        job = presets.load_preset(name)
+        m = np.full(PRESET_SHAPES[name], 0.01)
+        job.optimizer = OptimizationConfig(matrix=m)
+        config = runner.optimization_config(job)
+        assert config.init == "remap_plus_noise"
+        np.testing.assert_array_equal(config.matrix, m)
+
     def test_default_picks_remap_noise_when_possible(self):
         job = matched_objects_job(seed=3)
         t0 = initialize(runner.optimization_config(job), (6, 6))
@@ -456,9 +474,9 @@ class TestInitialize:
             initialize(OptimizationConfig(init="random", scale=0.0), (6, 6)),
             np.zeros((6, 6)))
 
-# SHA-256 of the seed-0 start matrix per preset and init kind (None is the
-# default), recorded before the runner took over the start matrix; None
-# marks an init the input format has no start matrix for
+# SHA-256 of the seed-0 start matrix per preset and init kind (None
+# leaves the init unset), recorded before the runner took over the start
+# matrix; None marks an init the input format has no start matrix for
 START_DIGESTS = [
     ("example1", None,
      "4aa601f3be626bff0a3c134cb98c34ab095ff3e2b354446848b7c1a6e29cb5e1"),
@@ -511,24 +529,38 @@ PRESET_SHAPES = {"example1": (11, 36), "example2": (36, 11),
                  "example3": (4, 7), "example4": (5, 72)}
 
 
+def _start_digest(cfg, name):
+    """SHA-256 of the seed-0 start matrix of the config mapping ``cfg``."""
+    config = runner.optimization_config(parse_config(cfg), 0)
+    t0 = initialize(config, PRESET_SHAPES[name])
+    return hashlib.sha256(t0.tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name, kind, digest", START_DIGESTS)
 def test_start_matrix_digests(name, kind, digest, tmp_path):
-    shape = PRESET_SHAPES[name]
-    job = presets.load_preset(name)
-    job.optimizer = replace(job.optimizer, init=kind, scale=None)
+    # every case is loaded, where the init is matched to the input
+    cfg = presets.preset_dict(name)
+    cfg["optimizer"] = {"seed": 0} if kind is None else {"init": kind,
+                                                         "seed": 0}
     if kind == "given":  # the file is read where the config is loaded
+        shape = PRESET_SHAPES[name]
         path = str(tmp_path / "t0.smx")
         export_matrix(matrix_file(np.arange(float(np.prod(shape)))
                                   .reshape(shape) / 100), path)
-        cfg = presets.preset_dict(name)
-        cfg["optimizer"] = {"init": "given", "matrix": path, "seed": 0}
-        job = parse_config(cfg)
+        cfg["optimizer"]["matrix"] = path
     if digest is None:
-        with pytest.raises(ConfigError, match="channel directions"):
-            runner.optimization_config(job, 0)
+        with pytest.raises(ConfigError, match="^config.optimizer.init: "):
+            parse_config(cfg)
         return
-    t0 = initialize(runner.optimization_config(job, 0), shape)
-    assert hashlib.sha256(t0.tobytes()).hexdigest() == digest
+    assert _start_digest(cfg, name) == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    (name, digest) for name, kind, digest in START_DIGESTS if kind is None])
+def test_null_init_is_unset(name, digest):
+    cfg = presets.preset_dict(name)
+    cfg["optimizer"] = {"init": None, "seed": 0}
+    assert _start_digest(cfg, name) == digest
 
 
 class TestOptimize:
