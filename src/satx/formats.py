@@ -8,7 +8,12 @@ plus channel-remapping baseline transcoders.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +28,53 @@ SN3D = "SN3D"
 N3D = "N3D"
 
 
+@functools.cache
+def _scipy_extension(package: str, name: str):
+    """The scipy extension module ``package.name``, loaded without running
+    ``package``'s ``__init__`` or the Python modules it imports.
+
+    If the module or its package is already imported, it is imported
+    plainly, which reuses what is there.  Otherwise the extension file is
+    loaded while ``package`` is registered as a bare package whose search
+    path is the file's directory, so the module's own imports of its
+    sibling extensions need no ``__init__``; that stand-in is removed
+    after the load.  The module stays registered under its own name, so a
+    later import of ``package`` reuses it instead of initializing the
+    extension again.  If the load fails, every ``package`` module it added
+    is removed and ``package.name`` is imported plainly: the same shared
+    object, so the bits are the same either way.
+    """
+    full = f"{package}.{name}"
+    if full in sys.modules or package in sys.modules:
+        return importlib.import_module(full)
+    before = set(sys.modules)
+    try:
+        directory = os.path.join(
+            importlib.util.find_spec("scipy").submodule_search_locations[0],
+            *package.split(".")[1:])
+        paths = [os.path.join(directory, name + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next(filter(os.path.isfile, paths), None)
+        if path is None:
+            raise ImportError(f"no {full} extension file")
+        parent = importlib.machinery.ModuleSpec(package, None,
+                                                is_package=True)
+        parent.submodule_search_locations = [directory]
+        try:
+            sys.modules[package] = importlib.util.module_from_spec(parent)
+            spec = importlib.util.spec_from_file_location(full, path)
+            module = sys.modules[full] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            sys.modules.pop(package, None)
+        return module
+    except (ImportError, AttributeError, OSError):
+        for added in set(sys.modules) - before:
+            if added == package or added.startswith(package + "."):
+                del sys.modules[added]
+        return importlib.import_module(full)
+
+
 # ---------------------------------------------------------------------------
 # Real spherical harmonics (ACN channel ordering)
 
@@ -33,13 +85,16 @@ def sh_matrix(azimuth, elevation, order: int,
 
     Returns an (L, (order+1)**2) matrix in ACN channel order
     (index n*(n+1)+m).  SN3D and N3D normalizations are supported; the
-    degree-0 channel is 1 under both.  No Condon-Shortley phase.
+    degree-0 channel is 1 under both.  No Condon-Shortley phase.  The
+    associated Legendre functions are scipy's ``lpmv`` ufunc, taken from
+    the ``scipy.special._ufuncs`` extension without the ``scipy.special``
+    package.
     """
     if order < 0 or order > 9:
         raise DimensionError(f"ambisonics order {order} outside [0, 9]")
     if normalization not in (SN3D, N3D):
         raise DimensionError(f"unknown normalization {normalization!r}")
-    from scipy.special import lpmv
+    lpmv = _scipy_extension("scipy.special", "_ufuncs").lpmv
 
     az = np.radians(np.asarray(azimuth, dtype=float))
     sin_el = np.sin(np.radians(np.asarray(elevation, dtype=float)))

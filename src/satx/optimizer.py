@@ -4,8 +4,9 @@ BFGS on the flattened transcoder entries with an in-repo strong-Wolfe
 line search (Nocedal & Wright, Alg. 3.5 and 3.6) and an Armijo
 backtracking fallback for the cost function's piecewise kinks.  The
 inverse Hessian is symmetric, so only its upper triangle is stored and
-updated; the product H g of the search direction is carried from one
-iteration to the next, at one symmetric product per iteration.  Runs are
+updated, by the BLAS extension of scipy alone, without ``scipy.linalg``;
+the product H g of the search direction is carried from one iteration
+to the next, at one symmetric product per iteration.  Runs are
 sequential and fully deterministic for a fixed configuration; a failed
 line search returns the best iterate seen with ``converged=False``
 instead of aborting.  ``INITS`` alone says what each init kind starts
@@ -16,12 +17,7 @@ to ``OptimizationConfig.matrix``.  Each run returns its own
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -30,6 +26,7 @@ import numpy as np
 
 from .cost import CostBreakdown, TranscodingProblem
 from .errors import ConfigError, DimensionError, check_integer, check_number
+from .formats import _scipy_extension
 
 CHANGE_WINDOW = 5  # iterations over which relative cost change is judged
 
@@ -332,48 +329,6 @@ def identity_hessian(n: int) -> np.ndarray:
     return np.eye(n, order="F")
 
 
-_FBLAS = "scipy.linalg._fblas"
-
-
-def _fblas_file() -> str:
-    """Path of the ``scipy.linalg._fblas`` extension file, found without
-    importing scipy; ImportError if there is none."""
-    spec = importlib.util.find_spec("scipy")
-    for directory in (spec and spec.submodule_search_locations) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(directory, "linalg", "_fblas" + suffix)
-            if os.path.isfile(path):
-                return path
-    raise ImportError(f"no {_FBLAS} extension file")
-
-
-@functools.cache
-def _blas():
-    """``(dsymv, dsyr2)`` from the BLAS extension ``scipy.linalg._fblas``.
-
-    A module already imported is reused.  Otherwise it is loaded from its
-    file, so ``scipy/linalg/__init__.py`` and the packages it imports never
-    run.  If the file is missing or does not load, ``scipy.linalg.blas``
-    is imported instead; it re-exports the same shared object, so the
-    bits are the same either way.
-    """
-    module = sys.modules.get(_FBLAS)
-    try:
-        if module is None:
-            spec = importlib.util.spec_from_file_location(_FBLAS,
-                                                          _fblas_file())
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            # unregister it, so a later `import scipy.linalg` loads and
-            # binds its own module object, which shares these functions
-            if sys.modules.get(_FBLAS) is module:
-                del sys.modules[_FBLAS]
-        return module.dsymv, module.dsyr2
-    except (ImportError, AttributeError):
-        from scipy.linalg.blas import dsymv, dsyr2
-        return dsymv, dsyr2
-
-
 def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray,
                 g_new: np.ndarray, hg: np.ndarray, first: bool = False):
     """BFGS update of the inverse Hessian ``h`` at a step ``s``, in place.
@@ -392,12 +347,14 @@ def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray,
     one BLAS rank-2 update of the triangle, after which
     H g_new gains s (w.g_new) + w (s.g_new).  BLAS updates ``h`` itself
     only when it is Fortran-ordered, as ``identity_hessian`` makes it, so
-    any other ``h`` is rejected.
+    any other ``h`` is rejected.  ``dsymv`` and ``dsyr2`` come from the
+    extension ``scipy.linalg._fblas``, loaded by
+    ``formats._scipy_extension`` without the ``scipy.linalg`` package.
     """
-    dsymv, dsyr2 = _blas()
     if not h.flags.f_contiguous:
         raise ValueError("the inverse Hessian must be Fortran-ordered")
-    hg_new = dsymv(1.0, h, g_new)
+    fblas = _scipy_extension("scipy.linalg", "_fblas")
+    hg_new = fblas.dsymv(1.0, h, g_new)
     ys = float(y.dot(s))
     yy = float(y.dot(y))
     # np.linalg.norm of a vector is sqrt(x.dot(x)), so these are its bits
@@ -413,7 +370,7 @@ def bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray,
     # w = (rho (rho y.Hy + 1) / 2) s - rho Hy, formed in the product arrays
     w = np.multiply(s, 0.5 * rho * (rho * float(y.dot(hy)) + 1.0))
     w -= np.multiply(hy, rho, out=hy)
-    dsyr2(1.0, s, w, a=h, overwrite_a=True)
+    fblas.dsyr2(1.0, s, w, a=h, overwrite_a=True)
     # H g_new += s (w.g_new) + w (s.g_new)
     wg, sg = float(w.dot(g_new)), float(s.dot(g_new))
     step = np.multiply(s, wg)

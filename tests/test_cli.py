@@ -794,14 +794,17 @@ _HEAVY_SCIPY = ("scipy.linalg", "scipy.optimize", "scipy.sparse",
 
 
 def _heavy(loaded):
-    """The packages of ``_HEAVY_SCIPY`` that modules ``loaded`` belong to."""
-    return sorted({".".join(m.split(".")[:2]) for m in loaded}
-                  & set(_HEAVY_SCIPY))
+    """The packages of ``_HEAVY_SCIPY`` that ``loaded`` names: the packages
+    whose ``__init__`` ran.  An extension module loaded from its file
+    without its package, as ``formats._scipy_extension`` loads one, does
+    not count."""
+    return sorted(set(loaded) & set(_HEAVY_SCIPY))
 
 
 class TestImportHygiene:
     """scipy packages load only where a command needs qhull for a layout
-    outside the frozen faces, or Legendre functions; BFGS loads its BLAS
+    outside the frozen faces.  Spherical harmonics load the extension
+    modules of ``scipy.special`` without the package, and BFGS its BLAS
     extension without ``scipy.linalg``."""
 
     def test_config_parsing_loads_no_scipy(self, tiny_config):
@@ -872,14 +875,27 @@ class TestImportHygiene:
         assert _heavy(_scipy_after(script, str(config), str(tmp_path))) == []
 
     def test_ambisonics_generate_loads_only_scipy_special(self, tmp_path):
-        script = (
+        # generate, then evaluate in a process of its own: each loads
+        # scipy.special's extension modules, never the package itself
+        generate = (
             "import sys\n"
             "from satx.cli import main\n"
             "assert main(['generate', '--preset', 'example1', '--out', "
             "sys.argv[1]]) == 0\n"
         )
-        assert _heavy(_scipy_after(script, str(tmp_path))) == [
-            "scipy.special"]
+        evaluate = (
+            "import sys\n"
+            "from satx.cli import main\n"
+            "assert main(['evaluate', '--preset', 'example1', '--matrix', "
+            "f'{sys.argv[1]}/example1_transcoder.smx', '--out', "
+            "sys.argv[1]]) == 0\n"
+        )
+        for script in (generate, evaluate):
+            loaded = _scipy_after(script, str(tmp_path))
+            assert "scipy.special._ufuncs" in loaded
+            assert "scipy.special" not in loaded
+            assert "scipy.special._basic" not in loaded
+            assert _heavy(loaded) == []
 
     def test_layout_outside_the_frozen_faces_loads_qhull(self, tmp_path):
         job = dict(TINY_JOB, output={

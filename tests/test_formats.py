@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from satx.geometry import (
 from conftest import (
     cloud_of,
     direction_arrays,
+    fresh_python,
     layout_of,
     random_direction,
     random_directions,
@@ -83,6 +85,27 @@ def per_direction_gains(layout, faces, d, intensity=False):
     raise CoverageError(f"no face accepts {d}")
 
 
+# sha256 of order-9 spherical harmonics on a 2-degree grid, defined as
+# digest() in a script run by fresh_python
+_SH_DIGEST = (
+    "import hashlib\n"
+    "import numpy as np\n"
+    "from satx import formats\n"
+    "def digest():\n"
+    "    az, el = np.meshgrid(np.arange(-180.0, 181.0, 2.0),\n"
+    "                         np.arange(-90.0, 91.0, 2.0))\n"
+    "    y = formats.sh_matrix(az.ravel(), el.ravel(), 9)\n"
+    "    return hashlib.sha256(y.tobytes()).hexdigest()\n"
+)
+
+
+def _sh_digest():
+    """``digest()`` of ``_SH_DIGEST``, in this process."""
+    namespace = {}
+    exec(_SH_DIGEST, namespace)
+    return namespace["digest"]()
+
+
 class TestSphericalHarmonics:
     def test_order_zero_is_ones(self):
         cloud = cloud_of(kind="fibonacci", points=17)
@@ -130,6 +153,64 @@ class TestSphericalHarmonics:
         y = sh_matrix(az, el, 5, "N3D")
         gram = y.T @ y / len(az)
         assert np.abs(gram - np.eye(36)).max() < 1e-3
+
+    def test_same_bits_through_every_lpmv_load(self):
+        # in fresh processes, since this module imports scipy.special: lpmv
+        # loaded from its extension file, then reused by scipy.special, and
+        # the plain import that the loader falls back on without the file
+        script = _SH_DIGEST + (
+            "import json, sys\n"
+            "direct = digest()\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "ufunc = sys.modules['scipy.special._ufuncs'].lpmv\n"
+            "import scipy.special\n"
+            "assert scipy.special.lpmv is ufunc\n"
+            "formats._scipy_extension.cache_clear()\n"
+            "print(json.dumps([direct, digest()]))\n"
+        )
+        direct, imported = json.loads(fresh_python(script))
+        script = _SH_DIGEST + (
+            "import importlib.machinery, sys\n"
+            "importlib.machinery.EXTENSION_SUFFIXES = ['.missing']\n"
+            "fallback = digest()\n"
+            "assert 'scipy.special._basic' in sys.modules\n"
+            "print(fallback)\n"
+        )
+        fallback = fresh_python(script).strip()
+        assert direct == imported == fallback == _sh_digest()
+
+    @pytest.mark.parametrize("failure", ["missing_file", "exec_raises"])
+    def test_failed_lpmv_load_leaves_no_module(self, failure):
+        # the plain import starts with no scipy.special stand-in and no
+        # half-initialized _ufuncs registered, and gives the same bits
+        script = _SH_DIGEST + (
+            "import importlib, importlib.machinery, json, sys\n"
+            "loader = importlib.machinery.ExtensionFileLoader\n"
+            "exec_module = loader.exec_module\n"
+            "def failing_exec(self, module):\n"
+            "    loader.exec_module = exec_module\n"
+            "    raise ImportError('exec failed')\n"
+            "if sys.argv[1] == 'missing_file':\n"
+            "    importlib.machinery.EXTENSION_SUFFIXES = ['.missing']\n"
+            "else:\n"
+            "    loader.exec_module = failing_exec\n"
+            "plain, seen = importlib.import_module, []\n"
+            "def import_module(name):\n"
+            "    seen.append(sorted(m for m in sys.modules\n"
+            "                       if m.startswith('scipy.special')))\n"
+            "    return plain(name)\n"
+            "importlib.import_module = import_module\n"
+            "fallback = digest()\n"
+            "package = sys.modules['scipy.special'].__file__\n"
+            "print(json.dumps([seen[0], fallback, loader.exec_module is "
+            "exec_module, package]))\n"
+        )
+        before, fallback, restored, package = json.loads(
+            fresh_python(script, failure))
+        assert before == []
+        assert fallback == _sh_digest()
+        assert restored
+        assert package.endswith("__init__.py")
 
     def test_order_range(self):
         with pytest.raises(DimensionError):

@@ -238,11 +238,12 @@ class TestBfgsUpdate:
 
     def test_same_bits_through_every_blas_load(self):
         # in a fresh process: the extension loaded from its file, then the
-        # scipy.linalg.blas fallback, then the module scipy.linalg imported
+        # plain import of scipy.linalg that the loader falls back on without
+        # the file, then the module scipy.linalg imported
         script = (
-            "import hashlib, sys\n"
+            "import hashlib, importlib.machinery, sys\n"
             "import numpy as np\n"
-            "from satx import optimizer\n"
+            "from satx import formats, optimizer\n"
             "def digest():\n"
             "    rng = np.random.default_rng(6)\n"
             "    n = 50\n"
@@ -258,15 +259,18 @@ class TestBfgsUpdate:
             ".hexdigest()\n"
             "direct = digest()\n"
             "assert 'scipy.linalg' not in sys.modules\n"
-            "found = optimizer._fblas_file\n"
-            "def missing():\n"
-            "    raise ImportError('no file')\n"
-            "optimizer._fblas_file = missing\n"
-            "optimizer._blas.cache_clear()\n"
+            "fblas = sys.modules['scipy.linalg._fblas']\n"
+            "formats._scipy_extension.cache_clear()\n"
+            "assert formats._scipy_extension('scipy.linalg', '_fblas') "
+            "is fblas\n"
+            "del sys.modules['scipy.linalg._fblas']\n"
+            "suffixes = importlib.machinery.EXTENSION_SUFFIXES\n"
+            "importlib.machinery.EXTENSION_SUFFIXES = ['.missing']\n"
+            "formats._scipy_extension.cache_clear()\n"
             "fallback = digest()\n"
             "assert 'scipy.linalg.blas' in sys.modules\n"
-            "optimizer._fblas_file = found\n"
-            "optimizer._blas.cache_clear()\n"
+            "importlib.machinery.EXTENSION_SUFFIXES = suffixes\n"
+            "formats._scipy_extension.cache_clear()\n"
             "imported = digest()\n"
             "print(direct, fallback, imported)\n"
         )

@@ -9,11 +9,14 @@ child process (``python3 -m satx.cli``) with satx imported from the
 checkout's ``src`` and BLAS on one thread, as in the benchmark:
 
 - ``apply`` of the matrix to each WAV;
-- ``generate --preset exampleN --seed 0`` for example1-4.
+- ``generate --preset exampleN --seed 0`` for example1-4;
+- ``evaluate --preset example1`` of the matrix that example1's generate
+  wrote: with generate, the command that builds spherical harmonics.
 
 An untimed first round writes each checkout's bytecode (as installing
-a package does; ``PYTHONDONTWRITEBYTECODE`` is dropped for the children)
-and reads the inputs into the page cache.  Then each of ROUNDS rounds
+a package does; ``PYTHONDONTWRITEBYTECODE`` is dropped for the children),
+writes the matrix that ``evaluate`` reads, and reads the inputs into the
+page cache.  Then each of ROUNDS rounds
 (5 by default, at least 5) runs every command once in each checkout, A
 first in even rounds and B first in odd ones, so a slow stretch of the
 host falls on both.  It prints one line per command
@@ -56,6 +59,10 @@ def commands(manifest, out_dir):
     for name in PRESETS:
         yield name, ["generate", "--preset", name, "--seed", "0",
                      "--out", os.path.join(out_dir, name)]
+    yield "evaluate1", [
+        "evaluate", "--preset", "example1", "--matrix",
+        os.path.join(out_dir, "example1", "example1_transcoder.smx"),
+        "--out", os.path.join(out_dir, "evaluate1")]
 
 
 def run_child(checkout, args):
